@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation, one testing.B target per artefact (see the
-// per-experiment index in DESIGN.md). Each bench reassembles its
+// per-experiment index, experiments.All in
+// internal/experiments/registry.go). Each bench reassembles its
 // figure from scratch every iteration; the per-figure headline numbers
 // are attached as custom benchmark metrics so that
 //

@@ -85,7 +85,7 @@ func main() {
 
 	// -trace: record a span timeline and export it as Chrome
 	// trace-event JSON at exit; in coordinator mode the same buffer —
-	// merged with the workers' pushed spans — also serves GET /v1/trace.
+	// merged with the spans workers send — also serves GET /v1/trace.
 	var tracer *tracing.Tracer
 	writeTrace := func(proc string) {
 		n, err := tracing.WriteFile(*traceOut, tracer)
@@ -98,9 +98,9 @@ func main() {
 
 	// -report: collect per-point simulation telemetry and write it as
 	// JSON at exit. In worker mode the collector stays local (an
-	// explicit collector is never pushed to the coordinator); in
-	// coordinator mode it aggregates the workers' pushed reports and
-	// backs GET /v1/simstatsz.
+	// explicit collector is never sent to the coordinator); in
+	// coordinator mode it aggregates the reports workers send with each
+	// batch completion and backs GET /v1/simstatsz.
 	var reporter *simreport.Collector
 	if *reportOut != "" {
 		reporter = simreport.NewCollector()
@@ -170,7 +170,7 @@ func main() {
 	if reporter != nil {
 		// Any simulations the coordinator itself runs (refine prep's
 		// calibration and triage) report into the same collector the
-		// workers push to.
+		// workers send to.
 		runner.SetReporter(reporter)
 	}
 
@@ -320,7 +320,7 @@ func main() {
 	}
 
 	// Let polling workers observe Done before the listener goes away.
-	// The grace window also collects the final worker span pushes, so
+	// The grace window also collects the final worker completions, so
 	// the exported timeline is the complete merged one.
 	select {
 	case <-time.After(*grace):
@@ -334,7 +334,7 @@ func main() {
 	}
 	if *reportOut != "" {
 		// Like the trace, the report writes after the grace window so the
-		// final worker pushes are in it.
+		// final worker completions are in it.
 		writeReport("coordinator")
 	}
 }

@@ -272,7 +272,7 @@ func main() {
 		// Worker mode: the campaign (benchmarks, axes, budgets) is the
 		// coordinator's; every design-space flag of this process is
 		// ignored so keys cannot disagree. A -report collector stays
-		// local: the worker writes its own file instead of pushing to
+		// local: the worker writes its own file instead of sending it to
 		// the coordinator.
 		if *cf.remote == "" {
 			fatal(errors.New("-worker requires -remote URL"))

@@ -159,7 +159,7 @@ func (s *Server) buildCampaign(spec CampaignSpec) (points []experiments.Point, r
 // complete without dispatch.
 func (s *Server) handleEnqueueCampaign(w http.ResponseWriter, r *http.Request) {
 	var spec CampaignSpec
-	if !readJSON(w, r, &spec) {
+	if !readJSON(w, r, maxRequestBytes, &spec) {
 		return
 	}
 	if len(spec.Rows) == 0 {
@@ -296,7 +296,7 @@ func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req arriveRequest
-	if !readJSON(w, r, &req) {
+	if !readJSON(w, r, maxRequestBytes, &req) {
 		return
 	}
 	indexes := make([]int, len(req.Rows))

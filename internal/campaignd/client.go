@@ -282,28 +282,6 @@ func (c *Client) Lease(ctx context.Context, worker string, max int) (LeaseGrant,
 	return resp, err
 }
 
-// PushTrace ships a batch of finished spans to the coordinator's
-// trace buffer (POST /v1/trace); an empty batch is a no-op. Callers
-// treat failures as advisory — losing spans must never fail a
-// campaign.
-func (c *Client) PushTrace(ctx context.Context, spans []tracing.Span) error {
-	if len(spans) == 0 {
-		return nil
-	}
-	return c.call(ctx, http.MethodPost, "/v1/trace", spans, nil)
-}
-
-// PushReports ships a batch of per-point simulation reports to the
-// coordinator's collector (POST /v1/simreport); an empty batch is a
-// no-op. As with PushTrace, failures are advisory — lost telemetry
-// must never fail a campaign.
-func (c *Client) PushReports(ctx context.Context, reports []simreport.Report) error {
-	if len(reports) == 0 {
-		return nil
-	}
-	return c.call(ctx, http.MethodPost, "/v1/simreport", reports, nil)
-}
-
 // SimStatsz fetches the coordinator's campaign-wide telemetry
 // aggregate (404s unless the coordinator reports).
 func (c *Client) SimStatsz(ctx context.Context) (simreport.Summary, error) {
@@ -318,9 +296,12 @@ func (c *Client) Renew(ctx context.Context, lease string) error {
 }
 
 // Complete reports a leased batch finished (results already published
-// through the store plane).
-func (c *Client) Complete(ctx context.Context, lease string, indexes []int) error {
-	return c.call(ctx, http.MethodPost, "/v1/complete", completeRequest{Lease: lease, Indexes: indexes}, nil)
+// through the store plane) and delivers the worker's telemetry with
+// it: finished spans and per-point simulation reports, either of which
+// may be empty.
+func (c *Client) Complete(ctx context.Context, lease string, indexes []int, spans []tracing.Span, reports []simreport.Report) error {
+	return c.call(ctx, http.MethodPost, "/v1/complete",
+		completeRequest{Lease: lease, Indexes: indexes, Spans: spans, Reports: reports}, nil)
 }
 
 // Release returns part of a live lease to the queue unrun, keeping

@@ -429,12 +429,11 @@ func (d *dispatch) Renew(id string) bool {
 	return true
 }
 
-// Complete marks the given points done and releases the lease. It is
-// deliberately permissive: an unknown (expired) lease still completes
-// its points, because completion only ever follows a durable store
-// write — the late worker's results are real, and simulation is
-// deterministic, so whichever worker publishes first wins bytes that
-// are identical anyway. Out-of-range indexes report an error.
+// Complete marks the given points done and releases the lease. An
+// unknown (expired) lease completes nothing: its worker's results
+// already marked their points done when the store plane accepted them,
+// and an unauthenticated body naming no live lease must not mark
+// points done without results. Out-of-range indexes report an error.
 //
 // A PARTIAL completion — indexes covering only some of the lease's
 // points (or none) — returns the rest to the queue as of this call: a
@@ -449,12 +448,12 @@ func (d *dispatch) Complete(id string, indexes []int) error {
 			return fmt.Errorf("campaignd: point index %d out of range", i)
 		}
 	}
-	for _, i := range indexes {
-		d.markDoneLocked(i)
-	}
 	l := d.leases[id]
 	d.observeLocked(l, len(indexes))
 	if l != nil {
+		for _, i := range indexes {
+			d.markDoneLocked(i)
+		}
 		now := d.now()
 		for _, i := range l.indexes {
 			if d.state[i] == pointLeased {

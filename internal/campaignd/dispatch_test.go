@@ -120,18 +120,22 @@ func TestLeaseExpiryStealing(t *testing.T) {
 		t.Fatalf("ExpiredLeases = %d, want 1", st.ExpiredLeases)
 	}
 
-	// The crashed worker limps back and completes anyway — its results
-	// hit the store before it died, so completion is accepted and the
-	// thief's overlapping completion is idempotent.
+	// The crashed worker limps back and completes anyway. The call is
+	// accepted but marks nothing: an expired lease vouches for no
+	// result (a real worker's store-plane PUTs already did). The
+	// thief's completion then marks its points done.
 	if err := d.Complete(l1, []int{0, 1}); err != nil {
 		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Done != 0 {
+		t.Fatalf("Done = %d after an expired lease's completion, want 0", st.Done)
 	}
 	if err := d.Complete(l3, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
 	if st.Done != 2 {
-		t.Fatalf("Done = %d after double completion, want 2 (idempotent)", st.Done)
+		t.Fatalf("Done = %d after completion, want 2", st.Done)
 	}
 }
 

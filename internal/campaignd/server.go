@@ -33,23 +33,22 @@
 //	POST /v1/lease       claim a batch of plan points under a TTL lease
 //	POST /v1/renew       heartbeat: extend a lease's deadline
 //	POST /v1/release     return part of a live lease to the queue unrun
-//	POST /v1/complete    report a batch finished, release the lease
+//	POST /v1/complete    report a batch finished, release the lease;
+//	                     the body also carries the worker's telemetry
 //	GET  /v1/trace       the campaign's merged span timeline as Chrome
 //	                     trace-event JSON (404 unless tracing is on)
-//	POST /v1/trace       workers push their finished spans here
 //	GET  /v1/simstatsz   campaign-wide simulation-telemetry aggregate
 //	                     (simreport.Summary JSON; 404 unless reporting
 //	                     is on)
-//	POST /v1/simreport   workers push per-point simulation reports here
 //
 // With tracing enabled (ServerConfig.Tracer) every lease grant carries
 // an X-Trace-Context response header; workers parent their spans under
-// it and push them back, so GET /v1/trace exports one merged timeline
-// covering queue wait, leases, worker execution and store writes.
+// it and send them back with completion, so GET /v1/trace exports
+// one merged timeline of queue wait, leases, execution and writes.
 //
 // With reporting enabled (ServerConfig.Reports) the campaign handshake
 // tells workers to collect per-point simulation telemetry
-// (internal/simreport) and push it with batch completion, so
+// (internal/simreport) and send it with completion, so
 // GET /v1/simstatsz serves the whole campaign's microarchitectural
 // aggregate — CPI stall-stack shares, per-benchmark/per-config
 // distributions, and simulated-cycles-per-second — while it runs.
@@ -121,17 +120,16 @@ type ServerConfig struct {
 	// Tracer, when non-nil, turns on dispatch-plane tracing: every
 	// lease grant opens a span whose context rides the X-Trace-Context
 	// response header (workers parent their batch spans under it and
-	// push the finished spans back via POST /v1/trace), each granted
-	// point's queue wait is booked as an "enqueue" span, and the merged
-	// timeline is exported as Chrome trace-event JSON at GET /v1/trace.
-	// Nil (the default) disables tracing and both /v1/trace endpoints.
+	// send the finished spans back inside POST /v1/complete), each
+	// granted point's queue wait is booked as an "enqueue" span, and the
+	// merged timeline is served as Chrome trace-event JSON at
+	// GET /v1/trace. Nil (the default) disables tracing and drops spans.
 	Tracer *tracing.Tracer
 	// Reports, when non-nil, turns on campaign-wide simulation
 	// telemetry: the handshake tells workers to collect per-point
-	// reports (internal/simreport) and push them back via
-	// POST /v1/simreport with batch completion, and the merged
-	// aggregate is served as JSON at GET /v1/simstatsz. Nil (the
-	// default) disables reporting and both endpoints.
+	// reports (internal/simreport) and send them inside
+	// POST /v1/complete, and the merged aggregate is served as JSON at
+	// GET /v1/simstatsz. Nil (the default) disables it and drops reports.
 	Reports *simreport.Collector
 
 	// now overrides the clock in tests.
@@ -168,7 +166,8 @@ type CampaignInfo struct {
 	TTLMillis int64
 	Batch     int
 	// Reports asks workers to collect per-point simulation telemetry
-	// and push it back via POST /v1/simreport with batch completion.
+	// and send it inside POST /v1/complete; without it they skip the
+	// per-point host-cost sampling nobody would read.
 	Reports bool
 }
 
@@ -209,9 +208,13 @@ type releaseRequest struct {
 	Indexes []int
 }
 
+// completeRequest also carries the worker's telemetry since its last
+// delivered Complete.
 type completeRequest struct {
 	Lease   string
 	Indexes []int
+	Spans   []tracing.Span     `json:",omitempty"`
+	Reports []simreport.Report `json:",omitempty"`
 }
 
 // Statsz is the /v1/statsz body.
@@ -308,9 +311,7 @@ func New(cfg ServerConfig) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/release", s.handleRelease)
 	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
 	s.mux.HandleFunc("GET /v1/trace", s.handleGetTrace)
-	s.mux.HandleFunc("POST /v1/trace", s.handlePostTrace)
 	s.mux.HandleFunc("GET /v1/simstatsz", s.handleSimStatsz)
-	s.mux.HandleFunc("POST /v1/simreport", s.handlePostSimReport)
 	s.mux.Handle("GET /metrics", s.metrics.Handler())
 	return s, nil
 }
@@ -480,7 +481,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if !readJSON(w, r, &req) {
+	if !readJSON(w, r, maxRequestBytes, &req) {
 		return
 	}
 	id, indexes, _, allDone := s.d.Lease(req.Worker, req.Max)
@@ -500,7 +501,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req renewRequest
-	if !readJSON(w, r, &req) {
+	if !readJSON(w, r, maxRequestBytes, &req) {
 		return
 	}
 	if !s.d.Renew(req.Lease) {
@@ -512,18 +513,24 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
-	if !readJSON(w, r, &req) {
+	if !readJSON(w, r, maxRequestBytes, &req) {
 		return
 	}
 	s.d.Release(req.Lease, req.Indexes)
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleComplete releases a lease and ingests the telemetry riding with
+// it whenever the body decodes — even for an expired lease, whose
+// results are already durable — dropping a surface this coordinator
+// does not collect (both sinks are nil-safe).
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
-	if !readJSON(w, r, &req) {
+	if !readJSON(w, r, maxCompleteBytes, &req) {
 		return
 	}
+	s.tracer.Ingest(req.Spans)
+	s.reports.Ingest(req.Reports)
 	if err := s.d.Complete(req.Lease, req.Indexes); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -531,15 +538,10 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// --- trace plane ---
-
-// maxTraceBytes bounds a worker's POST /v1/trace span batch; spans
-// are a few hundred bytes each, so this comfortably covers a full
-// ring buffer.
-const maxTraceBytes = 8 << 20
+// --- telemetry plane ---
 
 // handleGetTrace exports the coordinator's merged timeline — its own
-// dispatch spans plus every span workers have pushed — as Chrome
+// dispatch spans plus every span workers have sent — as Chrome
 // trace-event JSON, loadable in Perfetto or chrome://tracing.
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
@@ -549,28 +551,6 @@ func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	tracing.WriteChromeTrace(w, s.tracer.Spans())
 }
-
-// handlePostTrace ingests a batch of finished spans from a worker into
-// the coordinator's buffer.
-func (s *Server) handlePostTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		http.Error(w, "tracing disabled (start the coordinator with -trace)", http.StatusNotFound)
-		return
-	}
-	var spans []tracing.Span
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTraceBytes)).Decode(&spans); err != nil {
-		http.Error(w, fmt.Sprintf("bad span batch: %v", err), http.StatusBadRequest)
-		return
-	}
-	s.tracer.Ingest(spans)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// --- telemetry plane ---
-
-// maxReportBytes bounds a worker's POST /v1/simreport batch; a report
-// is a few KB of JSON, so this covers hundreds per push.
-const maxReportBytes = 8 << 20
 
 // handleSimStatsz serves the campaign-wide simulation-telemetry
 // aggregate: totals, stall shares, and deterministic per-backend and
@@ -583,23 +563,6 @@ func (s *Server) handleSimStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.reports.Summary())
 }
 
-// handlePostSimReport ingests a batch of per-point reports from a
-// worker into the coordinator's collector (dedup by point key, so a
-// re-pushed batch cannot double-count).
-func (s *Server) handlePostSimReport(w http.ResponseWriter, r *http.Request) {
-	if s.reports == nil {
-		http.Error(w, "simulation reporting disabled (start the coordinator with -report)", http.StatusNotFound)
-		return
-	}
-	var reports []simreport.Report
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReportBytes)).Decode(&reports); err != nil {
-		http.Error(w, fmt.Sprintf("bad report batch: %v", err), http.StatusBadRequest)
-		return
-	}
-	s.reports.Ingest(reports)
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -608,8 +571,15 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
+// Request body bounds: a Complete carries a batch's telemetry (spans
+// are a few hundred bytes, reports a few KB each); the rest are small.
+const (
+	maxRequestBytes  = 1 << 20
+	maxCompleteBytes = 8 << 20
+)
+
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return false
 	}

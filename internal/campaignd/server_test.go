@@ -24,7 +24,7 @@ func testOptions() experiments.Options {
 	return opts
 }
 
-func testRunner(t *testing.T) *experiments.Runner {
+func testRunner(t testing.TB) *experiments.Runner {
 	t.Helper()
 	r, err := experiments.NewRunner(testOptions())
 	if err != nil {
@@ -34,7 +34,7 @@ func testRunner(t *testing.T) *experiments.Runner {
 }
 
 // testServer stands up a coordinator over a fresh store and plan.
-func testServer(t *testing.T, points []experiments.Point, mutate func(*ServerConfig)) (*Server, *httptest.Server, *runstore.Store) {
+func testServer(t testing.TB, points []experiments.Point, mutate func(*ServerConfig)) (*Server, *httptest.Server, *runstore.Store) {
 	t.Helper()
 	store, err := runstore.Open(t.TempDir())
 	if err != nil {

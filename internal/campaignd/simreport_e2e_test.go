@@ -13,8 +13,8 @@ import (
 
 // TestSimReportE2E is the telemetry acceptance pin: a two-worker
 // loopback campaign with a reporting coordinator collects exactly one
-// report per dispatched point — pushed by the workers, who need no
-// flag of their own (collection auto-enables from the campaign
+// report per dispatched point — sent by the workers inside their batch
+// completions, needing no flag of their own (collection auto-enables from the campaign
 // handshake) — every report satisfies cycle conservation on this
 // all-detailed plan, and GET /v1/simstatsz serves the aggregate whose
 // count agrees with the merged stream's point count.
@@ -150,8 +150,8 @@ func TestSimReportWorkerLocalCollector(t *testing.T) {
 }
 
 // TestSimReportEndpointsDisabled pins the off-by-default contract:
-// without a collector both telemetry endpoints 404 and the handshake
-// does not ask workers to collect.
+// without a collector GET /v1/simstatsz 404s and the handshake does
+// not ask workers to collect.
 func TestSimReportEndpointsDisabled(t *testing.T) {
 	_, hs, _ := testServer(t, testPoints(), nil)
 	resp, err := http.Get(hs.URL + "/v1/simstatsz")
@@ -161,14 +161,6 @@ func TestSimReportEndpointsDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /v1/simstatsz without reporting = %s, want 404", resp.Status)
-	}
-	resp, err = http.Post(hs.URL+"/v1/simreport", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /v1/simreport without reporting = %s, want 404", resp.Status)
 	}
 	client, err := NewClient(hs.URL)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand/v2"
+	"net/url"
 	"os"
 	"time"
 
@@ -49,18 +50,18 @@ type Worker struct {
 	Metrics *metrics.Registry
 	// Tracer records the worker's spans (batch, per-point, store I/O).
 	// Nil auto-enables tracing the first time a lease grant carries a
-	// trace context (i.e. the coordinator traces), and the spans are
-	// pushed to the coordinator's POST /v1/trace after each batch for
-	// the merged timeline — distributed tracing needs no worker-side
-	// flag. An explicitly supplied tracer instead belongs to the caller
-	// (the drivers' -trace flag writes it to a local file): its spans
-	// stay buffered here, still sharing the coordinator's trace ID via
-	// the grant's trace context, so local timelines remain mergeable.
+	// trace context (i.e. the coordinator traces), and the spans travel
+	// to the coordinator inside each batch's POST /v1/complete for the
+	// merged timeline — distributed tracing needs no worker-side flag.
+	// An explicitly supplied tracer instead belongs to the caller (the
+	// drivers' -trace flag writes it to a local file): its spans stay
+	// buffered here, still sharing the coordinator's trace ID via the
+	// grant's trace context, so local timelines remain mergeable.
 	Tracer *tracing.Tracer
 	// Reports collects per-point simulation telemetry. Nil auto-enables
 	// collection when the campaign handshake asks for it (the
-	// coordinator was started with -report), and the reports are pushed
-	// to the coordinator's POST /v1/simreport after each batch —
+	// coordinator was started with -report), and the reports travel to
+	// the coordinator inside each batch's POST /v1/complete —
 	// campaign-wide telemetry needs no worker-side flag. An explicitly
 	// supplied collector instead belongs to the caller (the drivers'
 	// -report flag writes it to a local file): its reports stay here
@@ -167,7 +168,7 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 	runner.SetMetrics(reg)
 	runner.SetTracer(w.tr)
 	// A handshake asking for telemetry auto-enables collection (the
-	// reports are pushed after each batch); a caller-supplied collector
+	// reports ride each batch's Complete); a caller-supplied collector
 	// is attached regardless and stays local.
 	w.col = w.Reports
 	if w.col == nil && info.Reports {
@@ -215,7 +216,7 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 			w.log.Warn("worker: forfeiting lease — backend not registered in this worker",
 				"worker", id, "lease", lr.Lease, "backend", missing)
 			if err := w.giveBack(ctx, m, "forfeit", lr.Lease, func(ctx context.Context) error {
-				return client.Complete(ctx, lr.Lease, nil)
+				return client.Complete(ctx, lr.Lease, nil, nil, nil)
 			}); err != nil {
 				return rep, err
 			}
@@ -413,17 +414,18 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 	writesBefore := store.Stats().Writes
 	_, err := runner.Plan(points...).RunAll(runCtx)
 	batchSpan.End()
-	w.pushSpans(ctx, client)
-	w.pushReports(ctx, client)
 	cancel()
 	<-hbStopped
 
 	if err != nil {
 		select {
 		case <-leaseLost:
-			// Abandoned, not failed. The writes delta is exactly this
-			// batch's published (hence completed) points: the runner is
-			// ours alone and idle between batches.
+			// Abandoned, not failed. An empty Complete still delivers the
+			// batch's telemetry (an expired lease completes nothing). The
+			// writes delta is exactly this batch's published (hence
+			// completed) points: the runner is ours alone and idle
+			// between batches.
+			w.complete(ctx, client, lr.Lease, nil)
 			return int(store.Stats().Writes - writesBefore), true, nil
 		default:
 		}
@@ -432,58 +434,36 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 		}
 		return 0, false, err
 	}
-
-	// Every result is already durably published (RunAll's write-back is
-	// synchronous), so a failed Complete only delays lease release: the
-	// store-plane writes have marked the points done regardless.
-	if err := client.Complete(ctx, lr.Lease, indexes); err != nil && !errors.Is(err, ErrLeaseGone) {
-		w.log.Warn("worker: complete failed (results are already published)",
-			"worker", w.id, "lease", lr.Lease, "error", err)
-	}
+	w.complete(ctx, client, lr.Lease, indexes)
 	return len(points), false, nil
 }
 
-// pushSpans drains the worker's finished spans to the coordinator's
-// trace buffer. Failures are advisory — a campaign must never fail
-// over lost telemetry — and the spans are re-buffered so a later push
-// (or a driver-side -trace export) can still deliver them. A tracer
-// the caller supplied explicitly is never drained: its spans are the
-// caller's to export (see the Tracer field).
-func (w *Worker) pushSpans(ctx context.Context, client *Client) {
-	if w.tr == nil || w.Tracer != nil {
+// complete sends a batch's Complete carrying the auto-enabled tracer's
+// spans and collector's reports (caller-supplied ones stay local). The
+// telemetry is re-buffered for the next Complete only when the call got
+// no HTTP response: any response means the coordinator read the body,
+// so nothing is ingested twice. A failed Complete only delays the
+// lease's release: the store-plane writes already marked the points
+// done.
+func (w *Worker) complete(ctx context.Context, client *Client, lease string, indexes []int) {
+	var spans []tracing.Span
+	if w.Tracer == nil {
+		spans = w.tr.Drain()
+	}
+	var reports []simreport.Report
+	if w.Reports == nil {
+		reports = w.col.Drain()
+	}
+	err := client.Complete(ctx, lease, indexes, spans, reports)
+	if err == nil {
 		return
 	}
-	spans := w.tr.Drain()
-	if len(spans) == 0 {
-		return
-	}
-	if err := client.PushTrace(ctx, spans); err != nil {
-		w.log.Debug("worker: trace push failed; keeping spans buffered",
-			"worker", w.id, "spans", len(spans), "error", err)
+	if errors.As(err, new(*url.Error)) {
 		w.tr.Ingest(spans)
-	}
-}
-
-// pushReports drains the worker's collected simulation reports to the
-// coordinator. Failures are advisory — a campaign must never fail over
-// lost telemetry — and the reports are re-buffered for the next push
-// (the coordinator's collector dedups by point key, so a partially
-// delivered batch cannot double-count). A collector the caller
-// supplied explicitly is never drained: its reports are the caller's
-// to export (see the Reports field).
-func (w *Worker) pushReports(ctx context.Context, client *Client) {
-	if w.col == nil || w.Reports != nil {
-		return
-	}
-	reports := w.col.Drain()
-	if len(reports) == 0 {
-		return
-	}
-	if err := client.PushReports(ctx, reports); err != nil {
-		w.log.Debug("worker: report push failed; keeping reports buffered",
-			"worker", w.id, "reports", len(reports), "error", err)
 		w.col.Ingest(reports)
 	}
+	w.log.Warn("worker: complete failed (results are already published)",
+		"worker", w.id, "lease", lease, "error", err)
 }
 
 // handshakeBudget bounds the total time handshake spends retrying —

@@ -185,7 +185,7 @@ type Runner struct {
 
 	// reporter, when attached with SetReporter, collects one
 	// simreport.Report per resolved design point — captured around live
-	// executions, replayed from store artifacts on warm hits; nil (the
+	// executions, rebuilt from the stored result on warm hits; nil (the
 	// default) captures nothing and costs one nil check per point.
 	reporter *simreport.Collector
 }
@@ -383,13 +383,10 @@ func (r *Runner) Tracer() *tracing.Tracer {
 // SetReporter attaches a simulation-report collector. Every design
 // point the runner resolves past the memory tier then contributes one
 // simreport.Report: a live execution is captured with its host cost
-// (wall time, allocation delta, simulated cycles per second), a
-// warm-store hit re-serves the point's persisted report artifact
-// verbatim (or rebuilds it from the stored result, marked Replayed,
-// when the artifact is missing or stale). When the attached store also
-// implements ArtifactStore, fresh reports persist beside their results
-// under the simreport fingerprint. If a metrics registry is attached
-// too, campaign-wide stall-share gauges are registered against the
+// (wall time, allocation delta, simulated cycles per second), and a
+// warm-store hit rebuilds the report from the stored result, marked
+// Replayed with no host cost. If a metrics registry is attached too,
+// campaign-wide stall-share gauges are registered against the
 // collector. Attach before running plans; a nil collector detaches.
 func (r *Runner) SetReporter(c *simreport.Collector) {
 	r.mu.Lock()
@@ -635,32 +632,27 @@ func storePut(ctx context.Context, st ResultStore, key runstore.Key, res *core.R
 	return st.Put(key, res)
 }
 
-// ArtifactStore is the optional artifact extension of ResultStore:
-// stores that can hold derived blobs beside results (the on-disk
-// *runstore.Store) implement it, and the runner persists each point's
-// simreport artifact through it when a report collector is attached.
-// The campaign coordinator's RemoteStore deliberately does not — in a
-// distributed campaign telemetry travels worker → coordinator with
-// batch completion, not through the store plane.
-type ArtifactStore interface {
-	PutArtifact(kind, fingerprint string, data []byte) error
-	GetArtifact(kind, fingerprint string) ([]byte, bool)
-}
-
 // executeOrLoad resolves a memory-tier miss: disk first when a store
 // is attached, then the selected backend with a write-back. A persist
 // failure is surfaced as an error — a sharded campaign whose shards
 // cannot see each other's results is broken, not degraded.
 func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st ResultStore, backend, bench string, cfg core.Config, prewarm bool) (*core.Result, error) {
 	rep := r.Reporter()
+	key := r.storeKey(backend, bench, cfg, prewarm)
 	if st != nil {
 		lctx, lookup := tr.Start(ctx, "store.lookup")
-		res, ok := storeGet(lctx, st, r.storeKey(backend, bench, cfg, prewarm))
+		res, ok := storeGet(lctx, st, key)
 		lookup.SetAttr("hit", fmt.Sprint(ok))
 		lookup.End()
 		if ok {
 			r.countCache("store", true)
-			r.replayReport(rep, st, backend, bench, cfg, prewarm, res)
+			// The report's microarchitectural half is a pure function of
+			// the stored result; the host cost of a replay is unknown.
+			if rep != nil {
+				report := simreport.FromResult(key.Hex(), bench, backend, prewarm, res)
+				report.Host.Replayed = true
+				rep.Add(report)
+			}
 			return res, nil
 		}
 		r.countCache("store", false)
@@ -684,9 +676,7 @@ func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st Resul
 		allocBefore = totalAllocBytes()
 	}
 	ectx, exec := tr.Start(ctx, "backend.execute", tracing.A("backend", backend))
-	start := time.Now()
-	res, err := r.execute(ectx, backend, bench, cfg, prewarm)
-	wall := time.Since(start)
+	res, wall, err := r.execute(ectx, backend, bench, cfg, prewarm)
 	if err == nil && exec != nil {
 		exec.SetAttr("cycles", fmt.Sprint(res.Cycles))
 		exec.SetAttr("instructions", fmt.Sprint(res.TotalInstructions()))
@@ -698,10 +688,8 @@ func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st Resul
 	if err != nil {
 		return nil, err
 	}
-	var report simreport.Report
 	if rep != nil {
-		report = simreport.FromResult(r.storeKey(backend, bench, cfg, prewarm).Hex(),
-			bench, backend, prewarm, res)
+		report := simreport.FromResult(key.Hex(), bench, backend, prewarm, res)
 		report.Host = simreport.HostCost{
 			WallSeconds: wall.Seconds(),
 			AllocBytes:  totalAllocBytes() - allocBefore,
@@ -713,55 +701,14 @@ func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st Resul
 	}
 	if st != nil {
 		wctx, write := tr.Start(ctx, "store.write")
-		err := storePut(wctx, st, r.storeKey(backend, bench, cfg, prewarm), res)
+		err := storePut(wctx, st, key, res)
 		write.End()
 		if err != nil {
 			return nil, fmt.Errorf("persist result: %w", err)
 		}
 		r.countWrite()
-		r.persistReport(st, report)
 	}
 	return res, nil
-}
-
-// replayReport re-serves a warm point's telemetry with zero
-// simulations: the persisted artifact verbatim when the store holds a
-// current one, else a rebuild from the stored result (exact
-// microarchitecturally, host cost unknown — marked Replayed) that is
-// re-persisted under the current fingerprint so the next warm run hits
-// the artifact directly.
-func (r *Runner) replayReport(rep *simreport.Collector, st ResultStore, backend, bench string, cfg core.Config, prewarm bool, res *core.Result) {
-	if rep == nil {
-		return
-	}
-	keyHex := r.storeKey(backend, bench, cfg, prewarm).Hex()
-	as, _ := st.(ArtifactStore)
-	if as != nil {
-		if data, ok := as.GetArtifact(simreport.ArtifactKind(keyHex), simreport.Fingerprint); ok {
-			if report, ok := simreport.Decode(data, keyHex); ok {
-				rep.Add(report)
-				return
-			}
-		}
-	}
-	report := simreport.FromResult(keyHex, bench, backend, prewarm, res)
-	report.Host.Replayed = true
-	rep.Add(report)
-	r.persistReport(st, report)
-}
-
-// persistReport writes a report beside its result when the store can
-// hold artifacts. Telemetry persistence is best-effort: a failure
-// costs a Replayed rebuild on the next warm run, never the campaign —
-// unlike result write-backs, which are load-bearing for sharding.
-func (r *Runner) persistReport(st ResultStore, report simreport.Report) {
-	as, ok := st.(ArtifactStore)
-	if !ok || report.Key == "" {
-		return
-	}
-	if data, err := simreport.Encode(report); err == nil {
-		_ = as.PutArtifact(simreport.ArtifactKind(report.Key), simreport.Fingerprint, data)
-	}
 }
 
 // totalAllocBytes samples the process-wide cumulative allocation
@@ -773,22 +720,25 @@ func totalAllocBytes() uint64 {
 }
 
 // execute dispatches one design point (always a cache miss) to its
-// backend and books the execution in the per-backend counters.
-func (r *Runner) execute(ctx context.Context, backend, bench string, cfg core.Config, prewarm bool) (*core.Result, error) {
+// backend, books the execution in the per-backend counters and
+// returns its wall time — the one measurement the metrics, the
+// backend.execute span and the report's host cost all share.
+func (r *Runner) execute(ctx context.Context, backend, bench string, cfg core.Config, prewarm bool) (*core.Result, time.Duration, error) {
 	b, err := r.backend(backend)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	start := time.Now()
 	res, err := b.Execute(ctx, bench, cfg, prewarm)
+	wall := time.Since(start)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	r.mu.Lock()
 	r.simsBy[backend]++
 	r.mu.Unlock()
-	r.observeExecution(backend, time.Since(start), res.Cycles)
-	return res, nil
+	r.observeExecution(backend, wall, res.Cycles)
+	return res, wall, nil
 }
 
 // CachedRuns reports how many distinct simulations have completed

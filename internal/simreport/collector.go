@@ -20,8 +20,8 @@ import (
 // another), and the aggregate must count each point once. A live
 // (captured) report always wins over a replayed one, because it
 // carries real host cost; between two reports of the same liveness the
-// first wins, so re-ingesting a batch after a failed push cannot churn
-// the aggregate.
+// first wins, so re-ingesting a batch after a failed delivery cannot
+// churn the aggregate.
 type Collector struct {
 	mu      sync.Mutex
 	reports []Report
@@ -51,8 +51,8 @@ func (c *Collector) Add(r Report) {
 	c.reports = append(c.reports, r)
 }
 
-// Ingest folds a batch of reports (a worker's push, or a re-buffered
-// failed push) into the collection.
+// Ingest folds a batch of reports (a worker's batch completion, or a
+// re-buffered failed delivery) into the collection.
 func (c *Collector) Ingest(reports []Report) {
 	for _, r := range reports {
 		c.Add(r)
@@ -80,9 +80,9 @@ func (c *Collector) Reports() []Report {
 }
 
 // Drain removes and returns the collected reports, resetting the
-// collection — the worker push path takes batches with it and
-// re-Ingests them if the push fails, exactly like the tracer's span
-// push.
+// collection — a campaign worker takes each batch's reports with it
+// for POST /v1/complete and re-Ingests them if the call gets no
+// response, exactly like the tracer's spans.
 func (c *Collector) Drain() []Report {
 	if c == nil {
 		return nil

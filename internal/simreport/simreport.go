@@ -11,18 +11,17 @@
 // needs.
 //
 // Reports are captured by the experiments Runner around each executed
-// simulation (see Runner.SetReporter), persisted beside their result
-// as fingerprinted run-store artifacts so warm-store replays re-serve
-// telemetry with zero simulations, pushed from campaign workers to the
-// coordinator with batch completion, and aggregated campaign-wide by
-// Collector.Summary — served at the coordinator's GET /v1/simstatsz
-// and written by the drivers' -report flag. Like tracing, the whole
-// layer is off by default and nil-safe: an unattached collector costs
-// a nil check per point.
+// simulation (see Runner.SetReporter). A warm-store hit rebuilds its
+// report from the stored result — the microarchitectural half is a pure
+// function of it — marked Replayed, with no host cost. Campaign workers
+// ship their reports to the coordinator inside POST /v1/complete, and
+// Collector.Summary aggregates them campaign-wide — served at the
+// coordinator's GET /v1/simstatsz and written by the drivers' -report
+// flag. Like tracing, the whole layer is off by default and nil-safe:
+// an unattached collector costs a nil check per point.
 package simreport
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"sharedicache/internal/backend"
@@ -30,18 +29,6 @@ import (
 	"sharedicache/internal/memsys"
 	"sharedicache/internal/omprt"
 )
-
-// Fingerprint identifies the report schema + derivation inside every
-// persisted artifact. Bump the version to invalidate persisted reports
-// wholesale on a schema or semantics change — stale artifacts then
-// read as misses and are rebuilt from the stored results.
-const Fingerprint = "simreport/v1"
-
-// ArtifactKind names the run-store artifact slot for the design point
-// stored under keyHex (a lowercase content-address hex string), keyed
-// beside its result so report and result travel together through the
-// store.
-func ArtifactKind(keyHex string) string { return "simreport-" + keyHex }
 
 // CoreReport is one core's share of the report: instruction and cycle
 // accounting by section, and the CPI stall stack. For the detailed
@@ -101,8 +88,8 @@ type HostCost struct {
 
 // Report is one design point's telemetry.
 type Report struct {
-	// Key is the point's persistent-store content address (hex); report
-	// artifacts are keyed beside their result with it.
+	// Key is the point's persistent-store content address (hex); the
+	// collector deduplicates by it.
 	Key     string
 	Bench   string
 	Backend string
@@ -207,28 +194,4 @@ func (r *Report) Stack() backend.CPIStack {
 		st.Add(c.Stack)
 	}
 	return st
-}
-
-// Encode serialises a report for artifact storage or the wire.
-func Encode(r Report) ([]byte, error) {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("simreport: encode %s: %w", r.Key, err)
-	}
-	return data, nil
-}
-
-// Decode parses report bytes; anything malformed or keyed to a
-// different point than expected (wantKey != "" pins it) is rejected —
-// the caller treats it as a miss and rebuilds, the same
-// corruption-as-miss stance the run store takes.
-func Decode(data []byte, wantKey string) (Report, bool) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil || r.Key == "" {
-		return Report{}, false
-	}
-	if wantKey != "" && r.Key != wantKey {
-		return Report{}, false
-	}
-	return r, true
 }

@@ -100,41 +100,6 @@ func TestFromResultConservation(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	res := simulate(t, core.DefaultConfig(), "UA", 20_000)
-	r := FromResult("cafe01", "UA", "detailed", false, res)
-	r.Host = HostCost{WallSeconds: 1.5, AllocBytes: 1 << 20, SimCyclesPerSecond: 2e6}
-
-	data, err := Encode(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := Decode(data, "cafe01")
-	if !ok {
-		t.Fatal("round-trip decode failed")
-	}
-	data2, err := Encode(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("re-encode is not byte-identical")
-	}
-
-	if _, ok := Decode([]byte("{not json"), ""); ok {
-		t.Fatal("malformed bytes must decode as a miss")
-	}
-	if _, ok := Decode([]byte(`{"Bench":"FT"}`), ""); ok {
-		t.Fatal("an empty Key must decode as a miss")
-	}
-	if _, ok := Decode(data, "someoneelse"); ok {
-		t.Fatal("a wrong-key artifact must decode as a miss")
-	}
-	if _, ok := Decode(data, ""); !ok {
-		t.Fatal("an unpinned decode should accept any key")
-	}
-}
-
 func report(key, bench, backendName, org string, cpc int, cycles uint64) Report {
 	return Report{
 		Key: key, Bench: bench, Backend: backendName, Org: org, CPC: cpc,

@@ -17,8 +17,8 @@
 // "X-Trace-Context" HTTP header (SpanContext.String / ParseContext):
 // the campaign coordinator stamps each lease grant with the lease
 // span's context, workers adopt it as the parent of their batch and
-// simulate spans, and push their finished spans back to the
-// coordinator — one merged timeline for a distributed campaign.
+// simulate spans, and send their finished spans back with each batch
+// completion — one merged timeline for a distributed campaign.
 //
 // A nil *Tracer is a valid, fully disabled tracer: Start returns a nil
 // span whose methods are no-ops, so instrumented code needs no
@@ -373,7 +373,7 @@ func (t *Tracer) Record(name string, parent SpanContext, start, end time.Time, a
 }
 
 // Ingest appends finished spans recorded by another process (a worker
-// pushing its share of the campaign to the coordinator). Spans keep
+// sending its share of the campaign to the coordinator). Spans keep
 // their own Proc, trace and parent links; empty Procs are stamped with
 // the tracer's, and spans missing identity are dropped.
 func (t *Tracer) Ingest(spans []Span) {
@@ -440,8 +440,8 @@ func (t *Tracer) Spans() []Span {
 }
 
 // Drain returns the buffered spans, oldest first, and clears the
-// buffer — the worker-side push primitive: each batch's spans ship to
-// the coordinator exactly once.
+// buffer — the worker-side delivery primitive: each batch's spans ship
+// to the coordinator inside its completion, exactly once.
 func (t *Tracer) Drain() []Span {
 	if t == nil {
 		return nil
