@@ -4,12 +4,12 @@
 // the coordinator on one node and `sweep -remote URL -worker` on the
 // others, no shared filesystem required.
 //
-// The coordinator owns the plan and the run store; the workers fetch
-// the campaign options, lease batches of design points under TTL
-// leases, simulate them, and publish results back through the store
-// plane. The main goroutine plays the role of `campaignd`'s merge
-// loop: it streams results in plan order while the workers are still
-// simulating.
+// The coordinator owns the run store and the campaign it enqueues;
+// the workers fetch the campaign options, lease batches of design
+// points under TTL leases, simulate them, and publish results back
+// through the store plane. The main goroutine plays the role of
+// `campaignd`'s merge loop: it streams results in plan order while
+// the workers are still simulating.
 //
 // Run with:
 //
@@ -56,20 +56,22 @@ func main() {
 	runner.SetStore(store)
 
 	// The plan: per benchmark the private baseline plus the shared
-	// organisation at each sharing degree.
-	plan := runner.Plan()
-	for _, b := range opts.Benchmarks {
-		plan.Add(b, sharedicache.DefaultConfig())
-		for _, cpc := range []int{2, 4, 8} {
-			cfg := sharedicache.SharedConfig()
-			cfg.CPC = cpc
-			plan.Add(b, cfg)
-		}
+	// organisation (16 KB, 4 line buffers, 2 buses) at each sharing
+	// degree.
+	space := sharedicache.DesignSpace{
+		Benches: opts.Benchmarks, CPCs: []int{2, 4, 8},
+		SizesKB: []int{16}, LineBuffers: []int{4}, Buses: []int{2},
 	}
+	plan, rows := space.Build(runner)
 
 	srv, err := sharedicache.NewCampaignServer(sharedicache.CampaignServerConfig{
-		Runner: runner, Store: store, Points: plan.Points(), Batch: 3,
+		Runner: runner, Store: store, Batch: 3,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Enqueue before listening, so a worker never finds the server idle.
+	id, err := srv.Enqueue("distributed-example", plan.Points(), rows, sharedicache.CampaignCSVShape{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func main() {
 
 	// Merge: results stream in plan order while the workers simulate.
 	fmt.Println("benchmark    org            cpc      cycles")
-	for pr := range srv.Stream(ctx) {
+	for pr := range srv.Stream(ctx, id) {
 		if pr.Err != nil {
 			log.Fatal(pr.Err)
 		}

@@ -85,7 +85,7 @@ func TestMixedBackendCampaign(t *testing.T) {
 			reports[i] = rep
 		}(i)
 	}
-	distCSV := emitCSV(t, srv.Stream(ctx), rows, len(pts), testOptions().Workers)
+	distCSV := emitCSV(t, srv.Stream(ctx, 0), rows, len(pts), testOptions().Workers)
 	wg.Wait()
 
 	// Zero duplicate simulations across the mixed plan.
@@ -127,7 +127,7 @@ func TestMixedBackendCampaign(t *testing.T) {
 
 // registerQuantumStub registers the "quantum-sim" stub backend used by
 // the forfeit tests exactly once for the test binary. The coordinator
-// must know a backend to coordinate it (Server.New validates the
+// must know a backend to coordinate it (Server.Enqueue validates the
 // plan); the *worker-side* gap is simulated per Worker via its
 // backendRegistered hook, since a process-wide registry cannot
 // unregister.
@@ -159,7 +159,10 @@ func lacksQuantum(name string) bool {
 // capable worker.
 func TestWorkerForfeitsUnknownBackend(t *testing.T) {
 	registerQuantumStub()
-	pts := []experiments.Point{{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "quantum-sim"}}
+	pts := []experiments.Point{
+		{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "quantum-sim"},
+		{Bench: "FT", Cfg: sharedCfg(8, 16, 2), Backend: "quantum-sim"},
+	}
 	srv, hs, _ := testServer(t, pts, func(cfg *ServerConfig) {
 		cfg.TTL = 200 * time.Millisecond
 	})
@@ -223,7 +226,7 @@ func TestWorkerPartialBatchRelease(t *testing.T) {
 	if crep.Points != 1 {
 		t.Fatalf("capable worker completed %d points, want the released quantum point", crep.Points)
 	}
-	merged := collectStream(t, srv.Stream(ctx), len(pts))
+	merged := collectStream(t, srv.Stream(ctx, 0), len(pts))
 	if merged[0].Cycles != 42 {
 		t.Fatalf("quantum point cycles = %d, want the stub's 42", merged[0].Cycles)
 	}

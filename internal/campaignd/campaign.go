@@ -1,7 +1,8 @@
 package campaignd
 
-// The campaign service plane: what turns a per-campaign coordinator
-// into a persistent multi-campaign server.
+// The campaign service plane: every campaign's one admission path
+// (Server.Enqueue) and one merge path (Server.WriteCSV), and the HTTP
+// endpoints that wrap them.
 //
 //	POST /v1/campaign              enqueue a campaign (CampaignSpec ->
 //	                               EnqueueReply); accepted while serving
@@ -29,7 +30,11 @@ package campaignd
 // the open-loop driver.
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -94,14 +99,27 @@ type arriveRequest struct {
 	OffsetMillis int64
 }
 
+// CSVShape is a campaign's merged-CSV layout, decided once at enqueue
+// so every campaign renders through the same WriteCSV path.
+type CSVShape struct {
+	// Backend adds the backend column: set exactly when the campaign
+	// named a backend, mirroring `sweep -backend`.
+	Backend bool
+	// Phase adds the phase column of auto-refine output.
+	Phase bool
+	// Adjust, when non-nil, rewrites each row's metrics before
+	// rendering — the auto-refine calibration of triage rows
+	// (refine.Result.Adjust).
+	Adjust func(sweep.Row, *sweep.Metrics)
+}
+
 // campaign is the server-side record of one enqueued campaign.
 type campaign struct {
-	id      int
-	name    string
-	backend string
+	id   int
+	name string
+	csv  CSVShape
 	// points is the campaign-local plan; rows carries the CSV metadata
-	// with campaign-local indexes (nil for the driver's initial
-	// campaign, whose merge the driver renders itself via Stream).
+	// with campaign-local indexes.
 	points   []experiments.Point
 	rows     []sweep.Row
 	base     int // global dispatch index of points[0]
@@ -152,42 +170,44 @@ func (s *Server) buildCampaign(spec CampaignSpec) (points []experiments.Point, r
 	return points, rows, held, nil
 }
 
-// handleEnqueueCampaign admits a campaign while serving: expand, check
-// every named backend is registered in this process (the same
-// key-divergence guard New applies to the initial plan), append to the
-// dispatch queue, and sweep the warm store so already-published points
-// complete without dispatch.
-func (s *Server) handleEnqueueCampaign(w http.ResponseWriter, r *http.Request) {
-	var spec CampaignSpec
-	if !readJSON(w, r, maxRequestBytes, &spec) {
-		return
-	}
-	if len(spec.Rows) == 0 {
-		http.Error(w, "campaign spec has no rows", http.StatusBadRequest)
-		return
-	}
-	points, rows, held, err := s.buildCampaign(spec)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad campaign spec: %v", err), http.StatusBadRequest)
-		return
+// Enqueue admits a campaign: its plan points in plan order, the CSV
+// rows indexing them, and the shape those rows render in. It is the
+// Go twin of POST /v1/campaign and returns the campaign ID.
+//
+// A campaign with no rows is refused, and so is one naming a backend
+// this process does not register: the coordinator's store keys embed
+// the backend's versioned fingerprint, so a backend it cannot resolve
+// would hash differently here than on the capable worker that
+// executes it — the worker's results would land under keys the
+// dispatch plane never matches, silently wedging the merge. Points
+// already in the store complete at once, so a campaign enqueued over
+// a warm store resumes instead of re-dispatching finished work.
+func (s *Server) Enqueue(name string, points []experiments.Point, rows []sweep.Row, shape CSVShape) (int, error) {
+	return s.enqueue(name, points, rows, shape, nil)
+}
+
+// enqueue is Enqueue plus the held states of an open campaign's
+// points (nil: every point leasable at once).
+func (s *Server) enqueue(name string, points []experiments.Point, rows []sweep.Row, shape CSVShape, held []bool) (int, error) {
+	if len(rows) == 0 {
+		return 0, errors.New("campaignd: campaign has no rows")
 	}
 	opts := s.runner.Options()
 	backendOf := make([]string, len(points))
 	hashes := make([]string, len(points))
 	for i, pt := range points {
-		name := opts.PointBackend(pt)
-		if !experiments.BackendRegistered(name) {
-			http.Error(w, fmt.Sprintf(
-				"campaign point %d (%s) names backend %q, which this coordinator does not register",
-				i, pt.Bench, name), http.StatusBadRequest)
-			return
+		b := opts.PointBackend(pt)
+		if !experiments.BackendRegistered(b) {
+			return 0, fmt.Errorf(
+				"campaignd: campaign point %d (%s) names backend %q, which this coordinator does not register — build the coordinator with the backend linked in",
+				i, pt.Bench, b)
 		}
-		backendOf[i] = name
+		backendOf[i] = b
 		hashes[i] = s.runner.PointKey(pt).Hex()
 	}
 	id, base := s.d.addCampaign(points, hashes, backendOf, held)
 	c := &campaign{
-		id: id, name: spec.Name, backend: spec.Backend,
+		id: id, name: name, csv: shape,
 		points: points, rows: rows, base: base, accepted: s.now(),
 	}
 	s.campMu.Lock()
@@ -196,15 +216,76 @@ func (s *Server) handleEnqueueCampaign(w http.ResponseWriter, r *http.Request) {
 	if s.tracer != nil {
 		s.tracer.Record("campaign.enqueue", tracing.SpanContext{}, c.accepted, s.now(),
 			tracing.AInt("campaign", id),
-			tracing.A("name", spec.Name),
+			tracing.A("name", name),
 			tracing.AInt("points", len(points)))
 	}
+	// The campaign's source of truth is the store, not the queue.
 	for _, h := range hashes {
 		if s.store.ContainsHash(h) {
 			s.d.completeHash(h)
 		}
 	}
+	return id, nil
+}
+
+// WriteCSV renders campaign id's merged CSV to w in its enqueued
+// shape: the header, then each row as soon as its point and baseline
+// are durably in the store, flushed per delivery so rows reach the
+// consumer while later points still run. EmitStream is the same loop
+// a single-process sweep runs, which keeps the two byte-identical. It
+// returns the merge's terminal error, if any: an unknown id, a
+// cancelled ctx, a result lost from the store, a failed write.
+func (s *Server) WriteCSV(ctx context.Context, w io.Writer, id int) error {
+	c, ok := s.campaign(id)
+	if !ok {
+		return fmt.Errorf("campaignd: unknown campaign %d", id)
+	}
+	out := sweep.NewCSV(w, s.runner.Options().Workers)
+	if c.csv.Phase {
+		out.IncludePhaseColumn()
+	}
+	if c.csv.Backend {
+		out.IncludeBackendColumn()
+	}
+	out.SetAdjust(c.csv.Adjust)
+	if err := out.Header(); err != nil {
+		return err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	ch := s.Stream(ctx, id)
+	err := out.EmitStream(ch, c.rows, len(c.points))
+	// A failed write leaves the stream mid-flight: cancel and drain it.
+	cancel()
+	for range ch {
+	}
+	return err
+}
+
+// handleEnqueueCampaign admits a campaign while serving: expand the
+// spec, then Enqueue it with its open rows held.
+func (s *Server) handleEnqueueCampaign(w http.ResponseWriter, r *http.Request) {
+	var spec CampaignSpec
+	if !readJSON(w, r, maxRequestBytes, &spec) {
+		return
+	}
+	points, rows, held, err := s.buildCampaign(spec)
+	var id int
+	if err == nil {
+		id, err = s.enqueue(spec.Name, points, rows, CSVShape{Backend: spec.Backend != ""}, held)
+	}
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad campaign spec: %v", err), http.StatusBadRequest)
+		return
+	}
 	writeJSON(w, EnqueueReply{ID: id, Points: len(points)})
+}
+
+// campaign looks up a campaign record.
+func (s *Server) campaign(id int) (*campaign, bool) {
+	s.campMu.Lock()
+	defer s.campMu.Unlock()
+	c, ok := s.campaigns[id]
+	return c, ok
 }
 
 // campaignByID resolves the {id} path value to an enqueued campaign.
@@ -214,9 +295,7 @@ func (s *Server) campaignByID(w http.ResponseWriter, r *http.Request) (*campaign
 		http.Error(w, "malformed campaign id", http.StatusBadRequest)
 		return nil, false
 	}
-	s.campMu.Lock()
-	c, ok := s.campaigns[id]
-	s.campMu.Unlock()
+	c, ok := s.campaign(id)
 	if !ok {
 		http.NotFound(w, r)
 		return nil, false
@@ -238,17 +317,13 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCampaignCSV renders a completed campaign's merged CSV from the
-// store — the coordinator never simulates — with the backend column
-// exactly when the spec named a backend, mirroring `sweep -backend`.
+// handleCampaignCSV serves a completed campaign's merged CSV, rendered
+// by WriteCSV from the store — the coordinator never simulates. The
+// body is buffered so a merge that fails (a result lost from the
+// store) answers 500, never a truncated 200.
 func (s *Server) handleCampaignCSV(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.campaignByID(w, r)
 	if !ok {
-		return
-	}
-	if c.rows == nil {
-		http.Error(w, "campaign carries no row metadata (initial driver campaign; merge via its driver)",
-			http.StatusNotFound)
 		return
 	}
 	if p := s.d.campaignProgress(c.id); p.Done != p.Points {
@@ -256,33 +331,13 @@ func (s *Server) handleCampaignCSV(w http.ResponseWriter, r *http.Request) {
 			http.StatusConflict)
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	out := sweep.NewCSV(w, s.runner.Options().Workers)
-	if c.backend != "" {
-		out.IncludeBackendColumn()
-	}
-	if err := out.Header(); err != nil {
+	var buf bytes.Buffer
+	if err := s.WriteCSV(r.Context(), &buf, c.id); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	for _, m := range c.rows {
-		base, ok := s.runner.Lookup(c.points[m.BaseIdx])
-		if !ok {
-			http.Error(w, fmt.Sprintf("store lost the baseline for %s", m.Bench), http.StatusInternalServerError)
-			return
-		}
-		res, ok := s.runner.Lookup(c.points[m.PointIdx])
-		if !ok {
-			http.Error(w, fmt.Sprintf("store lost the result for %s cpc=%d", m.Bench, m.CPC), http.StatusInternalServerError)
-			return
-		}
-		if err := out.Row(m, base, res); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	// Too late for a status change if the flush fails; the client's CSV
-	// parser will reject the truncated body.
-	_ = out.Flush()
+	w.Header().Set("Content-Type", "text/csv")
+	w.Write(buf.Bytes())
 }
 
 // handleArrive releases held rows of an open-loop campaign and books

@@ -39,7 +39,8 @@ func fakeCampaign(n int, prefix string) (pts []experiments.Point, hashes, backen
 // interleaves with an earlier large one instead of queueing behind it.
 func TestDispatchMultiCampaignFairness(t *testing.T) {
 	ptsA, hA, bA := fakeCampaign(4, "a")
-	d := newDispatch(ptsA, hA, bA, time.Minute, 1, time.Now)
+	d := newDispatch(time.Minute, 1, time.Now)
+	d.addCampaign(ptsA, hA, bA, nil)
 	ptsB, hB, bB := fakeCampaign(2, "b")
 	camp, base := d.addCampaign(ptsB, hB, bB, nil)
 	if camp != 1 || base != 4 {
@@ -75,7 +76,7 @@ func TestDispatchMultiCampaignFairness(t *testing.T) {
 // point completed by another campaign's store write stays done through
 // a late arrival, and held points keep allDone false.
 func TestDispatchHeldLifecycle(t *testing.T) {
-	d := newDispatch(nil, nil, nil, time.Minute, 8, time.Now)
+	d := newDispatch(time.Minute, 8, time.Now)
 	pts, h, b := fakeCampaign(3, "a")
 	camp, base := d.addCampaign(pts, h, b, []bool{false, true, true})
 
@@ -186,10 +187,11 @@ func awaitComplete(t *testing.T, client *Client, id int) {
 }
 
 // TestMultiCampaignService is the service acceptance pin: a serve-mode
-// coordinator (no initial plan) accepts two campaigns over the API, one
-// worker fleet completes both interleaved, and each campaign's merged
-// CSV is byte-identical to the single-process sweep of the same space —
-// with zero duplicate simulations across the service.
+// coordinator (started with no campaign) accepts two campaigns over
+// the API, one worker fleet completes both interleaved, and each
+// campaign's merged CSV is byte-identical to the single-process sweep
+// of the same space — with zero duplicate simulations across the
+// service.
 func TestMultiCampaignService(t *testing.T) {
 	srv, hs, _ := testServer(t, nil, func(cfg *ServerConfig) {
 		cfg.Batch = 1 // force per-point leases so the campaigns interleave
@@ -250,14 +252,13 @@ func TestMultiCampaignService(t *testing.T) {
 	if st.Store.Writes != 6 {
 		t.Fatalf("store writes = %d, want 6 (duplicates)", st.Store.Writes)
 	}
-	if st.Dispatch.Campaigns != 3 || st.Dispatch.ActiveCampaigns != 0 {
-		t.Fatalf("dispatch = %+v, want 3 campaigns total (incl. empty initial), 0 active", st.Dispatch)
+	if st.Dispatch.Campaigns != 2 || st.Dispatch.ActiveCampaigns != 0 {
+		t.Fatalf("dispatch = %+v, want 2 campaigns total, 0 active", st.Dispatch)
 	}
 
-	// The initial serve-mode campaign carries no row metadata: its CSV
-	// endpoint 404s rather than serving an empty document.
-	if _, err := client.CampaignCSV(ctx, 0); err == nil {
-		t.Fatal("initial campaign served a CSV")
+	// Only enqueued campaigns exist: an unknown id's CSV is a 404.
+	if _, err := client.CampaignCSV(ctx, 99); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("unknown campaign CSV err = %v, want a 404", err)
 	}
 }
 
@@ -456,7 +457,7 @@ func TestCampaignSpecValidation(t *testing.T) {
 		t.Fatal("empty-benchmark row accepted")
 	}
 	// A backend the coordinator does not register is refused at enqueue,
-	// exactly like the startup guard for the initial plan.
+	// on the same path as a Go-side Server.Enqueue.
 	ghost := CampaignSpec{Backend: "ghost-sim", Rows: []PointSpec{{Bench: "FT", CPC: 2, KB: 16, LB: 4, Bus: 1}}}
 	if _, err := client.Enqueue(ctx, ghost); err == nil || !strings.Contains(err.Error(), "ghost-sim") {
 		t.Fatalf("unregistered-backend spec err = %v, want refusal naming the backend", err)
@@ -465,7 +466,12 @@ func TestCampaignSpecValidation(t *testing.T) {
 	if _, err := client.CampaignStatus(ctx, 99); err == nil {
 		t.Fatal("unknown campaign id served a status")
 	}
-	if err := client.Arrive(ctx, 0, []int{0}, 0); err == nil {
+	ok := CampaignSpec{Open: true, Rows: []PointSpec{{Bench: "FT", CPC: 2, KB: 16, LB: 4, Bus: 1}}}
+	rep, err := client.Enqueue(ctx, ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Arrive(ctx, rep.ID, []int{1}, 0); err == nil {
 		t.Fatal("out-of-range arrival accepted")
 	}
 }

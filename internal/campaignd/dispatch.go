@@ -122,29 +122,26 @@ const (
 	ewmaAlpha = 0.3
 )
 
-// newDispatch builds the queue over an initial campaign's plan points
-// (possibly empty, for a serve-mode coordinator that starts idle);
-// hashes[i] is point i's content address, which lets store-plane
-// writes complete dispatch points, and backendOf[i] the backend name
-// feeding the per-backend gauges.
-func newDispatch(points []experiments.Point, hashes, backendOf []string, ttl time.Duration, batch int, now func() time.Time) *dispatch {
-	d := &dispatch{
+// newDispatch builds an empty queue; campaigns join it through
+// addCampaign.
+func newDispatch(ttl time.Duration, batch int, now func() time.Time) *dispatch {
+	return &dispatch{
 		ttl:    ttl,
 		batch:  batch,
 		now:    now,
-		byHash: make(map[string][]int, len(points)),
+		byHash: map[string][]int{},
 		leases: map[string]*lease{},
 	}
-	d.addCampaign(points, hashes, backendOf, nil)
-	return d
 }
 
 // addCampaign appends one campaign's points to the queue and returns
 // the campaign's index and the global index of its first point.
-// held[i] parks point i in the held state — open-loop campaigns
-// declare their full plan up front but release rows only as the
-// replayed trace arrives — and nil makes every point leasable
-// immediately. Content addresses are global: a point whose hash
+// hashes[i] is point i's content address, which lets store-plane
+// writes complete it, and backendOf[i] the backend name feeding the
+// per-backend gauges. held[i] parks point i in the held state —
+// open-loop campaigns declare their full plan up front but release
+// rows only as the replayed trace arrives — and nil makes every point
+// leasable immediately. Content addresses are global: a point whose hash
 // another campaign already published completes on that campaign's
 // store write, so overlapping campaigns never duplicate simulations.
 func (d *dispatch) addCampaign(points []experiments.Point, hashes, backendOf []string, held []bool) (camp, base int) {

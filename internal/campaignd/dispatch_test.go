@@ -29,7 +29,9 @@ func testDispatch(n int, ttl time.Duration, batch int, clk *fakeClock) *dispatch
 		hashes[i] = fmt.Sprintf("hash-%d", i)
 		backends[i] = "detailed"
 	}
-	return newDispatch(points, hashes, backends, ttl, batch, clk.now)
+	d := newDispatch(ttl, batch, clk.now)
+	d.addCampaign(points, hashes, backends, nil)
+	return d
 }
 
 func mustLease(t *testing.T, d *dispatch, worker string, want []int) string {

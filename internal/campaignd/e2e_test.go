@@ -58,7 +58,7 @@ func TestTwoWorkerCampaign(t *testing.T) {
 		}(i)
 	}
 
-	merged := collectStream(t, srv.Stream(ctx), len(pts))
+	merged := collectStream(t, srv.Stream(ctx, 0), len(pts))
 	wg.Wait()
 
 	// Zero duplicate simulations: the workers' fresh simulations tile
@@ -131,7 +131,7 @@ func TestCrashedWorkerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged := collectStream(t, srv.Stream(ctx), len(pts))
+	merged := collectStream(t, srv.Stream(ctx, 0), len(pts))
 	for i, res := range merged {
 		if res == nil {
 			t.Fatalf("point %d lost", i)

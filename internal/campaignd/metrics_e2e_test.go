@@ -171,7 +171,9 @@ func (molassesStub) Execute(ctx context.Context, bench string, cfg core.Config, 
 // lease).
 func TestHeartbeatAbandonsBlackholedRenew(t *testing.T) {
 	registerMolassesStub()
-	pts := []experiments.Point{{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "molasses-sim"}}
+	// One shared point and no baseline: testRows normalises the lone
+	// row against itself, and this test never renders the CSV.
+	pts := []experiments.Point{{Bench: "FT", Cfg: sharedCfg(8, 16, 2), Backend: "molasses-sim"}}
 	_, hs := wrapCoordinator(t, pts,
 		func(cfg *ServerConfig) { cfg.TTL = 250 * time.Millisecond },
 		func(inner http.Handler) http.Handler {
@@ -281,7 +283,7 @@ func TestHandshakeBackoff(t *testing.T) {
 			http.Error(w, "still binding", http.StatusServiceUnavailable)
 			return
 		}
-		writeJSON(w, CampaignInfo{Points: 7, TTLMillis: 1000})
+		writeJSON(w, CampaignInfo{Batch: 7, TTLMillis: 1000})
 	}))
 	defer hs.Close()
 	client, err := NewClient(hs.URL)
@@ -294,7 +296,7 @@ func TestHandshakeBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Points != 7 {
+	if info.Batch != 7 {
 		t.Fatalf("handshake info = %+v, want the served campaign", info)
 	}
 	if got := calls.Load(); got != 4 {
@@ -363,7 +365,7 @@ func TestMetricsReconcileWithCampaign(t *testing.T) {
 			}
 		}(i)
 	}
-	distCSV := emitCSV(t, srv.Stream(ctx), rows, len(pts), testOptions().Workers)
+	distCSV := emitCSV(t, srv.Stream(ctx, 0), rows, len(pts), testOptions().Workers)
 	wg.Wait()
 
 	samples := scrapeProm(t, hs.URL+"/metrics")

@@ -1,6 +1,6 @@
 // Package campaignd is the distributed campaign coordinator: it serves
-// the on-disk run store over HTTP (the store plane) and dispatches a
-// campaign plan to remote workers under TTL leases (the dispatch
+// the on-disk run store over HTTP (the store plane) and dispatches
+// campaign plans to remote workers under TTL leases (the dispatch
 // plane), so a design-space sweep fans out across machines with no
 // shared filesystem.
 //
@@ -29,7 +29,7 @@
 //
 // # Dispatch plane
 //
-//	GET  /v1/campaign    campaign options + plan size + lease TTL
+//	GET  /v1/campaign    campaign options + lease TTL + batch size
 //	POST /v1/lease       claim a batch of plan points under a TTL lease
 //	POST /v1/renew       heartbeat: extend a lease's deadline
 //	POST /v1/release     return part of a live lease to the queue unrun
@@ -59,9 +59,13 @@
 // the unfinished points return to the queue for the surviving workers
 // to steal. A point is *done* exactly when its result is durably in
 // the store — the store plane marks points complete on PUT — so a
-// coordinator restarted over a warm store resumes where it left off,
-// and Server.Stream can merge results in plan order while the
-// campaign is still running.
+// campaign enqueued over a warm store resumes where it left off, and
+// Server.Stream can merge results in plan order while the campaign is
+// still running.
+//
+// Every campaign enters through one path, Server.Enqueue (which
+// POST /v1/campaign wraps), and leaves through one path,
+// Server.WriteCSV (which GET /v1/campaign/{id}/csv wraps).
 package campaignd
 
 import (
@@ -99,9 +103,6 @@ type ServerConfig struct {
 	Runner *experiments.Runner
 	// Store backs the store plane.
 	Store *runstore.Store
-	// Points is the campaign plan in plan order. May be empty: the
-	// server then degenerates to a pure network store.
-	Points []experiments.Point
 	// TTL is the lease lifetime (default DefaultTTL); a worker must
 	// heartbeat within it or its lease expires back onto the queue.
 	TTL time.Duration
@@ -136,14 +137,13 @@ type ServerConfig struct {
 	now func() time.Time
 }
 
-// Server coordinates campaigns: the initial plan New is given, plus
-// any number of campaigns enqueued over POST /v1/campaign while
-// serving. Create with New, expose with Handler, merge the initial
-// plan with Stream.
+// Server coordinates any number of campaigns, each admitted by
+// Enqueue (or POST /v1/campaign) and merged by Stream or WriteCSV.
+// Create with New and expose with Handler; with no campaign enqueued
+// it is a pure network store.
 type Server struct {
 	runner  *experiments.Runner
 	store   *runstore.Store
-	points  []experiments.Point // the initial campaign's plan
 	d       *dispatch
 	mux     *http.ServeMux
 	metrics *metrics.Registry
@@ -151,7 +151,7 @@ type Server struct {
 	reports *simreport.Collector
 	now     func() time.Time
 
-	// campMu guards the enqueued-campaign records; the dispatch queue
+	// campMu guards the campaign records; the dispatch queue
 	// itself has its own lock.
 	campMu     sync.Mutex
 	campaigns  map[int]*campaign
@@ -162,7 +162,6 @@ type Server struct {
 // needs to build a Runner whose store keys match the coordinator's.
 type CampaignInfo struct {
 	Options   experiments.Options
-	Points    int
 	TTLMillis int64
 	Batch     int
 	// Reports asks workers to collect per-point simulation telemetry
@@ -226,7 +225,8 @@ type Statsz struct {
 	Memo experiments.MemoStats
 }
 
-// New builds a coordinator over a plan and its backing store.
+// New builds a coordinator over its backing store, with no campaign
+// enqueued yet.
 func New(cfg ServerConfig) (*Server, error) {
 	if cfg.Runner == nil || cfg.Store == nil {
 		return nil, errors.New("campaignd: ServerConfig needs a Runner and a Store")
@@ -243,36 +243,13 @@ func New(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		runner:    cfg.Runner,
 		store:     cfg.Store,
-		points:    append([]experiments.Point(nil), cfg.Points...),
+		d:         newDispatch(cfg.TTL, cfg.Batch, cfg.now),
+		tracer:    cfg.Tracer,
+		reports:   cfg.Reports,
 		now:       cfg.now,
 		campaigns: map[int]*campaign{},
 	}
-	// Every plan point's backend must be registered in THIS process:
-	// the coordinator's store keys embed the backend's versioned
-	// fingerprint, so a backend it cannot resolve would hash
-	// differently here than on the capable worker that executes it —
-	// the worker's results would land under keys the dispatch plane
-	// never matches, silently wedging the merge. Refusing at startup
-	// turns that into an actionable error.
-	opts := cfg.Runner.Options()
-	backendOf := make([]string, len(s.points))
-	for i, pt := range s.points {
-		name := opts.PointBackend(pt)
-		if !experiments.BackendRegistered(name) {
-			return nil, fmt.Errorf(
-				"campaignd: plan point %d (%s) names backend %q, which this coordinator does not register — build the coordinator with the backend linked in",
-				i, pt.Bench, name)
-		}
-		backendOf[i] = name
-	}
-	hashes := make([]string, len(s.points))
-	for i, pt := range s.points {
-		hashes[i] = cfg.Runner.PointKey(pt).Hex()
-	}
-	s.d = newDispatch(s.points, hashes, backendOf, cfg.TTL, cfg.Batch, cfg.now)
-	s.tracer = cfg.Tracer
 	s.d.tracer = cfg.Tracer
-	s.reports = cfg.Reports
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -283,19 +260,6 @@ func New(cfg ServerConfig) (*Server, error) {
 	// scrapeable (with zero counts) before any open-loop campaign runs.
 	s.arrivalLag = s.metrics.Histogram("campaignd_arrival_lag_seconds",
 		"seconds an open-loop submission lagged its trace-dictated arrival time", metrics.DurationBuckets)
-	// The initial plan is campaign 0; record it so GET /v1/campaign/0
-	// reports its progress (its merge stays with the driver's Stream —
-	// no row metadata here, so its /csv endpoint 404s).
-	s.campMu.Lock()
-	s.campaigns[0] = &campaign{id: 0, name: "initial", points: s.points, accepted: cfg.now()}
-	s.campMu.Unlock()
-	// Resume: points whose results already sit in the store are done —
-	// the campaign's source of truth is the store, not the queue.
-	for i := range s.points {
-		if s.store.ContainsHash(hashes[i]) {
-			s.d.completeHash(hashes[i])
-		}
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /v1/run/{hash}", s.handleGetRun)
 	s.mux.HandleFunc("PUT /v1/run/{hash}", s.handlePutRun)
@@ -472,7 +436,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, CampaignInfo{
 		Options:   s.runner.Options(),
-		Points:    len(s.points),
 		TTLMillis: s.d.ttl.Milliseconds(),
 		Batch:     s.d.Batch(),
 		Reports:   s.reports != nil,
@@ -491,8 +454,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(tracing.Header, sc.String())
 	}
 	resp := LeaseGrant{Lease: id, TTLMillis: s.d.ttl.Milliseconds(), Done: allDone}
-	// Points come off the dispatch queue, not s.points: a granted index
-	// may belong to a campaign enqueued after startup.
 	for k, pt := range s.d.pointsAt(indexes) {
 		resp.Points = append(resp.Points, LeasedPoint{Index: indexes[k], Point: pt})
 	}

@@ -13,6 +13,7 @@ import (
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/runstore"
+	"sharedicache/internal/sweep"
 )
 
 // testOptions is the small campaign every campaignd test runs.
@@ -33,7 +34,8 @@ func testRunner(t testing.TB) *experiments.Runner {
 	return r
 }
 
-// testServer stands up a coordinator over a fresh store and plan.
+// testServer stands up a coordinator over a fresh store. A non-nil
+// plan is enqueued as campaign 0, with the rows testRows derives.
 func testServer(t testing.TB, points []experiments.Point, mutate func(*ServerConfig)) (*Server, *httptest.Server, *runstore.Store) {
 	t.Helper()
 	store, err := runstore.Open(t.TempDir())
@@ -42,13 +44,18 @@ func testServer(t testing.TB, points []experiments.Point, mutate func(*ServerCon
 	}
 	runner := testRunner(t)
 	runner.SetStore(store)
-	cfg := ServerConfig{Runner: runner, Store: store, Points: points}
+	cfg := ServerConfig{Runner: runner, Store: store}
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if points != nil {
+		if _, err := srv.Enqueue("test", points, testRows(points), CSVShape{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
@@ -76,6 +83,25 @@ func testPoints() []experiments.Point {
 		)
 	}
 	return pts
+}
+
+// testRows derives a hand-built plan's CSV rows: each shared point
+// against the latest private baseline of its benchmark.
+func testRows(points []experiments.Point) []sweep.Row {
+	base := map[string]int{}
+	var rows []sweep.Row
+	for i, pt := range points {
+		cfg := pt.Cfg
+		if cfg.Organization != core.OrgWorkerShared {
+			base[pt.Bench] = i
+			continue
+		}
+		rows = append(rows, sweep.Row{
+			Bench: pt.Bench, CPC: cfg.CPC, KB: cfg.ICache.SizeBytes >> 10, LB: cfg.LineBuffers, Bus: cfg.Buses,
+			BaseIdx: base[pt.Bench], PointIdx: i,
+		})
+	}
+	return rows
 }
 
 // fakeKey builds a store key without running anything.
@@ -239,9 +265,9 @@ func TestRemoteTiering(t *testing.T) {
 	}
 }
 
-// TestServerResume pins warm-store resume: a coordinator restarted
-// over a store that already holds some of the plan marks those points
-// done at startup instead of re-dispatching them.
+// TestServerResume pins warm-store resume: a campaign enqueued on a
+// coordinator restarted over a store that already holds some of the
+// plan marks those points done at once instead of re-dispatching them.
 func TestServerResume(t *testing.T) {
 	pts := testPoints()
 	store, err := runstore.Open(t.TempDir())
@@ -257,8 +283,11 @@ func TestServerResume(t *testing.T) {
 
 	restarted := testRunner(t)
 	restarted.SetStore(store)
-	srv, err := New(ServerConfig{Runner: restarted, Store: store, Points: pts})
+	srv, err := New(ServerConfig{Runner: restarted, Store: store})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Enqueue("resume", pts, testRows(pts), CSVShape{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Stats(); st.Dispatch.Done != 2 || st.Dispatch.Pending != len(pts)-2 {

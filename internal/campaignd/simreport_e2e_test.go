@@ -39,7 +39,7 @@ func TestSimReportE2E(t *testing.T) {
 			}
 		}(i)
 	}
-	merged := collectStream(t, srv.Stream(ctx), len(pts))
+	merged := collectStream(t, srv.Stream(ctx, 0), len(pts))
 	wg.Wait()
 
 	// One report per dispatched point, keyed to the coordinator's own
@@ -135,7 +135,7 @@ func TestSimReportWorkerLocalCollector(t *testing.T) {
 		defer close(done)
 		rep, wErr = w.Run(ctx)
 	}()
-	collectStream(t, srv.Stream(ctx), len(pts))
+	collectStream(t, srv.Stream(ctx, 0), len(pts))
 	<-done
 	if wErr != nil {
 		t.Fatal(wErr)

@@ -20,8 +20,8 @@ import (
 
 // Worker leases batches of design points from a coordinator, simulates
 // them with a local Runner whose second cache tier is the
-// coordinator's store plane, and completes the leases. Both cmd/sweep
-// -remote -worker and cmd/campaignd -join run exactly this loop.
+// coordinator's store plane, and completes the leases. cmd/sweep
+// -remote -worker runs exactly this loop.
 type Worker struct {
 	// URL is the coordinator base URL.
 	URL string

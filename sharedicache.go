@@ -38,10 +38,11 @@
 //     CampaignPlan.RunAllStream streams results in plan order as they
 //     complete.
 //   - CampaignServer / CampaignWorker / RemoteRunStore
-//     (internal/campaignd) distribute a campaign over HTTP: the server
-//     owns the plan and the store, workers lease design points under
-//     TTL leases (crashed workers' points are stolen by survivors),
-//     and merged results stream back in plan order.
+//     (internal/campaignd) distribute campaigns over HTTP: the server
+//     owns the store and every enqueued campaign's plan, workers lease
+//     design points under TTL leases (crashed workers' points are
+//     stolen by survivors), and merged results stream back in plan
+//     order.
 //   - DesignSpace / SweepCSV (internal/sweep) expand the swept axes
 //     into a plan and render the campaign CSV, and PrepareRefine
 //     (internal/refine) runs the automated triage-then-refine
@@ -216,15 +217,23 @@ type RunStoreStats = runstore.Stats
 // OpenRunStore opens (creating if needed) a run store directory.
 func OpenRunStore(dir string) (*RunStore, error) { return runstore.Open(dir) }
 
-// CampaignServer coordinates a distributed campaign: it serves the run
+// CampaignServer coordinates distributed campaigns: it serves the run
 // store over HTTP and leases plan points to remote workers with
 // TTL-based work stealing, streaming merged results in plan order.
+// Every campaign enters through Enqueue (or POST /v1/campaign) and is
+// merged by Stream or WriteCSV.
 type CampaignServer = campaignd.Server
 
 // CampaignServerConfig assembles a CampaignServer.
 type CampaignServerConfig = campaignd.ServerConfig
 
-// NewCampaignServer builds a coordinator over a plan and its store.
+// CampaignCSVShape is the merged-CSV layout a campaign is enqueued
+// with: the optional backend and phase columns and refine's metric
+// adjustment.
+type CampaignCSVShape = campaignd.CSVShape
+
+// NewCampaignServer builds a coordinator over its store, with no
+// campaign enqueued yet: add campaigns with CampaignServer.Enqueue.
 func NewCampaignServer(cfg CampaignServerConfig) (*CampaignServer, error) {
 	return campaignd.New(cfg)
 }
