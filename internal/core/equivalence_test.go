@@ -1,9 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"hash"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sharedicache/internal/interconnect"
@@ -50,9 +56,9 @@ func buildSim(t testing.TB, cfg Config, bench string, instr, seed uint64, warm b
 	return sim
 }
 
-// assertEquivalent runs the same point through both loops and requires
-// deep-equal results.
-func assertEquivalent(t *testing.T, cfg Config, bench string, instr, seed uint64, warm bool) {
+// assertEquivalent runs the same point through both loops, requires
+// deep-equal results and returns the fast loop's.
+func assertEquivalent(t *testing.T, cfg Config, bench string, instr, seed uint64, warm bool) *Result {
 	t.Helper()
 	fast, err := buildSim(t, cfg, bench, instr, seed, warm).Run()
 	if err != nil {
@@ -65,6 +71,73 @@ func assertEquivalent(t *testing.T, cfg Config, bench string, instr, seed uint64
 	if !reflect.DeepEqual(fast, ref) {
 		t.Errorf("fast and reference results diverge\nfast: %+v\nref:  %+v", fast, ref)
 	}
+	return fast
+}
+
+// resultDigest is a SHA-256 over the JSON encoding of every Result a
+// differential test produces, in run order. Run and RunReference share
+// the front-end and every other unit, so their agreement cannot see a
+// change that is wrong in both loops; the digest pins the results
+// themselves against testdata/results.sha256.
+type resultDigest struct {
+	h hash.Hash
+	n int
+}
+
+func newResultDigest() *resultDigest { return &resultDigest{h: sha256.New()} }
+
+func (d *resultDigest) add(t *testing.T, res *Result) {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.h.Write(b)
+	d.n++
+}
+
+// check compares the digest with the line named name in
+// testdata/results.sha256. A run that did not hash all want results (a
+// -run filter, a failed subtest) is not comparable and is skipped.
+func (d *resultDigest) check(t *testing.T, name string, want int) {
+	t.Helper()
+	if t.Failed() || d.n != want {
+		t.Logf("digest %s not checked: %d of %d results hashed", name, d.n, want)
+		return
+	}
+	got := hex.EncodeToString(d.h.Sum(nil))
+	pinned, err := pinnedDigest(name)
+	if err != nil {
+		t.Fatalf("%v; this run's line: %s  %s", err, got, name)
+	}
+	if got != pinned {
+		t.Errorf("results digest %s changed: the results are no longer those pinned in testdata/results.sha256\ngot line:  %s  %s\nwant line: %s  %s",
+			name, got, name, pinned, name)
+	}
+}
+
+// pinnedDigest reads name's digest from testdata/results.sha256, whose
+// lines are "<hex>  <name>".
+func pinnedDigest(name string) (string, error) {
+	raw, err := os.ReadFile("testdata/results.sha256")
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if fields := strings.Fields(line); len(fields) == 2 && fields[1] == name {
+			return fields[0], nil
+		}
+	}
+	return "", fmt.Errorf("testdata/results.sha256 has no digest named %q", name)
+}
+
+// digestName names a differential test's digest; -short runs a smaller
+// space and so pins a digest of its own.
+func digestName(base string) string {
+	if testing.Short() {
+		return base + "-short"
+	}
+	return base
 }
 
 // fig7Configs enumerates the Fig 7 design space across all three
@@ -100,17 +173,20 @@ func TestFastPathEquivalenceFig7(t *testing.T) {
 		benches = benches[:2]
 		instr = 4_000
 	}
+	digest, runs := newResultDigest(), 0
 	for _, bench := range benches {
 		for _, cfg := range fig7Configs() {
 			for _, warm := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s-cpc%d-%dKB-bus%d-warm=%v",
 					bench, cfg.Organization, cfg.CPC, cfg.ICache.SizeBytes>>10, cfg.Buses, warm)
+				runs++
 				t.Run(name, func(t *testing.T) {
-					assertEquivalent(t, cfg, bench, instr, 11, warm)
+					digest.add(t, assertEquivalent(t, cfg, bench, instr, 11, warm))
 				})
 			}
 		}
 	}
+	digest.check(t, digestName("fig7"), runs)
 }
 
 // TestFastPathEquivalenceRandom is the property-test form of the same
@@ -123,6 +199,7 @@ func TestFastPathEquivalenceRandom(t *testing.T) {
 	if testing.Short() {
 		n = 8
 	}
+	digest := newResultDigest()
 	for i := 0; i < n; i++ {
 		cfg := DefaultConfig()
 		cfg.Workers = []int{2, 4, 6, 8}[rng.Intn(4)]
@@ -162,9 +239,10 @@ func TestFastPathEquivalenceRandom(t *testing.T) {
 		warm := rng.Intn(2) == 0
 		name := fmt.Sprintf("case%02d-%s-%s-w%d", i, bench, cfg.Organization, cfg.Workers)
 		t.Run(name, func(t *testing.T) {
-			assertEquivalent(t, cfg, bench, instr, seed, warm)
+			digest.add(t, assertEquivalent(t, cfg, bench, instr, seed, warm))
 		})
 	}
+	digest.check(t, digestName("random"), n)
 }
 
 // TestFastPathSkips guards the fast path against silently degrading to

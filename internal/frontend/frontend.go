@@ -99,6 +99,23 @@ type FrontEnd struct {
 	stallUntil uint64
 	stats      Stats
 	lineMask   uint64
+
+	// gen is bumped by every mutation that can change issue's outcome
+	// or which buffer holds the head line: a fill latch, a Request, an
+	// issue-cursor advance or rewind, a delivery that crosses a line or
+	// pops, a flush, a push into an empty FTQ, and a change in which
+	// buffer deliver marked in use. A blocked cycle then costs O(1):
+	// see docs/PERFORMANCE.md, "Fetch-blocked cycles".
+	gen uint64
+	// blockedGen is the generation at which issue's last allocation
+	// failed; an issue at that generation would fail again.
+	blockedGen uint64
+	// headBuf is findBuffer of the head block's current line, valid
+	// while headGen == gen.
+	headGen uint64
+	headBuf int
+	// marked is the buffer deliver last marked in use, or -1.
+	marked int
 }
 
 // New builds a front-end fetching through port with predictor pred.
@@ -116,6 +133,8 @@ func New(cfg Config, port ICachePort, pred *branch.Predictor) *FrontEnd {
 		pred:     pred,
 		bufs:     make([]lineBuffer, cfg.LineBuffers),
 		lineMask: ^uint64(cfg.LineBytes - 1),
+		gen:      1, // blockedGen and headGen start out stale
+		marked:   -1,
 	}
 }
 
@@ -136,6 +155,12 @@ func (f *FrontEnd) PushBlock(now uint64, rec trace.Record) {
 	if !f.CanAccept(now) {
 		panic("frontend: PushBlock without CanAccept")
 	}
+	if len(f.ftq) == 0 {
+		f.gen++ // a new head line
+	}
+	// A push behind an existing head changes nothing issue can reach: a
+	// blocked issue returns before the new tail entry, and an entry with
+	// nothing issued owns no live line.
 	f.ftq = append(f.ftq, ftqEntry{addr: rec.Addr, length: rec.Len, numInstr: rec.NumInstr})
 	f.stats.BlocksPushed++
 	if rec.HasBranch {
@@ -157,6 +182,7 @@ func (f *FrontEnd) PushBlock(now uint64, rec trace.Record) {
 // survive, as their data lives in registers that a redirect does not
 // scrub.
 func (f *FrontEnd) flush() {
+	f.gen++
 	for i := range f.bufs {
 		if f.bufs[i].pending != nil {
 			f.bufs[i] = lineBuffer{}
@@ -174,6 +200,17 @@ func (f *FrontEnd) findBuffer(lineAddr uint64) int {
 		}
 	}
 	return -1
+}
+
+// headBuffer returns findBuffer of the line the head block is consuming
+// (or about to), cached per generation. The FTQ must not be empty.
+func (f *FrontEnd) headBuffer() int {
+	if f.headGen != f.gen {
+		e := &f.ftq[0]
+		f.headBuf = f.findBuffer((e.addr + uint64(e.consumed)) & f.lineMask)
+		f.headGen = f.gen
+	}
+	return f.headBuf
 }
 
 // liveOwner reports whether lineAddr is live — issued but not yet
@@ -247,6 +284,7 @@ func (f *FrontEnd) Tick(now uint64, be *backend.Backend) {
 		if b.pending != nil && b.pending.Ready(now) {
 			b.valid = true
 			b.pending = nil
+			f.gen++
 		}
 	}
 
@@ -263,12 +301,17 @@ func (f *FrontEnd) issue(now uint64) {
 	// already was, rewind the issue cursor so it is fetched again.
 	if len(f.ftq) > 0 {
 		e := &f.ftq[0]
-		line := (e.addr + uint64(e.consumed)) & f.lineMask
-		if j := f.findBuffer(line); j >= 0 {
+		if j := f.headBuffer(); j >= 0 {
 			f.bufs[j].inUse = true
 		} else if e.needIssued > e.consumed {
 			e.needIssued = e.consumed
+			f.gen++
 		}
+	}
+	if f.blockedGen == f.gen {
+		// Nothing changed since allocation last failed: the walk would
+		// reach the same line and fail again, counting nothing.
+		return
 	}
 	for i := range f.ftq {
 		e := &f.ftq[i]
@@ -278,6 +321,7 @@ func (f *FrontEnd) issue(now uint64) {
 			if j := f.findBuffer(line); j >= 0 {
 				f.bufs[j].lastUse = now
 				e.needIssued = f.advanceToNextLine(e, e.needIssued, line)
+				f.gen++
 				continue
 			}
 			j := f.allocBuffer(i)
@@ -285,6 +329,7 @@ func (f *FrontEnd) issue(now uint64) {
 				// All buffers busy: retry next cycle. Un-count the
 				// need so the retry is not double-counted.
 				f.stats.LineNeeds--
+				f.blockedGen = f.gen
 				return
 			}
 			b := &f.bufs[j]
@@ -292,6 +337,7 @@ func (f *FrontEnd) issue(now uint64) {
 			b.valid = false
 			b.lastUse = now
 			b.pending = f.port.Request(now, line)
+			f.gen++
 			f.stats.CacheFetches++
 			e.needIssued = f.advanceToNextLine(e, e.needIssued, line)
 			return // one request per cycle
@@ -318,16 +364,25 @@ func (f *FrontEnd) deliver(now uint64, be *backend.Backend) {
 	for i := range f.bufs {
 		f.bufs[i].inUse = false
 	}
-	if len(f.ftq) == 0 {
+	j := -1
+	if len(f.ftq) > 0 {
+		if j = f.headBuffer(); j >= 0 && !f.bufs[j].valid {
+			j = -1 // line not arrived yet
+		}
+	}
+	if j != f.marked {
+		// The marks the next issue starts from change: the clear above
+		// may have freed a buffer (after a pop, the old head's) while
+		// keeping or moving the head's own mark.
+		f.marked = j
+		f.gen++
+	}
+	if j < 0 {
 		return
 	}
 	e := &f.ftq[0]
 	cur := e.addr + uint64(e.consumed)
 	line := cur & f.lineMask
-	j := f.findBuffer(line)
-	if j < 0 || !f.bufs[j].valid {
-		return // line not arrived yet
-	}
 	b := &f.bufs[j]
 	b.lastUse = now
 	b.inUse = true
@@ -347,6 +402,9 @@ func (f *FrontEnd) deliver(now uint64, be *backend.Backend) {
 		// FTQ past its configured depth.
 		copy(f.ftq, f.ftq[1:])
 		f.ftq = f.ftq[:len(f.ftq)-1]
+		f.gen++
+	} else if (e.addr+uint64(e.consumed))&f.lineMask != line {
+		f.gen++ // the head moved on to its next line
 	}
 }
 
@@ -377,9 +435,7 @@ func (f *FrontEnd) StallWindow(now uint64) (backend.StallKind, uint64) {
 	if len(f.ftq) == 0 {
 		return backend.StallDrain, never
 	}
-	e := &f.ftq[0]
-	line := (e.addr + uint64(e.consumed)) & f.lineMask
-	if j := f.findBuffer(line); j >= 0 {
+	if j := f.headBuffer(); j >= 0 {
 		b := &f.bufs[j]
 		if b.valid {
 			// Data present; the stall is elsewhere (delivery this
@@ -410,7 +466,9 @@ func (f *FrontEnd) StallWindow(now uint64) (backend.StallKind, uint64) {
 //     if the first unissued line of any FTQ entry is either already
 //     buffered (the cursor would advance and touch LRU state) or could
 //     get a buffer from allocBuffer; once allocBuffer fails, issue
-//     returns, so nothing past the first unissued line can act.
+//     returns, so nothing past the first unissued line can act. This
+//     is re-derived at rest, never read from issue's blocked memo,
+//     which was recorded under issue-time in-use marks.
 //   - deliver: active if the head line sits valid in a buffer (even a
 //     zero-instruction delivery touches LRU and in-use marks). A set
 //     in-use mark is transient within one Tick; seeing one at rest
@@ -436,8 +494,7 @@ func (f *FrontEnd) NextEvent(now uint64) (event uint64, idle bool) {
 	}
 	if len(f.ftq) > 0 {
 		e := &f.ftq[0]
-		line := (e.addr + uint64(e.consumed)) & f.lineMask
-		if j := f.findBuffer(line); j < 0 {
+		if j := f.headBuffer(); j < 0 {
 			if e.needIssued > e.consumed {
 				return 0, false // head rewind pending
 			}
