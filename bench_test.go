@@ -352,8 +352,7 @@ func BenchmarkSweepBackends(b *testing.B) {
 				rate = col.Summary().Backends[0].SimCyclesPerSecond.Mean
 				b.ReportMetric(float64(plan.Len()), "points")
 			}
-			// The perf-trajectory headline BENCH_<pr>.json snapshots:
-			// mean simulated cycles per wall second over the space.
+			// Mean simulated cycles per wall second over the space.
 			b.ReportMetric(rate, "sim-cycles/sec")
 		})
 	}

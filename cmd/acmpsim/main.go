@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -25,186 +26,204 @@ import (
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/runstore"
+	"sharedicache/internal/sweep"
 	"sharedicache/internal/synth"
 	"sharedicache/internal/trace"
 	"sharedicache/internal/tracing"
 )
 
+// cliFlags is cmd/acmpsim's full flag set; registerFlags declares it
+// so the usage golden test can pin the -h output run parses.
+type cliFlags struct {
+	// sf holds the workload and campaign flags (-bench, -n, -workers,
+	// -seed, -cold, -backend) under this driver's defaults and help.
+	sf                     sweep.Flags
+	out                    sweep.OutputConfig
+	org, traces, store     string
+	cpc, icache, lb, buses int
+	list                   bool
+}
+
+func registerFlags(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{}
+	fs.StringVar(&f.sf.Bench, "bench", "FT", "benchmark name (see -listbench)")
+	fs.StringVar(&f.org, "org", "private", "I-cache organization: private, worker-shared, all-shared")
+	fs.IntVar(&f.cpc, "cpc", 8, "worker cores per shared I-cache (worker-shared only)")
+	fs.IntVar(&f.icache, "icache", 32, "I-cache size in KB")
+	fs.IntVar(&f.lb, "lb", 4, "line buffers per core")
+	fs.IntVar(&f.buses, "buses", 1, "buses per shared I-cache (1 or 2)")
+	fs.IntVar(&f.sf.Workers, "workers", 8, "worker core count")
+	fs.Uint64Var(&f.sf.N, "n", 200_000, "master-thread instruction budget")
+	fs.Uint64Var(&f.sf.Seed, "seed", 1, "workload synthesis seed")
+	fs.BoolVar(&f.sf.Cold, "cold", false, "start with cold caches instead of steady state")
+	fs.StringVar(&f.traces, "traces", "", "directory of <bench>.tNN.trace files from cmd/tracegen (replaces synthesis)")
+	fs.StringVar(&f.store, "store", "", "persistent run-store directory (synthesised runs only)")
+	fs.StringVar(&f.sf.Backend, "backend", "", "simulation backend: detailed (default) or analytical (synthesised runs only)")
+	f.out.RegisterTraceFlag(fs)
+	fs.BoolVar(&f.list, "listbench", false, "list benchmark names and exit")
+	return f
+}
+
 func main() {
-	var (
-		bench    = flag.String("bench", "FT", "benchmark name (see -listbench)")
-		org      = flag.String("org", "private", "I-cache organization: private, worker-shared, all-shared")
-		cpc      = flag.Int("cpc", 8, "worker cores per shared I-cache (worker-shared only)")
-		icache   = flag.Int("icache", 32, "I-cache size in KB")
-		lb       = flag.Int("lb", 4, "line buffers per core")
-		buses    = flag.Int("buses", 1, "buses per shared I-cache (1 or 2)")
-		workers  = flag.Int("workers", 8, "worker core count")
-		n        = flag.Uint64("n", 200_000, "master-thread instruction budget")
-		seed     = flag.Uint64("seed", 1, "workload synthesis seed")
-		cold     = flag.Bool("cold", false, "start with cold caches instead of steady state")
-		traces   = flag.String("traces", "", "directory of <bench>.tNN.trace files from cmd/tracegen (replaces synthesis)")
-		store    = flag.String("store", "", "persistent run-store directory (synthesised runs only)")
-		backend  = flag.String("backend", "", "simulation backend: detailed (default) or analytical (synthesised runs only)")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON span timeline to this file at exit (load in Perfetto)")
-		list     = flag.Bool("listbench", false, "list benchmark names and exit")
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(sweep.ExitCode("acmpsim", err, os.Stderr))
+}
+
+// run is the whole driver: it parses args, simulates the one point and
+// prints its report to stdout.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("acmpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// -trace: spans come from the experiments engine on the synthesised
 	// path, or a single replay span on the trace-replay path.
-	var tracer *tracing.Tracer
-	if *traceOut != "" {
-		tracer = tracing.New(tracing.Config{Process: "acmpsim"})
-		defer func() {
-			n, err := tracing.WriteFile(*traceOut, tracer)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "acmpsim: trace:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "acmpsim: trace: %d spans written to %s\n", n, *traceOut)
-		}()
+	out, err := sweep.StartOutputs("acmpsim", f.out, stderr)
+	if err != nil {
+		return err
 	}
+	defer func() { err = errors.Join(err, out.Close()) }()
 
-	if *list {
+	if f.list {
 		for _, p := range synth.Profiles() {
-			fmt.Printf("%-10s %-8s serial=%.1f%% BBser=%dB BBpar=%dB\n",
+			fmt.Fprintf(stdout, "%-10s %-8s serial=%.1f%% BBser=%dB BBpar=%dB\n",
 				p.Name, p.Suite, 100*p.SerialFrac, p.SerialBB, p.ParallelBB)
 		}
-		return
+		return nil
 	}
 
-	p, ok := synth.ProfileByName(*bench)
+	p, ok := synth.ProfileByName(f.sf.Bench)
 	if !ok {
-		fatal(fmt.Errorf("unknown benchmark %q (try -listbench)", *bench))
+		return fmt.Errorf("unknown benchmark %q (try -listbench)", f.sf.Bench)
 	}
 
 	cfg := core.DefaultConfig()
-	cfg.Workers = *workers
-	cfg.ICache.SizeBytes = *icache << 10
-	cfg.LineBuffers = *lb
-	cfg.Buses = *buses
-	switch *org {
+	cfg.Workers = f.sf.Workers
+	cfg.ICache.SizeBytes = f.icache << 10
+	cfg.LineBuffers = f.lb
+	cfg.Buses = f.buses
+	switch f.org {
 	case "private":
 		cfg.Organization = core.OrgPrivate
 		cfg.CPC = 1
 	case "worker-shared":
 		cfg.Organization = core.OrgWorkerShared
-		cfg.CPC = *cpc
+		cfg.CPC = f.cpc
 	case "all-shared":
 		cfg.Organization = core.OrgAllShared
 	default:
-		fatal(fmt.Errorf("unknown organization %q", *org))
+		return fmt.Errorf("unknown organization %q", f.org)
 	}
 	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 
-	if *traces == "" {
+	if f.traces == "" {
 		// The synthesised path is a one-point campaign through the
 		// experiments engine: the Runner synthesises the workload,
 		// prewarms and simulates, and ctx aborts cleanly on Ctrl-C.
-		opts := experiments.DefaultOptions()
-		opts.Workers = *workers
-		opts.Instructions = *n
-		opts.Seed = *seed
-		opts.Prewarm = !*cold
-		opts.Benchmarks = []string{*bench}
-		opts.Backend = *backend
+		opts, err := f.sf.Options()
+		if err != nil {
+			return err
+		}
 		runner, err := experiments.NewRunner(opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		runner.SetTracer(tracer)
-		if *store != "" {
-			st, err := runstore.Open(*store)
+		runner.SetTracer(out.Tracer)
+		if f.store != "" {
+			st, err := runstore.Open(f.store)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			runner.SetStore(st)
 		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		results, err := runner.RunAll(ctx, experiments.Point{Bench: *bench, Cfg: cfg})
+		results, err := runner.RunAll(ctx, experiments.Point{Bench: f.sf.Bench, Cfg: cfg})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		report(results[0])
-		return
+		report(stdout, results[0])
+		return nil
 	}
 
-	if *backend != "" {
-		fatal(errors.New("-backend applies to synthesised runs only; trace replay is always cycle-level"))
+	switch {
+	case f.sf.Backend != "":
+		return errors.New("-backend applies to synthesised runs only; trace replay is always cycle-level")
+	case f.store != "":
+		return errors.New("-store applies to synthesised runs only; trace replay bypasses the run store")
 	}
-	w, err := synth.New(p, synth.Config{Workers: *workers, MasterInstructions: *n, Seed: *seed})
+	w, err := synth.New(p, synth.Config{Workers: f.sf.Workers, MasterInstructions: f.sf.N, Seed: f.sf.Seed})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	srcs := make([]trace.Source, w.NumThreads())
 	ic := make([][]uint64, w.NumThreads())
 	l2 := make([][]uint64, w.NumThreads())
-	var closers []*os.File
 	for i := range srcs {
-		path := filepath.Join(*traces, fmt.Sprintf("%s.t%02d.trace", *bench, i))
-		f, err := os.Open(path)
+		path := filepath.Join(f.traces, fmt.Sprintf("%s.t%02d.trace", f.sf.Bench, i))
+		tf, err := os.Open(path)
 		if err != nil {
-			fatal(fmt.Errorf("trace replay: %w (generate with cmd/tracegen)", err))
+			return fmt.Errorf("trace replay: %w (generate with cmd/tracegen)", err)
 		}
-		closers = append(closers, f)
-		srcs[i] = trace.NewReader(bufio.NewReaderSize(f, 1<<20))
+		defer tf.Close()
+		srcs[i] = trace.NewReader(bufio.NewReaderSize(tf, 1<<20))
 		ic[i] = w.WarmLines(i, cfg.ICache.LineBytes)
 		l2[i] = w.L2WarmLines(i, cfg.Mem.L2.LineBytes)
 	}
 	sim, err := core.New(cfg, srcs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if !*cold {
+	if !f.sf.Cold {
 		sim.Prewarm(ic, l2)
 	}
-	_, span := tracer.Start(context.Background(), "replay",
-		tracing.A("bench", *bench), tracing.A("org", *org))
+	_, span := out.Tracer.Start(ctx, "replay",
+		tracing.A("bench", f.sf.Bench), tracing.A("org", f.org))
 	res, err := sim.Run()
 	span.End()
-	for _, f := range closers {
-		f.Close()
-	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	report(res)
+	report(stdout, res)
+	return nil
 }
 
-func report(r *core.Result) {
-	fmt.Printf("benchmark run: %s I-cache, %d workers\n",
+func report(w io.Writer, r *core.Result) {
+	fmt.Fprintf(w, "benchmark run: %s I-cache, %d workers\n",
 		r.Config.Organization, r.Config.Workers)
-	fmt.Printf("  cycles              %d\n", r.Cycles)
-	fmt.Printf("  instructions        %d (master %d, workers %d)\n",
+	fmt.Fprintf(w, "  cycles              %d\n", r.Cycles)
+	fmt.Fprintf(w, "  instructions        %d (master %d, workers %d)\n",
 		r.TotalInstructions(), r.Cores[0].Instructions, r.WorkerInstructions())
-	fmt.Printf("  worker MPKI         %.4f\n", r.WorkerMPKI())
-	fmt.Printf("  master MPKI         %.4f\n", r.MasterICache.MPKI(r.Cores[0].Instructions))
-	fmt.Printf("  access ratio        %.1f%%\n", 100*r.WorkerAccessRatio())
-	fmt.Printf("  merged fills        %d\n", r.MergedFills)
-	fmt.Printf("  bus: submitted=%d granted=%d avg wait=%.2f cyc\n",
+	fmt.Fprintf(w, "  worker MPKI         %.4f\n", r.WorkerMPKI())
+	fmt.Fprintf(w, "  master MPKI         %.4f\n", r.MasterICache.MPKI(r.Cores[0].Instructions))
+	fmt.Fprintf(w, "  access ratio        %.1f%%\n", 100*r.WorkerAccessRatio())
+	fmt.Fprintf(w, "  merged fills        %d\n", r.MergedFills)
+	fmt.Fprintf(w, "  bus: submitted=%d granted=%d avg wait=%.2f cyc\n",
 		r.Bus.Submitted, r.Bus.Granted, r.Bus.AvgWait())
-	fmt.Printf("  DRAM: accesses=%d row hits=%d conflicts=%d\n",
+	fmt.Fprintf(w, "  DRAM: accesses=%d row hits=%d conflicts=%d\n",
 		r.DRAM.Accesses, r.DRAM.RowHits, r.DRAM.RowConflicts)
-	fmt.Printf("  runtime: regions=%d barriers=%d acquires=%d contended=%d\n",
+	fmt.Fprintf(w, "  runtime: regions=%d barriers=%d acquires=%d contended=%d\n",
 		r.Runtime.Regions, r.Runtime.Barriers, r.Runtime.Acquires, r.Runtime.Contended)
 
 	stack := r.WorkerStack()
 	total := float64(stack.Total())
-	fmt.Printf("  worker CPI stack:\n")
+	fmt.Fprintf(w, "  worker CPI stack:\n")
 	pct := func(v uint64) float64 { return 100 * float64(v) / total }
-	fmt.Printf("    busy        %6.2f%%\n", pct(stack.Busy))
-	fmt.Printf("    branch      %6.2f%%\n", pct(stack.Branch))
-	fmt.Printf("    bus queue   %6.2f%%\n", pct(stack.BusQueue))
-	fmt.Printf("    bus latency %6.2f%%\n", pct(stack.BusLatency))
-	fmt.Printf("    cache hit   %6.2f%%\n", pct(stack.CacheHit))
-	fmt.Printf("    cache miss  %6.2f%%\n", pct(stack.CacheMiss))
-	fmt.Printf("    sync        %6.2f%%\n", pct(stack.Sync))
-	fmt.Printf("    drain       %6.2f%%\n", pct(stack.Drain))
+	fmt.Fprintf(w, "    busy        %6.2f%%\n", pct(stack.Busy))
+	fmt.Fprintf(w, "    branch      %6.2f%%\n", pct(stack.Branch))
+	fmt.Fprintf(w, "    bus queue   %6.2f%%\n", pct(stack.BusQueue))
+	fmt.Fprintf(w, "    bus latency %6.2f%%\n", pct(stack.BusLatency))
+	fmt.Fprintf(w, "    cache hit   %6.2f%%\n", pct(stack.CacheHit))
+	fmt.Fprintf(w, "    cache miss  %6.2f%%\n", pct(stack.CacheMiss))
+	fmt.Fprintf(w, "    sync        %6.2f%%\n", pct(stack.Sync))
+	fmt.Fprintf(w, "    drain       %6.2f%%\n", pct(stack.Drain))
 
-	fmt.Printf("  per-core:\n")
+	fmt.Fprintf(w, "  per-core:\n")
 	for i, c := range r.Cores {
 		role := "worker"
 		if i == 0 {
@@ -215,17 +234,8 @@ func report(r *core.Result) {
 		if cyc > 0 {
 			ipc = float64(c.Instructions) / float64(cyc)
 		}
-		fmt.Printf("    core %d (%s): instr=%d ipc=%.3f serial=%d par=%d mispredicts=%d\n",
+		fmt.Fprintf(w, "    core %d (%s): instr=%d ipc=%.3f serial=%d par=%d mispredicts=%d\n",
 			i, role, c.Instructions, ipc, c.SerialInstructions, c.ParallelInstructions,
 			c.FE.Mispredicts)
 	}
-}
-
-func fatal(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "acmpsim: interrupted")
-		os.Exit(130)
-	}
-	fmt.Fprintln(os.Stderr, "acmpsim:", err)
-	os.Exit(1)
 }

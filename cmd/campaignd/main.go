@@ -58,27 +58,21 @@ import (
 	"sharedicache/internal/metrics"
 	"sharedicache/internal/refine"
 	"sharedicache/internal/runstore"
-	"sharedicache/internal/simreport"
 	"sharedicache/internal/sweep"
 	"sharedicache/internal/tracing"
 )
 
-// cliFlags is cmd/campaignd's full flag set. It exists as a struct (and
-// registerFlags as a function) so the usage golden test can rebuild
-// the exact flag set run parses and pin its -h output.
+// cliFlags is cmd/campaignd's full flag set; registerFlags declares
+// it so the usage golden test can pin the -h output run parses.
 type cliFlags struct {
 	sf *sweep.Flags
 	rf *refine.Flags
 
-	addr     *string
-	storeDir *string
-	serve    *bool
-	ttl      *time.Duration
-	batch    *int
-	grace    *time.Duration
-	trace    *string
-	report   *string
-	pprof    *bool
+	out            sweep.OutputConfig
+	addr, storeDir string
+	ttl, grace     time.Duration
+	batch          int
+	serve, pprof   bool
 }
 
 // registerFlags declares every cmd/campaignd flag on fs. The
@@ -86,42 +80,30 @@ type cliFlags struct {
 // (internal/sweep, internal/refine), so the two drivers cannot drift
 // apart — which the byte-identical-CSV guarantee depends on.
 func registerFlags(fs *flag.FlagSet) *cliFlags {
-	return &cliFlags{
-		sf: sweep.RegisterFlags(fs),
-		rf: refine.RegisterFlags(fs),
-
-		addr:     fs.String("addr", ":8417", "listen address for the store and dispatch planes"),
-		storeDir: fs.String("store", "", "run-store directory backing the store plane (required)"),
-		serve:    fs.Bool("serve", false, "persistent service mode: enqueue no campaign from the flags and accept campaigns over POST /v1/campaign until interrupted (design-space flags are ignored)"),
-		ttl:      fs.Duration("ttl", campaignd.DefaultTTL, "lease TTL; a worker missing heartbeats this long forfeits its batch"),
-		batch:    fs.Int("lease-batch", 0, "max design points per lease; 0 derives the batch from the observed mean point latency"),
-		grace:    fs.Duration("grace", 2*time.Second, "keep serving this long after completion so polling workers see the campaign finish"),
-		trace:    fs.String("trace", "", "write the merged Chrome trace-event JSON span timeline to this file at exit (also served at GET /v1/trace)"),
-		report:   fs.String("report", "", "collect the workers' per-point simulation telemetry, serve it at GET /v1/simstatsz, and write it as JSON to this file at exit"),
-		pprof:    fs.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ on -addr"),
-	}
+	f := &cliFlags{sf: sweep.RegisterFlags(fs), rf: refine.RegisterFlags(fs)}
+	fs.StringVar(&f.addr, "addr", ":8417", "listen address for the store and dispatch planes")
+	fs.StringVar(&f.storeDir, "store", "", "run-store directory backing the store plane (required)")
+	fs.BoolVar(&f.serve, "serve", false, "persistent service mode: enqueue no campaign from the flags and accept campaigns over POST /v1/campaign until interrupted (design-space flags are ignored)")
+	fs.DurationVar(&f.ttl, "ttl", campaignd.DefaultTTL, "lease TTL; a worker missing heartbeats this long forfeits its batch")
+	fs.IntVar(&f.batch, "lease-batch", 0, "max design points per lease; 0 derives the batch from the observed mean point latency")
+	fs.DurationVar(&f.grace, "grace", 2*time.Second, "keep serving this long after completion so polling workers see the campaign finish")
+	fs.StringVar(&f.out.Trace, "trace", "", "write the merged Chrome trace-event JSON span timeline to this file at exit (also served at GET /v1/trace)")
+	fs.StringVar(&f.out.Report, "report", "", "collect the workers' per-point simulation telemetry, serve it at GET /v1/simstatsz, and write it as JSON to this file at exit")
+	fs.BoolVar(&f.pprof, "pprof", false, "also serve net/http/pprof under /debug/pprof/ on -addr")
+	return f
 }
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
-	switch {
-	case err == nil:
-	case errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, context.Canceled):
-		fmt.Fprintln(os.Stderr, "campaignd: interrupted")
-		os.Exit(130)
-	default:
-		fmt.Fprintln(os.Stderr, "campaignd:", err)
-		os.Exit(1)
-	}
+	os.Exit(sweep.ExitCode("campaignd", err, os.Stderr))
 }
 
 // run is the whole driver: it parses args, serves until the flags'
 // campaign completes (or, with -serve, until ctx is cancelled), and
 // writes the merged CSV to stdout and the accounting lines to stderr.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaignd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cf := registerFlags(fs)
@@ -129,9 +111,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	switch {
-	case *cf.storeDir == "":
+	case cf.storeDir == "":
 		return errors.New("-store is required (it backs the store plane)")
-	case *cf.serve && cf.rf.Enabled():
+	case cf.serve && cf.rf.Enabled():
 		return errors.New("-serve accepts campaigns over the API; drop -refine")
 	case cf.rf.Enabled() && cf.sf.Backend != "":
 		return errors.New("-refine assigns backends per phase; drop -backend")
@@ -148,7 +130,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// warnings; the campaign accounting lines the smoke tests pin stay
 	// plain Fprintf below.
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
-	store, err := runstore.Open(*cf.storeDir)
+	store, err := runstore.Open(cf.storeDir)
 	if err != nil {
 		return err
 	}
@@ -162,25 +144,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	metrics.RegisterRuntime(reg)
 	runner.SetMetrics(reg)
 	// -trace records a span timeline; the same buffer, merged with the
-	// spans workers send, serves GET /v1/trace.
-	var tracer *tracing.Tracer
-	if *cf.trace != "" {
-		tracer = tracing.New(tracing.Config{Process: "coordinator"})
-		runner.SetTracer(tracer)
+	// spans workers send, serves GET /v1/trace. -report aggregates the
+	// reports workers send with each batch completion and backs GET
+	// /v1/simstatsz; any simulations the coordinator itself runs (refine
+	// prep's calibration and triage) report into the same collector.
+	// The tracer's process is "coordinator", the pid the Chrome-trace
+	// exporter pins first.
+	cf.out.Process = "coordinator"
+	out, err := sweep.StartOutputs("campaignd", cf.out, stderr)
+	if err != nil {
+		return err
 	}
-	// -report aggregates the reports workers send with each batch
-	// completion and backs GET /v1/simstatsz; any simulations the
-	// coordinator itself runs (refine prep's calibration and triage)
-	// report into the same collector.
-	var reporter *simreport.Collector
-	if *cf.report != "" {
-		reporter = simreport.NewCollector()
-		runner.SetReporter(reporter)
-	}
+	defer func() { err = errors.Join(err, out.Close()) }()
+	runner.SetTracer(out.Tracer)
+	runner.SetReporter(out.Reporter)
 	srv, err := campaignd.New(campaignd.ServerConfig{
 		Runner: runner, Store: store,
-		TTL: *cf.ttl, Batch: *cf.batch, Metrics: reg, Tracer: tracer,
-		Reports: reporter,
+		TTL: cf.ttl, Batch: cf.batch, Metrics: reg, Tracer: out.Tracer,
+		Reports: out.Reporter,
 	})
 	if err != nil {
 		return err
@@ -192,8 +173,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		id  int
 		ref *refine.Result
 	)
-	if !*cf.serve {
-		if id, ref, err = enqueueFlags(ctx, cf, srv, runner, store, tracer, stderr); err != nil {
+	if !cf.serve {
+		if id, ref, err = enqueueFlags(ctx, cf, srv, runner, store, out.Tracer, stderr); err != nil {
 			return err
 		}
 	}
@@ -201,12 +182,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// refine prep's local phases) and writes already booked, so the
 	// completion accounting below describes only the served part.
 	pre := srv.Stats()
-	ln, err := net.Listen("tcp", *cf.addr)
+	ln, err := net.Listen("tcp", cf.addr)
 	if err != nil {
 		return err
 	}
 	handler := srv.Handler()
-	if *cf.pprof {
+	if cf.pprof {
 		mux := http.NewServeMux()
 		metrics.RegisterPprof(mux)
 		mux.Handle("/", handler)
@@ -214,15 +195,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	httpSrv := &http.Server{Handler: handler}
 	go httpSrv.Serve(ln)
-	batchDesc := fmt.Sprintf("batch %d", *cf.batch)
-	if *cf.batch == 0 {
+	// Registered after out.Close, so it runs first: the exit-time files
+	// are written once the listener has drained, with the worker spans
+	// and reports of the grace window merged in.
+	defer func() {
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		httpSrv.Shutdown(shutCtx)
+	}()
+	batchDesc := fmt.Sprintf("batch %d", cf.batch)
+	if cf.batch == 0 {
 		batchDesc = "adaptive batch"
 	}
 	logger.Info("campaignd: serving",
 		"addr", ln.Addr().String(), "points", pre.Dispatch.Points, "in_store", pre.Dispatch.Done,
-		"ttl", *cf.ttl, "batch", batchDesc, "pprof", *cf.pprof, "trace", *cf.trace != "", "report", *cf.report != "")
+		"ttl", cf.ttl, "batch", batchDesc, "pprof", cf.pprof, "trace", cf.out.Trace != "", "report", cf.out.Report != "")
 
-	if *cf.serve {
+	if cf.serve {
 		// The service runs until interrupted, then reports its whole
 		// lifetime's accounting in the one-shot coordinator's grammar.
 		<-ctx.Done()
@@ -251,28 +240,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// The grace window also collects the final worker completions, so
 		// the exported timeline and report are the complete merged ones.
 		select {
-		case <-time.After(*cf.grace):
+		case <-time.After(cf.grace):
 		case <-ctx.Done():
 		}
 	}
 
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	httpSrv.Shutdown(shutCtx)
-	if *cf.trace != "" {
-		n, err := tracing.WriteFile(*cf.trace, tracer)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Fprintf(stderr, "campaignd: trace: %d spans written to %s (coordinator)\n", n, *cf.trace)
-	}
-	if *cf.report != "" {
-		n, err := simreport.WriteFile(*cf.report, reporter)
-		if err != nil {
-			return fmt.Errorf("report: %w", err)
-		}
-		fmt.Fprintf(stderr, "campaignd: report: %d reports written to %s (coordinator)\n", n, *cf.report)
-	}
 	return nil
 }
 

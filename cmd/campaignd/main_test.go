@@ -5,49 +5,19 @@ import (
 	"context"
 	"flag"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sharedicache/internal/campaignd"
+	"sharedicache/internal/clitest"
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/sweep"
 )
 
-var update = flag.Bool("update", false, "rewrite the usage golden file")
-
-// TestUsageGolden pins the -h flag listing, as cmd/sweep's does: a
-// flag added, renamed or re-documented without regenerating the golden
-// (go test ./cmd/campaignd -run TestUsageGolden -update) — and without
-// revisiting the README — fails here instead of drifting silently.
-func TestUsageGolden(t *testing.T) {
-	fs := flag.NewFlagSet("campaignd", flag.ContinueOnError)
-	registerFlags(fs)
-	var buf bytes.Buffer
-	fs.SetOutput(&buf)
-	fs.PrintDefaults()
-
-	golden := filepath.Join("testdata", "usage.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("usage output drifted from %s (regenerate with -update and re-audit the README flag table):\n--- got ---\n%s--- want ---\n%s",
-			golden, buf.Bytes(), want)
-	}
-}
+// TestUsageGolden pins the -h flag listing, as cmd/sweep's does.
+func TestUsageGolden(t *testing.T) { clitest.Usage(t, registerFlags) }
 
 // syncBuffer is a bytes.Buffer safe for the coordinator's concurrent
 // stderr writers (the driver, its slog handler and HTTP handlers).

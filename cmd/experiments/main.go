@@ -14,178 +14,145 @@
 // in an on-disk run store, so regenerating a figure against a warm
 // store simulates nothing. See EXPERIMENTS.md for the
 // paper-vs-measured record.
+//
+// The §II workload characterisation (Figures 2-4) walks synthetic
+// traces without cycle simulation, over max(-n, 2M) master
+// instructions per benchmark:
+//
+//	experiments -fig fig2,fig3,fig4 -bench FT,UA
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/runstore"
-	"sharedicache/internal/simreport"
 	"sharedicache/internal/sweep"
 	"sharedicache/internal/tracing"
 )
 
+// cliFlags is cmd/experiments' full flag set; registerFlags declares
+// it so the usage golden test can pin the -h output run parses.
+type cliFlags struct {
+	fig, bench, backend, format, store, storeop string
+	out                                         sweep.OutputConfig
+	n, seed                                     uint64
+	workers, par, chart                         int
+	cold, stream, list                          bool
+}
+
+func registerFlags(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{}
+	fs.StringVar(&f.fig, "fig", "all", "experiment id (fig1..fig13, table1) or 'all'")
+	fs.Uint64Var(&f.n, "n", 0, "master-thread instructions per benchmark (0 = default)")
+	fs.IntVar(&f.workers, "workers", 0, "worker core count (0 = default 8)")
+	fs.StringVar(&f.bench, "bench", "", "comma-separated benchmark subset (default: all 24)")
+	fs.Uint64Var(&f.seed, "seed", 0, "workload synthesis seed (0 = default)")
+	fs.BoolVar(&f.cold, "cold", false, "disable steady-state cache prewarming for timing runs")
+	fs.IntVar(&f.par, "par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	fs.StringVar(&f.backend, "backend", "", "simulation backend: detailed (default) or analytical")
+	fs.StringVar(&f.format, "format", "text", "output format: text, csv, json")
+	fs.IntVar(&f.chart, "chart", -1, "also render column N (0-based) as an ASCII bar chart")
+	fs.StringVar(&f.store, "store", "", "persistent run-store directory (second cache tier)")
+	fs.StringVar(&f.storeop, "storeop", "", "run-store maintenance: 'index' or 'gc', then exit")
+	fs.BoolVar(&f.stream, "stream", true, "render supporting figures row-by-row as points complete (text format)")
+	fs.BoolVar(&f.list, "list", false, "list experiment ids and exit")
+	f.out.RegisterFlags(fs)
+	return f
+}
+
 func main() {
-	var (
-		fig     = flag.String("fig", "all", "experiment id (fig1..fig13, table1) or 'all'")
-		n       = flag.Uint64("n", 0, "master-thread instructions per benchmark (0 = default)")
-		workers = flag.Int("workers", 0, "worker core count (0 = default 8)")
-		bench   = flag.String("bench", "", "comma-separated benchmark subset (default: all 24)")
-		seed    = flag.Uint64("seed", 0, "workload synthesis seed (0 = default)")
-		cold    = flag.Bool("cold", false, "disable steady-state cache prewarming for timing runs")
-		par     = flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		backend = flag.String("backend", "", "simulation backend: detailed (default) or analytical")
-		format  = flag.String("format", "text", "output format: text, csv, json")
-		chart   = flag.Int("chart", -1, "also render column N (0-based) as an ASCII bar chart")
-		store   = flag.String("store", "", "persistent run-store directory (second cache tier)")
-		storeop = flag.String("storeop", "", "run-store maintenance: 'index' or 'gc', then exit")
-		trace   = flag.String("trace", "", "write a Chrome trace-event JSON span timeline to this file at exit (load in Perfetto)")
-		report  = flag.String("report", "", "write per-point simulation telemetry (stall stacks, cache/bus stats, host cost) as JSON to this file at exit")
-		stream  = flag.Bool("stream", true, "render supporting figures row-by-row as points complete (text format)")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(sweep.ExitCode("experiments", err, os.Stderr))
+}
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
-	)
-	flag.Parse()
-
-	// Whole-run pprof captures (docs/PERFORMANCE.md has the recipe).
-	// Like -trace, a fatal() exit skips the export.
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Fprintf(os.Stderr, "experiments: cpu profile written to %s\n", *cpuprofile)
-		}()
+// run is the whole driver: it parses args, renders the selected
+// figures to stdout and writes progress and cache accounting to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live-heap accounting before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "experiments: heap profile written to %s\n", *memprofile)
-		}()
+	switch f.format {
+	case "text", "csv", "json":
+	default:
+		return fmt.Errorf("unknown format %q (text, csv, json)", f.format)
 	}
 
-	if *list {
+	// Whole-run pprof captures (docs/PERFORMANCE.md has the recipe), the
+	// -trace timeline (one parent span per figure, point/store spans
+	// nested under it by the runner) and the -report collection (one
+	// microarchitectural report per executed or store-replayed point).
+	out, err := sweep.StartOutputs("experiments", f.out, stderr)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, out.Close()) }()
+
+	if f.list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
 	}
 
+	// Zero-valued flags keep the campaign defaults.
 	opts := experiments.DefaultOptions()
-	if *n > 0 {
-		opts.Instructions = *n
+	opts.Instructions = cmp.Or(f.n, opts.Instructions)
+	opts.Workers = cmp.Or(f.workers, opts.Workers)
+	opts.Seed = cmp.Or(f.seed, opts.Seed)
+	opts.Prewarm = !f.cold
+	opts.Parallelism = f.par
+	if f.bench != "" {
+		opts.Benchmarks = strings.Split(f.bench, ",")
 	}
-	if *workers > 0 {
-		opts.Workers = *workers
-	}
-	if *seed > 0 {
-		opts.Seed = *seed
-	}
-	if *cold {
-		opts.Prewarm = false
-	}
-	if *par > 0 {
-		opts.Parallelism = *par
-	}
-	if *bench != "" {
-		opts.Benchmarks = strings.Split(*bench, ",")
-	}
-	opts.Backend = *backend
+	opts.Backend = f.backend
 
 	runner, err := experiments.NewRunner(opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	// -trace: one parent span per figure, point/store spans nested under
-	// it by the runner; the timeline writes at exit.
-	var tracer *tracing.Tracer
-	if *trace != "" {
-		tracer = tracing.New(tracing.Config{Process: "experiments"})
-		runner.SetTracer(tracer)
-		defer func() {
-			n, err := tracing.WriteFile(*trace, tracer)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: trace:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "experiments: trace: %d spans written to %s\n", n, *trace)
-		}()
-	}
-	// -report: one microarchitectural report per executed (or
-	// store-replayed) design point, written with the campaign summary as
-	// JSON at exit.
-	if *report != "" {
-		col := simreport.NewCollector()
-		runner.SetReporter(col)
-		defer func() {
-			n, err := simreport.WriteFile(*report, col)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: report:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "experiments: report: %d reports written to %s\n", n, *report)
-		}()
-	}
+	runner.SetTracer(out.Tracer)
+	runner.SetReporter(out.Reporter)
 	var st *runstore.Store
-	if *store != "" {
-		if st, err = runstore.Open(*store); err != nil {
-			fatal(err)
+	if f.store != "" {
+		if st, err = runstore.Open(f.store); err != nil {
+			return err
 		}
 		runner.SetStore(st)
 	}
-	if *storeop != "" {
+	if f.storeop != "" {
 		if st == nil {
-			fatal(errors.New("-storeop requires -store"))
+			return errors.New("-storeop requires -store")
 		}
-		if err := sweep.Maint(st, *storeop, "experiments"); err != nil {
-			fatal(err)
-		}
-		return
+		return sweep.Maint(st, f.storeop, "experiments", stdout, stderr)
 	}
 
 	var selected []experiments.Experiment
-	if *fig == "all" {
+	if f.fig == "all" {
 		selected = experiments.All()
 	} else {
-		for _, id := range strings.Split(*fig, ",") {
+		for _, id := range strings.Split(f.fig, ",") {
 			e, err := experiments.ByID(strings.TrimSpace(id))
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			selected = append(selected, e)
 		}
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	for _, e := range selected {
 		start := time.Now()
@@ -193,18 +160,18 @@ func main() {
 		var err error
 		// Each figure is one parent span; the runner's point spans nest
 		// under it through ectx. No-ops when -trace is off.
-		ectx, span := tracer.Start(ctx, "experiment", tracing.A("id", e.ID))
-		streamed := *format == "text" && *stream && e.Stream != nil
+		ectx, span := out.Tracer.Start(ctx, "experiment", tracing.A("id", e.ID))
+		streamed := f.format == "text" && f.stream && e.Stream != nil
 		if streamed {
 			// Incremental rendering: print each table row the moment its
 			// design points complete instead of waiting for the figure.
-			fmt.Printf("%s: %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%s: %s\n", e.ID, e.Title)
 			res, err = e.Stream(ectx, runner, func(label string, cells ...string) {
-				fmt.Printf("%-12s", label)
+				fmt.Fprintf(stdout, "%-12s", label)
 				for _, c := range cells {
-					fmt.Printf("  %14s", c)
+					fmt.Fprintf(stdout, "  %14s", c)
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			})
 		} else {
 			res, err = e.Run(ectx, runner)
@@ -214,55 +181,45 @@ func main() {
 		}
 		span.End()
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "experiments: interrupted")
-				os.Exit(130)
-			}
-			fatal(fmt.Errorf("%s: %w", e.ID, err))
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		tbl := res.Table()
 		switch {
 		case streamed:
-			fmt.Println()
-		case *format == "text":
-			fmt.Println(tbl.String())
-		case *format == "csv":
-			fmt.Print(tbl.CSV())
-			fmt.Println()
-		case *format == "json":
+			fmt.Fprintln(stdout)
+		case f.format == "text":
+			fmt.Fprintln(stdout, tbl.String())
+		case f.format == "csv":
+			fmt.Fprint(stdout, tbl.CSV())
+			fmt.Fprintln(stdout)
+		case f.format == "json":
 			raw, err := tbl.JSON()
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(string(raw))
-		default:
-			fatal(fmt.Errorf("unknown format %q (text, csv, json)", *format))
+			fmt.Fprintln(stdout, string(raw))
 		}
-		if *chart >= 0 {
-			fmt.Println(tbl.Bars(*chart, 50, 1.0))
+		if f.chart >= 0 {
+			fmt.Fprintln(stdout, tbl.Bars(f.chart, 50, 1.0))
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v, %d cached runs]\n\n",
+		fmt.Fprintf(stderr, "[%s done in %v, %d cached runs]\n\n",
 			e.ID, time.Since(start).Round(time.Millisecond), runner.CachedRuns())
 	}
 
 	// Final cache accounting: how much work the campaign actually did
 	// versus resolved from the in-memory and persistent tiers.
-	if *backend != "" {
+	if f.backend != "" {
 		by := runner.BackendRuns()
-		fmt.Fprintf(os.Stderr, "backend %s: %d simulated (detailed %d)\n",
-			*backend, runner.Simulations(), by["detailed"])
+		fmt.Fprintf(stderr, "backend %s: %d simulated (detailed %d)\n",
+			f.backend, runner.Simulations(), by["detailed"])
 	}
 	if st != nil {
 		s := st.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d simulated, %d store hits, %d store misses, %d store writes\n",
+		fmt.Fprintf(stderr, "cache: %d simulated, %d store hits, %d store misses, %d store writes\n",
 			runner.Simulations(), s.Hits, s.Misses, s.Writes)
 	} else {
-		fmt.Fprintf(os.Stderr, "cache: %d simulated, %d distinct points in memory\n",
+		fmt.Fprintf(stderr, "cache: %d simulated, %d distinct points in memory\n",
 			runner.Simulations(), runner.CachedRuns())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	return nil
 }

@@ -61,13 +61,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"sharedicache/internal/campaignd"
@@ -76,231 +75,162 @@ import (
 	"sharedicache/internal/metrics"
 	"sharedicache/internal/refine"
 	"sharedicache/internal/runstore"
-	"sharedicache/internal/simreport"
 	"sharedicache/internal/sweep"
 	"sharedicache/internal/synth"
 	"sharedicache/internal/tracing"
 )
 
-// cliFlags is cmd/sweep's full flag set. It exists as a struct (and
-// registerFlags as a function) so the usage golden test can rebuild
-// the exact flag set main parses and pin its -h output.
+// cliFlags is cmd/sweep's full flag set; registerFlags declares it so
+// the usage golden test can pin the -h output run parses.
 type cliFlags struct {
 	sf *sweep.Flags
 	rf *refine.Flags
 
-	par      *int
-	storeDir *string
-	remote   *string
-	worker   *bool
-	submit   *bool
-	replay   *string
-	shard    *string
-	merge    *bool
-	storeop  *string
-	metrics  *string
-	trace    *string
-	report   *string
-	pprof    *bool
-
-	cpuprofile *string
-	memprofile *string
+	out                                               sweep.OutputConfig
+	storeDir, remote, replay, shard, storeop, metrics string
+	par                                               int
+	worker, submit, merge, pprof                      bool
 }
 
 // registerFlags declares every cmd/sweep flag on fs. The design-space
 // and campaign flags are shared with cmd/campaignd (internal/sweep,
 // internal/refine), so the two drivers cannot drift apart.
 func registerFlags(fs *flag.FlagSet) *cliFlags {
-	return &cliFlags{
-		sf: sweep.RegisterFlags(fs),
-		rf: refine.RegisterFlags(fs),
-
-		par:      fs.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)"),
-		storeDir: fs.String("store", "", "persistent run-store directory (second cache tier)"),
-		remote:   fs.String("remote", "", "campaignd coordinator URL serving the run store (replaces -store)"),
-		worker:   fs.Bool("worker", false, "with -remote: lease and simulate the coordinator's campaign instead of this sweep"),
-		submit:   fs.Bool("submit", false, "with -remote: enqueue this sweep on a serving coordinator (campaignd -serve), wait, and print its merged CSV"),
-		replay:   fs.String("replay", "", "with -remote: replay this arrival-trace CSV (tracegen -arrivals) open-loop against a serving coordinator, then print the campaign's merged CSV; design-space flags are ignored"),
-		shard:    fs.String("shard", "", "simulate only shard i/N of the design space into -store; no CSV"),
-		merge:    fs.Bool("merge", false, "render the CSV from the store without simulating"),
-		storeop:  fs.String("storeop", "", "run-store maintenance: 'index' or 'gc', then exit"),
-		metrics:  fs.String("metrics", "", "serve Prometheus text metrics at this address (GET /metrics) for the run's duration"),
-		trace:    fs.String("trace", "", "write a Chrome trace-event JSON span timeline to this file at exit (load in Perfetto)"),
-		report:   fs.String("report", "", "write per-point simulation telemetry (stall stacks, cache/bus stats, host cost) as JSON to this file at exit"),
-		pprof:    fs.Bool("pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/ on the metrics address"),
-
-		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)"),
-		memprofile: fs.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)"),
-	}
+	f := &cliFlags{sf: sweep.RegisterFlags(fs), rf: refine.RegisterFlags(fs)}
+	fs.IntVar(&f.par, "par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	fs.StringVar(&f.storeDir, "store", "", "persistent run-store directory (second cache tier)")
+	fs.StringVar(&f.remote, "remote", "", "campaignd coordinator URL serving the run store (replaces -store)")
+	fs.BoolVar(&f.worker, "worker", false, "with -remote: lease and simulate the coordinator's campaign instead of this sweep")
+	fs.BoolVar(&f.submit, "submit", false, "with -remote: enqueue this sweep on a serving coordinator (campaignd -serve), wait, and print its merged CSV")
+	fs.StringVar(&f.replay, "replay", "", "with -remote: replay this arrival-trace CSV (tracegen -arrivals) open-loop against a serving coordinator, then print the campaign's merged CSV; design-space flags are ignored")
+	fs.StringVar(&f.shard, "shard", "", "simulate only shard i/N of the design space into -store; no CSV")
+	fs.BoolVar(&f.merge, "merge", false, "render the CSV from the store without simulating")
+	fs.StringVar(&f.storeop, "storeop", "", "run-store maintenance: 'index' or 'gc', then exit")
+	fs.StringVar(&f.metrics, "metrics", "", "serve Prometheus text metrics at this address (GET /metrics) for the run's duration")
+	fs.BoolVar(&f.pprof, "pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/ on the metrics address")
+	f.out.RegisterFlags(fs)
+	return f
 }
 
 func main() {
-	cf := registerFlags(flag.CommandLine)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(sweep.ExitCode("sweep", err, os.Stderr))
+}
+
+// run is the whole driver: it parses args, runs the mode the flags
+// select, and writes the CSV to stdout and the accounting to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cf := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	sf := cf.sf
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	// -cpuprofile/-memprofile: whole-run pprof captures for offline
-	// analysis (docs/PERFORMANCE.md has the recipe). Like -trace, a
-	// fatal() exit skips the export.
-	if *cf.cpuprofile != "" {
-		f, err := os.Create(*cf.cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Fprintf(os.Stderr, "sweep: cpu profile written to %s\n", *cf.cpuprofile)
-		}()
-	}
-	if *cf.memprofile != "" {
-		defer func() {
-			f, err := os.Create(*cf.memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live-heap accounting before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep: memprofile:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "sweep: heap profile written to %s\n", *cf.memprofile)
-		}()
-	}
-
-	if *cf.storeDir != "" && *cf.remote != "" {
-		fatal(errors.New("-store and -remote are mutually exclusive"))
+	if cf.storeDir != "" && cf.remote != "" {
+		return errors.New("-store and -remote are mutually exclusive")
 	}
 	if cf.rf.Enabled() {
 		// Refine is a whole campaign shape of its own; the flags that
 		// reinterpret a plain sweep do not compose with it.
 		switch {
 		case sf.Backend != "":
-			fatal(errors.New("-refine assigns backends per phase; drop -backend"))
-		case *cf.remote != "" || *cf.worker:
-			fatal(errors.New("-refine runs locally (use campaignd -refine to lease the frontier to workers)"))
-		case *cf.shard != "" || *cf.merge:
-			fatal(errors.New("-refine plans its own mixed campaign; -shard/-merge do not apply"))
-		case *cf.storeop != "":
-			fatal(errors.New("-refine and -storeop are mutually exclusive"))
+			return errors.New("-refine assigns backends per phase; drop -backend")
+		case cf.remote != "" || cf.worker:
+			return errors.New("-refine runs locally (use campaignd -refine to lease the frontier to workers)")
+		case cf.shard != "" || cf.merge:
+			return errors.New("-refine plans its own mixed campaign; -shard/-merge do not apply")
+		case cf.storeop != "":
+			return errors.New("-refine and -storeop are mutually exclusive")
 		}
 	}
+	if cf.pprof && cf.metrics == "" {
+		return errors.New("-pprof requires -metrics (it mounts on the metrics listener)")
+	}
+
+	// -cpuprofile/-memprofile: whole-run pprof captures for offline
+	// analysis (docs/PERFORMANCE.md has the recipe). -trace: a span
+	// timeline of the whole run as Chrome trace-event JSON. -report: a
+	// per-point microarchitectural report for every executed or
+	// store-replayed design point, plus the campaign summary.
+	out, err := sweep.StartOutputs("sweep", cf.out, stderr)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, out.Close()) }()
+
 	// One registry covers the whole process — the runner's cache tiers,
 	// the local store if any, and worker-mode lease counters all land on
 	// it; -metrics serves it for scraping while the run lasts. Runtime
 	// gauges (goroutines, heap, GC pauses) ride along for free.
 	reg := metrics.NewRegistry()
 	metrics.RegisterRuntime(reg)
-	if *cf.pprof && *cf.metrics == "" {
-		fatal(errors.New("-pprof requires -metrics (it mounts on the metrics listener)"))
-	}
-	if *cf.metrics != "" {
-		ln, err := net.Listen("tcp", *cf.metrics)
+	if cf.metrics != "" {
+		ln, err := net.Listen("tcp", cf.metrics)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer ln.Close()
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", reg.Handler())
-		if *cf.pprof {
+		if cf.pprof {
 			metrics.RegisterPprof(mux)
 		}
 		go http.Serve(ln, mux)
-		fmt.Fprintf(os.Stderr, "sweep: serving metrics on http://%s/metrics\n", ln.Addr())
-	}
-
-	// -trace: record a span timeline of the whole run and export it as
-	// Chrome trace-event JSON at exit. fatal() skips the export — a
-	// failed run has no timeline worth auditing.
-	var tracer *tracing.Tracer
-	if *cf.trace != "" {
-		tracer = tracing.New(tracing.Config{Process: "sweep"})
-		defer func() {
-			n, err := tracing.WriteFile(*cf.trace, tracer)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep: trace:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "sweep: trace: %d spans written to %s\n", n, *cf.trace)
-		}()
-	}
-
-	// -report: collect a per-point microarchitectural report for every
-	// executed or store-replayed design point and write the collection
-	// (reports plus campaign summary) as JSON at exit. As with -trace,
-	// fatal() skips the export.
-	var reporter *simreport.Collector
-	if *cf.report != "" {
-		reporter = simreport.NewCollector()
-		defer func() {
-			n, err := simreport.WriteFile(*cf.report, reporter)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep: report:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "sweep: report: %d reports written to %s\n", n, *cf.report)
-		}()
+		fmt.Fprintf(stderr, "sweep: serving metrics on http://%s/metrics\n", ln.Addr())
 	}
 
 	// -submit / -replay: drive a serving coordinator's campaign API —
 	// this process simulates nothing; the service and its workers do.
-	if *cf.submit || *cf.replay != "" {
+	if cf.submit || cf.replay != "" {
 		switch {
-		case *cf.remote == "":
-			fatal(errors.New("-submit/-replay require -remote URL (a campaignd -serve coordinator)"))
-		case *cf.submit && *cf.replay != "":
-			fatal(errors.New("-submit and -replay are mutually exclusive"))
-		case *cf.worker || *cf.shard != "" || *cf.merge || *cf.storeop != "" || cf.rf.Enabled():
-			fatal(errors.New("-submit/-replay drive a remote campaign; they do not compose with -worker, -shard, -merge, -storeop or -refine"))
+		case cf.remote == "":
+			return errors.New("-submit/-replay require -remote URL (a campaignd -serve coordinator)")
+		case cf.submit && cf.replay != "":
+			return errors.New("-submit and -replay are mutually exclusive")
+		case cf.worker || cf.shard != "" || cf.merge || cf.storeop != "" || cf.rf.Enabled():
+			return errors.New("-submit/-replay drive a remote campaign; they do not compose with -worker, -shard, -merge, -storeop or -refine")
 		}
-		if *cf.replay != "" {
-			runReplay(ctx, cf)
-		} else {
-			runSubmit(ctx, cf)
+		if cf.replay != "" {
+			return runReplay(ctx, cf, stdout, stderr)
 		}
-		return
+		return runSubmit(ctx, cf, stdout, stderr)
 	}
 
-	if *cf.worker {
+	if cf.worker {
 		// Worker mode: the campaign (benchmarks, axes, budgets) is the
 		// coordinator's; every design-space flag of this process is
 		// ignored so keys cannot disagree. A -report collector stays
 		// local: the worker writes its own file instead of sending it to
 		// the coordinator.
-		if *cf.remote == "" {
-			fatal(errors.New("-worker requires -remote URL"))
+		if cf.remote == "" {
+			return errors.New("-worker requires -remote URL")
 		}
-		w := campaignd.Worker{URL: *cf.remote, Parallelism: *cf.par, Log: os.Stderr, Metrics: reg, Tracer: tracer, Reports: reporter}
+		w := campaignd.Worker{URL: cf.remote, Parallelism: cf.par, Log: stderr, Metrics: reg, Tracer: out.Tracer, Reports: out.Reporter}
 		rep, err := w.Run(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "sweep: worker done: %d points over %d leases (%d lost, %d forfeited), %d simulated, %d store hits\n",
+		fmt.Fprintf(stderr, "sweep: worker done: %d points over %d leases (%d lost, %d forfeited), %d simulated, %d store hits\n",
 			rep.Points, rep.Leases, rep.LostLeases, rep.Forfeited, rep.Simulations, rep.Store.Hits)
-		return
+		return nil
 	}
 
 	opts, err := sf.Options()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	opts.Parallelism = *cf.par
+	opts.Parallelism = cf.par
 	runner, err := experiments.NewRunner(opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	runner.SetMetrics(reg)
-	runner.SetTracer(tracer)
-	if reporter != nil {
-		runner.SetReporter(reporter)
-	}
+	runner.SetTracer(out.Tracer)
+	runner.SetReporter(out.Reporter)
 
 	// The persistent tier is either a local directory or a coordinator's
 	// store plane; the runner is oblivious to which.
@@ -310,108 +240,107 @@ func main() {
 		storeName string
 	)
 	switch {
-	case *cf.storeDir != "":
-		if local, err = runstore.Open(*cf.storeDir); err != nil {
-			fatal(err)
+	case cf.storeDir != "":
+		if local, err = runstore.Open(cf.storeDir); err != nil {
+			return err
 		}
-		local.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+		local.SetLogger(slog.New(slog.NewTextHandler(stderr, nil)))
 		store, storeName = local, local.Dir()
 		runner.SetStore(local)
 		local.RegisterMetrics(reg)
-	case *cf.remote != "":
-		rs, err := campaignd.NewRemoteStore(ctx, *cf.remote)
+	case cf.remote != "":
+		rs, err := campaignd.NewRemoteStore(ctx, cf.remote)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		store, storeName = rs, rs.URL()
 		runner.SetStore(rs)
 	}
-	if *cf.storeop != "" {
+	if cf.storeop != "" {
 		if store == nil {
-			fatal(errors.New("-storeop requires -store or -remote"))
+			return errors.New("-storeop requires -store or -remote")
 		}
-		storeMaint(ctx, local, *cf.remote, *cf.storeop)
-		return
+		return storeMaint(ctx, local, cf.remote, cf.storeop, stdout, stderr)
 	}
-	if *cf.shard != "" && *cf.merge {
-		fatal(errors.New("-shard and -merge are mutually exclusive"))
+	if cf.shard != "" && cf.merge {
+		return errors.New("-shard and -merge are mutually exclusive")
 	}
 
 	// Auto-refine: calibrate, triage analytically, re-run the selected
 	// frontier on the detailed backend, one merged CSV.
 	if cf.rf.Enabled() {
-		runRefine(ctx, cf, runner, local, tracer)
-		return
+		return runRefine(ctx, cf, runner, local, out.Tracer, stdout, stderr)
 	}
 
 	// Declare the full design space up front: per benchmark one private
 	// baseline plus every valid shared point, in CSV emission order.
 	space, err := sf.Space()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	plan, rows := space.Build(runner)
 
 	// Shard mode: simulate this shard's slice of the plan into the
 	// shared store and exit — -merge renders the CSV once all shards
 	// are done.
-	if *cf.shard != "" {
+	if cf.shard != "" {
 		if store == nil {
-			fatal(errors.New("-shard requires -store or -remote (shards share work through it)"))
+			return errors.New("-shard requires -store or -remote (shards share work through it)")
 		}
-		sh, err := experiments.ParseShard(*cf.shard)
+		sh, err := experiments.ParseShard(cf.shard)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		sub, err := plan.Shard(sh)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if _, err := sub.RunAll(ctx); err != nil {
-			fatal(err)
+			return err
 		}
 		st := store.Stats()
-		fmt.Fprintf(os.Stderr, "sweep: shard %s: %d of %d points, %d simulated, %d store hits\n",
+		fmt.Fprintf(stderr, "sweep: shard %s: %d of %d points, %d simulated, %d store hits\n",
 			sh, sub.Len(), plan.Len(), runner.Simulations(), st.Hits)
-		return
+		return nil
 	}
 
-	results := make([]*core.Result, plan.Len())
-	csvw := sweep.NewCSV(os.Stdout, sf.Workers)
+	csvw := sweep.NewCSV(stdout, sf.Workers)
 	if sf.Backend != "" {
 		// An explicit backend selection makes the output self-
 		// describing; the default schema stays byte-identical.
 		csvw.IncludeBackendColumn()
 	}
-	emit := func(err error) {
-		if err != nil {
-			fatal(err)
-		}
+	if err := csvw.Header(); err != nil {
+		return err
 	}
-	emit(csvw.Header())
 
-	if *cf.merge {
+	if cf.merge {
 		// Merge: resolve every point from the store, simulating nothing.
 		// With identical flags the row loop below is the one the
 		// unsharded sweep runs, so the merged CSV is byte-identical.
 		if store == nil {
-			fatal(errors.New("-merge requires -store or -remote"))
+			return errors.New("-merge requires -store or -remote")
 		}
+		results := make([]*core.Result, plan.Len())
 		for i, pt := range plan.Points() {
 			res, ok := runner.Lookup(pt)
 			if !ok {
-				fatal(fmt.Errorf("store %s is missing %s on %s/cpc=%d (run the remaining shards first)",
-					storeName, pt.Bench, pt.Cfg.Organization, pt.Cfg.CPC))
+				return fmt.Errorf("store %s is missing %s on %s/cpc=%d (run the remaining shards first)",
+					storeName, pt.Bench, pt.Cfg.Organization, pt.Cfg.CPC)
 			}
 			results[i] = res
 		}
 		for _, m := range rows {
-			emit(csvw.Row(m, results[m.BaseIdx], results[m.PointIdx]))
+			if err := csvw.Row(m, results[m.BaseIdx], results[m.PointIdx]); err != nil {
+				return err
+			}
 		}
-		emit(csvw.Flush())
-		fmt.Fprintf(os.Stderr, "sweep: merge: %d rows from %d stored points, 0 simulated\n",
+		if err := csvw.Flush(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "sweep: merge: %d rows from %d stored points, 0 simulated\n",
 			len(rows), plan.Len())
-		return
+		return nil
 	}
 
 	// Normal run: stream rows as their points complete (EmitStream
@@ -419,12 +348,14 @@ func main() {
 	// baseline — has streamed past).
 	ch, err := plan.RunAllStream(ctx)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	emit(csvw.EmitStream(ch, rows, plan.Len()))
+	if err := csvw.EmitStream(ch, rows, plan.Len()); err != nil {
+		return err
+	}
 	if store != nil {
 		st := store.Stats()
-		fmt.Fprintf(os.Stderr, "sweep: %d simulated, %d store hits, %d store writes\n",
+		fmt.Fprintf(stderr, "sweep: %d simulated, %d store hits, %d store writes\n",
 			runner.Simulations(), st.Hits, st.Writes)
 	}
 	if sf.Backend != "" {
@@ -432,22 +363,24 @@ func main() {
 		// "detailed 0" — a fast sweep that silently fell back to
 		// cycle-level simulation would be a lie, not a speedup.
 		by := runner.BackendRuns()
-		fmt.Fprintf(os.Stderr, "sweep: backend %s: %d simulated (detailed %d)\n",
+		fmt.Fprintf(stderr, "sweep: backend %s: %d simulated (detailed %d)\n",
 			sf.Backend, runner.Simulations(), by["detailed"])
 	}
+	return nil
 }
 
 // runRefine executes the two-phase auto-refine campaign locally and
 // emits the merged CSV (phase + backend columns, calibration applied
 // to triage rows).
-func runRefine(ctx context.Context, cf *cliFlags, runner *experiments.Runner, local *runstore.Store, tracer *tracing.Tracer) {
+func runRefine(ctx context.Context, cf *cliFlags, runner *experiments.Runner, local *runstore.Store,
+	tracer *tracing.Tracer, stdout, stderr io.Writer) error {
 	sel, err := cf.rf.Selector()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	space, err := cf.sf.Space()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := refine.Prepare(ctx, refine.Config{
 		Space:     space,
@@ -455,36 +388,37 @@ func runRefine(ctx context.Context, cf *cliFlags, runner *experiments.Runner, lo
 		Store:     local,
 		Selector:  sel,
 		GoldenMax: cf.rf.Golden,
-		Log:       os.Stderr,
+		Log:       stderr,
 		Tracer:    tracer,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	csvw := sweep.NewCSV(os.Stdout, cf.sf.Workers)
+	csvw := sweep.NewCSV(stdout, cf.sf.Workers)
 	csvw.IncludePhaseColumn()
 	csvw.IncludeBackendColumn()
 	csvw.SetAdjust(res.Adjust)
 	if err := csvw.Header(); err != nil {
-		fatal(err)
+		return err
 	}
 	ch, err := res.Plan.RunAllStream(ctx)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := csvw.EmitStream(ch, res.Rows, res.Plan.Len()); err != nil {
-		fatal(err)
+		return err
 	}
 	// The accounting line CI pins: every detailed simulation of the
 	// whole campaign must be attributable to calibration or frontier.
 	by := runner.BackendRuns()
-	fmt.Fprintf(os.Stderr, "sweep: refine: %d detailed simulations (calibration %d + frontier %d), %d analytical\n",
+	fmt.Fprintf(stderr, "sweep: refine: %d detailed simulations (calibration %d + frontier %d), %d analytical\n",
 		by["detailed"], res.GoldenDetailedSims, by["detailed"]-res.GoldenDetailedSims, by["analytical"])
 	if local != nil {
 		st := local.Stats()
-		fmt.Fprintf(os.Stderr, "sweep: %d simulated, %d store hits, %d store writes\n",
+		fmt.Fprintf(stderr, "sweep: %d simulated, %d store hits, %d store writes\n",
 			runner.Simulations(), st.Hits, st.Writes)
 	}
+	return nil
 }
 
 // runSubmit enqueues this process's design space as a closed campaign
@@ -493,24 +427,15 @@ func runRefine(ctx context.Context, cf *cliFlags, runner *experiments.Runner, lo
 // Space.Build the local sweep runs, and the coordinator renders them
 // through the same CSV emitter, so the fetched bytes are identical to
 // the single-process run's.
-func runSubmit(ctx context.Context, cf *cliFlags) {
-	client, err := campaignd.NewClient(*cf.remote)
+func runSubmit(ctx context.Context, cf *cliFlags, stdout, stderr io.Writer) error {
+	client, err := campaignd.NewClient(cf.remote)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	opts, err := cf.sf.Options()
+	rows, err := cf.sf.Rows()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	runner, err := experiments.NewRunner(opts)
-	if err != nil {
-		fatal(err)
-	}
-	space, err := cf.sf.Space()
-	if err != nil {
-		fatal(err)
-	}
-	_, rows := space.Build(runner)
 	spec := campaignd.CampaignSpec{Name: "sweep-submit", Backend: cf.sf.Backend}
 	for _, m := range rows {
 		spec.Rows = append(spec.Rows, campaignd.PointSpec{
@@ -519,11 +444,11 @@ func runSubmit(ctx context.Context, cf *cliFlags) {
 	}
 	reply, err := client.Enqueue(ctx, spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "sweep: submitted campaign %d: %d rows, %d plan points\n",
+	fmt.Fprintf(stderr, "sweep: submitted campaign %d: %d rows, %d plan points\n",
 		reply.ID, len(spec.Rows), reply.Points)
-	awaitCampaign(ctx, client, reply.ID)
+	return awaitCampaign(ctx, client, reply.ID, stdout, stderr)
 }
 
 // runReplay submits an arrival trace against a serving coordinator
@@ -532,22 +457,22 @@ func runSubmit(ctx context.Context, cf *cliFlags) {
 // service can be pushed past saturation, and the coordinator's
 // arrival-lag histogram records how far behind the trace it ran. Once
 // every point completes, the merged CSV prints to stdout.
-func runReplay(ctx context.Context, cf *cliFlags) {
-	f, err := os.Open(*cf.replay)
+func runReplay(ctx context.Context, cf *cliFlags, stdout, stderr io.Writer) error {
+	f, err := os.Open(cf.replay)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	trace, err := synth.ReadArrivals(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(trace) == 0 {
-		fatal(fmt.Errorf("trace %s has no arrivals", *cf.replay))
+		return fmt.Errorf("trace %s has no arrivals", cf.replay)
 	}
-	client, err := campaignd.NewClient(*cf.remote)
+	client, err := campaignd.NewClient(cf.remote)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// The campaign backend is the trace's dominant stamp (row backends
 	// that match it stay implicit, preserving the CSV backend-column
@@ -564,9 +489,9 @@ func runReplay(ctx context.Context, cf *cliFlags) {
 	}
 	reply, err := client.Enqueue(ctx, spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "sweep: replay: campaign %d enqueued: %d arrivals over %s\n",
+	fmt.Fprintf(stderr, "sweep: replay: campaign %d enqueued: %d arrivals over %s\n",
 		reply.ID, len(trace), trace[len(trace)-1].Offset.Round(time.Millisecond))
 	start := time.Now()
 	for k := 0; k < len(trace); {
@@ -574,7 +499,7 @@ func runReplay(ctx context.Context, cf *cliFlags) {
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
-				fatal(ctx.Err())
+				return ctx.Err()
 			}
 		}
 		// Everything now due ships in one call; the submission never
@@ -587,22 +512,22 @@ func runReplay(ctx context.Context, cf *cliFlags) {
 		}
 		off := trace[batch[len(batch)-1]].Offset
 		if err := client.Arrive(ctx, reply.ID, batch, off.Milliseconds()); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "sweep: replay: %d arrivals submitted in %s\n",
+	fmt.Fprintf(stderr, "sweep: replay: %d arrivals submitted in %s\n",
 		len(trace), time.Since(start).Round(time.Millisecond))
-	awaitCampaign(ctx, client, reply.ID)
+	return awaitCampaign(ctx, client, reply.ID, stdout, stderr)
 }
 
 // awaitCampaign polls an enqueued campaign to completion and prints
 // its merged CSV to stdout.
-func awaitCampaign(ctx context.Context, client *campaignd.Client, id int) {
+func awaitCampaign(ctx context.Context, client *campaignd.Client, id int, stdout, stderr io.Writer) error {
 	var st campaignd.CampaignStatus
 	for {
 		var err error
 		if st, err = client.CampaignStatus(ctx, id); err != nil {
-			fatal(err)
+			return err
 		}
 		if st.Complete {
 			break
@@ -610,56 +535,46 @@ func awaitCampaign(ctx context.Context, client *campaignd.Client, id int) {
 		select {
 		case <-time.After(200 * time.Millisecond):
 		case <-ctx.Done():
-			fatal(ctx.Err())
+			return ctx.Err()
 		}
 	}
 	body, err := client.CampaignCSV(ctx, id)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if _, err := os.Stdout.Write(body); err != nil {
-		fatal(err)
+	if _, err := stdout.Write(body); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "sweep: campaign %d complete: %d points done, 0 simulated locally\n",
+	fmt.Fprintf(stderr, "sweep: campaign %d complete: %d points done, 0 simulated locally\n",
 		id, st.Points)
+	return nil
 }
 
 // storeMaint runs the -storeop maintenance path: the shared local
 // implementation (internal/sweep), or the coordinator's store plane
 // for -remote index.
-func storeMaint(ctx context.Context, local *runstore.Store, remote, op string) {
+func storeMaint(ctx context.Context, local *runstore.Store, remote, op string, stdout, stderr io.Writer) error {
 	if local != nil {
-		if err := sweep.Maint(local, op, "sweep"); err != nil {
-			fatal(err)
-		}
-		return
+		return sweep.Maint(local, op, "sweep", stdout, stderr)
 	}
 	switch op {
 	case "index":
 		client, err := campaignd.NewClient(remote)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		entries, err := client.Index(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, e := range entries {
-			fmt.Println(e)
+			fmt.Fprintln(stdout, e)
 		}
-		fmt.Fprintf(os.Stderr, "sweep: %d entries in %s\n", len(entries), client.URL())
+		fmt.Fprintf(stderr, "sweep: %d entries in %s\n", len(entries), client.URL())
+		return nil
 	case "gc":
-		fatal(errors.New("-storeop gc runs against the store's own filesystem; run it on the coordinator"))
+		return errors.New("-storeop gc runs against the store's own filesystem; run it on the coordinator")
 	default:
-		fatal(fmt.Errorf("unknown -storeop %q (index, gc)", op))
+		return fmt.Errorf("unknown -storeop %q (index, gc)", op)
 	}
-}
-
-func fatal(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "sweep: interrupted")
-		os.Exit(130)
-	}
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

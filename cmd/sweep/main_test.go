@@ -2,41 +2,25 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
+	"context"
+	"errors"
 	"testing"
+
+	"sharedicache/internal/clitest"
 )
 
-var update = flag.Bool("update", false, "rewrite the usage golden file")
+func TestUsageGolden(t *testing.T) { clitest.Usage(t, registerFlags) }
 
-// TestUsageGolden pins the -h flag listing. The golden file is the
-// audited reference the README's flag table is checked against: a flag
-// added, renamed or re-documented without regenerating the golden (go
-// test ./cmd/sweep -run TestUsageGolden -update) — and without
-// revisiting the README — fails here instead of drifting silently.
-func TestUsageGolden(t *testing.T) {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	registerFlags(fs)
-	var buf bytes.Buffer
-	fs.SetOutput(&buf)
-	fs.PrintDefaults()
-
-	golden := filepath.Join("testdata", "usage.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+// TestInterruptedRunWritesOutputs: a cancelled sweep still writes every
+// requested exit-time file, each complete.
+func TestInterruptedRunWritesOutputs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dir := t.TempDir()
+	args := append([]string{"-bench", "FT", "-cpc", "8", "-size", "16", "-buses", "1", "-n", "20000"}, clitest.OutputArgs(dir)...)
+	err := run(ctx, args, &bytes.Buffer{}, &bytes.Buffer{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("usage output drifted from %s (regenerate with -update and re-audit the README flag table):\n--- got ---\n%s--- want ---\n%s",
-			golden, buf.Bytes(), want)
-	}
+	clitest.CheckOutputs(t, dir)
 }

@@ -246,15 +246,33 @@ func TestFastPathEquivalenceRandom(t *testing.T) {
 }
 
 // TestFastPathSkips guards the fast path against silently degrading to
-// per-cycle ticking: a shared-organization run must simulate far fewer
-// real ticks than elapsed cycles. (Without an event counter we assert
-// indirectly: Run and RunReference agree — above — while Run carries
-// the entire BENCH_9 speedup; a regression here shows up in CI's perf
-// smoke. This test pins at least that the skip machinery engages on a
-// trivial all-idle window: a deadlocked sync wait errors out at the
-// cycle bound quickly instead of ticking 2^27 cycles.)
+// per-cycle ticking. On a Fig 7 point whose stalls leave every unit
+// idle (FT, 8 workers per 16 KB cache, one bus) Run must skip cycles
+// while RunReference skips none; and on a trivial all-idle window a
+// deadlocked sync wait must error out at the cycle bound quickly
+// instead of ticking 5e7 cycles.
 func TestFastPathSkips(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.ICache.SizeBytes = 16 << 10
+	cfg.Organization = OrgWorkerShared
+	cfg.CPC = 8
+	cfg.Buses = 1
+	fast := buildSim(t, cfg, "FT", 20_000, 1, true)
+	if _, err := fast.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fast.skipped == 0 {
+		t.Error("Run skipped no cycles on a stall-heavy shared point: the fast path never engaged")
+	}
+	ref := buildSim(t, cfg, "FT", 20_000, 1, true)
+	if _, err := ref.RunReference(); err != nil {
+		t.Fatal(err)
+	}
+	if ref.skipped != 0 {
+		t.Errorf("RunReference skipped %d cycles; the reference loop must tick every cycle", ref.skipped)
+	}
+
+	cfg = DefaultConfig()
 	cfg.MaxCycles = 50_000_000 // naive loop would grind; skip-ahead jumps
 	// A single worker that blocks forever on a parallel region the
 	// master never opens: every unit goes idle with no wake event.

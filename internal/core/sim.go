@@ -66,6 +66,10 @@ type Simulator struct {
 	shared []*sharedICache
 	cores  []*coreSim
 	ran    bool
+	// skipped counts the cycles skipTo accounted in bulk instead of
+	// ticking; tests read it to pin that the fast path engages. It is
+	// not part of the Result.
+	skipped uint64
 }
 
 // New builds a simulator for cfg over the given per-thread trace
@@ -415,6 +419,7 @@ func (s *Simulator) nextEvent(now uint64) uint64 {
 // latency to cache miss, say). Shared caches need no accounting — an
 // idle fabric's tick is a no-op, which is what made the skip legal.
 func (s *Simulator) skipTo(now, target uint64) {
+	s.skipped += target - now
 	for _, c := range s.cores {
 		if c.finished {
 			continue

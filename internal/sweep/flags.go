@@ -94,6 +94,26 @@ func (f *Flags) Space() (Space, error) {
 	return sp, nil
 }
 
+// Rows expands the flags' design space into its CSV rows without
+// running anything: the form a campaign is submitted to a remote
+// coordinator in.
+func (f *Flags) Rows() ([]Row, error) {
+	opts, err := f.Options()
+	if err != nil {
+		return nil, err
+	}
+	space, err := f.Space()
+	if err != nil {
+		return nil, err
+	}
+	runner, err := experiments.NewRunner(opts)
+	if err != nil {
+		return nil, err
+	}
+	_, rows := space.Build(runner)
+	return rows, nil
+}
+
 // parseInts parses a comma-separated integer list.
 func parseInts(csv string) ([]int, error) {
 	var out []int

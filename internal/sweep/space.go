@@ -18,6 +18,9 @@
 //
 // Flags (RegisterFlags) keeps the two drivers' design-space flag sets
 // identical, and Maint is their shared -storeop maintenance path.
+// Outputs is the exit-time output lifecycle (-trace, -report,
+// -cpuprofile, -memprofile) and ExitCode the exit-status mapping that
+// every cmd/ driver shares.
 package sweep
 
 import (

@@ -2,7 +2,7 @@ package sweep
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
@@ -46,7 +46,7 @@ func (c *CSV) EmitStream(ch <-chan experiments.PointResult, rows []Row, planLen 
 // cmd/experiments against a local store: 'index' lists every
 // trustworthy entry on stdout, 'gc' sweeps corrupt entries and
 // orphaned temp files. prefix labels the stderr summary lines.
-func Maint(st *runstore.Store, op, prefix string) error {
+func Maint(st *runstore.Store, op, prefix string, stdout, stderr io.Writer) error {
 	switch op {
 	case "index":
 		entries, err := st.Index()
@@ -54,15 +54,15 @@ func Maint(st *runstore.Store, op, prefix string) error {
 			return err
 		}
 		for _, e := range entries {
-			fmt.Println(e)
+			fmt.Fprintln(stdout, e)
 		}
-		fmt.Fprintf(os.Stderr, "%s: %d entries in %s\n", prefix, len(entries), st.Dir())
+		fmt.Fprintf(stderr, "%s: %d entries in %s\n", prefix, len(entries), st.Dir())
 	case "gc":
 		removed, err := st.GC()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "%s: gc removed %d files from %s\n", prefix, removed, st.Dir())
+		fmt.Fprintf(stderr, "%s: gc removed %d files from %s\n", prefix, removed, st.Dir())
 	default:
 		return fmt.Errorf("unknown -storeop %q (index, gc)", op)
 	}
