@@ -167,14 +167,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 
-	// Enqueue the flags' campaign before listening: a worker that
-	// connected to a server with no campaign would be told it is done.
+	// Enqueue the flags' campaign before listening, so the snapshot
+	// below already counts what enqueueing resolved locally. Under
+	// -serve no campaign exists yet; workers that join then keep
+	// polling until one is submitted.
 	var (
 		id  int
 		ref *refine.Result
 	)
 	if !cf.serve {
-		if id, ref, err = enqueueFlags(ctx, cf, srv, runner, store, out.Tracer, stderr); err != nil {
+		if id, ref, err = enqueueFlags(ctx, cf, srv, runner, out.Tracer, stderr); err != nil {
 			return err
 		}
 	}
@@ -257,7 +259,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 // -backend adds the backend column, and -refine the phase and backend
 // columns with the calibration applied to triage rows.
 func enqueueFlags(ctx context.Context, cf *cliFlags, srv *campaignd.Server, runner *experiments.Runner,
-	store *runstore.Store, tracer *tracing.Tracer, stderr io.Writer) (int, *refine.Result, error) {
+	tracer *tracing.Tracer, stderr io.Writer) (int, *refine.Result, error) {
 	space, err := cf.sf.Space()
 	if err != nil {
 		return 0, nil, err
@@ -272,7 +274,7 @@ func enqueueFlags(ctx context.Context, cf *cliFlags, srv *campaignd.Server, runn
 		return 0, nil, err
 	}
 	ref, err := refine.Prepare(ctx, refine.Config{
-		Space: space, Runner: runner, Store: store,
+		Space: space, Runner: runner,
 		Selector: sel, GoldenMax: cf.rf.Golden, Log: stderr,
 		Tracer: tracer,
 	})

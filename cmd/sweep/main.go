@@ -33,12 +33,12 @@
 //
 // -refine automates the triage-then-refine flow end to end (see
 // docs/REFINE.md): a calibration pass runs a small golden slice of the
-// space on both backends and fits per-metric corrections (persisted in
-// the -store and reused while valid), the full space then runs
-// analytically with the corrections applied, a frontier selector
-// (-refine-top K, -refine-pareto, -refine-band lo:hi) picks the points
-// worth full fidelity, and those re-run on the detailed backend — one
-// merged CSV, with phase and backend columns:
+// space on both backends and fits per-metric corrections (free on a
+// warm -store, whose hits supply the golden results), the full space
+// then runs analytically with the corrections applied, a frontier
+// selector (-refine-top K, -refine-pareto, -refine-band lo:hi) picks
+// the points worth full fidelity, and those re-run on the detailed
+// backend — one merged CSV, with phase and backend columns:
 //
 //	sweep -bench UA,FT -refine -refine-top 8 -store /tmp/rs > refined.csv
 //
@@ -209,7 +209,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if cf.remote == "" {
 			return errors.New("-worker requires -remote URL")
 		}
-		w := campaignd.Worker{URL: cf.remote, Parallelism: cf.par, Log: stderr, Metrics: reg, Tracer: out.Tracer, Reports: out.Reporter}
+		w := campaignd.Worker{
+			URL: cf.remote, Parallelism: cf.par, Logger: slog.New(slog.NewTextHandler(stderr, nil)),
+			Metrics: reg, Tracer: out.Tracer, Reports: out.Reporter,
+		}
 		rep, err := w.Run(ctx)
 		if err != nil {
 			return err
@@ -385,7 +388,6 @@ func runRefine(ctx context.Context, cf *cliFlags, runner *experiments.Runner, lo
 	res, err := refine.Prepare(ctx, refine.Config{
 		Space:     space,
 		Runner:    runner,
-		Store:     local,
 		Selector:  sel,
 		GoldenMax: cf.rf.Golden,
 		Log:       stderr,
@@ -408,8 +410,9 @@ func runRefine(ctx context.Context, cf *cliFlags, runner *experiments.Runner, lo
 	if err := csvw.EmitStream(ch, res.Rows, res.Plan.Len()); err != nil {
 		return err
 	}
-	// The accounting line CI pins: every detailed simulation of the
-	// whole campaign must be attributable to calibration or frontier.
+	// The accounting line TestRefineColdWarm pins: every detailed
+	// simulation of the whole campaign must be attributable to
+	// calibration or frontier.
 	by := runner.BackendRuns()
 	fmt.Fprintf(stderr, "sweep: refine: %d detailed simulations (calibration %d + frontier %d), %d analytical\n",
 		by["detailed"], res.GoldenDetailedSims, by["detailed"]-res.GoldenDetailedSims, by["analytical"])

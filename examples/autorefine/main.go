@@ -1,12 +1,12 @@
 // Autorefine: the two-phase triage-then-refine campaign end to end,
 // against a temporary run store. Pass one calibrates the analytical
-// backend on a small golden slice of the space (running both backends)
-// and persists the fit; the full space then runs analytically with the
+// backend on a small golden slice of the space (running both
+// backends); the full space then runs analytically with the
 // corrections applied, the top-K points re-run on the cycle-level
 // detailed backend, and the merged CSV streams to stdout with phase
 // and backend columns. Pass two repeats the campaign against the warm
 // store and proves — with the engine's own counters — that the fit is
-// reused and nothing recalibrates or re-simulates.
+// recomputed from store hits and nothing re-simulates.
 //
 // This is the library face of `sweep -refine -refine-top K`; see
 // docs/REFINE.md for the full workflow.
@@ -68,7 +68,6 @@ func main() {
 		res, err := sharedicache.PrepareRefine(ctx, sharedicache.RefineConfig{
 			Space:    space,
 			Runner:   runner,
-			Store:    store,
 			Selector: sharedicache.TopKSelector{K: *top},
 			Log:      os.Stderr,
 		})
@@ -78,8 +77,8 @@ func main() {
 		if pass == 1 {
 			fmt.Fprintf(os.Stderr, "calibration: time_ratio rmse %.4f, energy_ratio rmse %.4f over %d golden rows\n",
 				res.Calibration.TimeRatio.RMSE, res.Calibration.EnergyRatio.RMSE, res.GoldenRows)
-		} else if !res.CalibrationReused {
-			log.Fatal("pass 2 should have reused the persisted calibration fit")
+		} else if res.GoldenDetailedSims != 0 {
+			log.Fatal("pass 2 should have refitted the calibration from store hits")
 		}
 
 		// Execute the mixed plan. The analytical triage already ran
@@ -114,8 +113,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pass %d: %d detailed simulations (calibration %d), %d analytical, frontier %d of %d rows\n",
 			pass, by["detailed"], res.GoldenDetailedSims, by["analytical"], res.FrontierRows, res.TriageRows)
 		if pass == 2 && by["detailed"]+by["analytical"] != 0 {
-			log.Fatal("warm pass re-simulated; the store or fit reuse is broken")
+			log.Fatal("warm pass re-simulated; the store is broken")
 		}
 	}
-	fmt.Fprintln(os.Stderr, "warm pass: calibration reused, zero simulations — the fit and every result came from the store")
+	fmt.Fprintln(os.Stderr, "warm pass: zero simulations — the fit's inputs and every result came from the store")
 }

@@ -59,8 +59,8 @@ func TestDistributedRefineCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, hs, store := testServer(t, nil, nil)
-	dist := prepare(refine.Config{Runner: srv.runner, Store: store})
+	srv, hs, _ := testServer(t, nil, nil)
+	dist := prepare(refine.Config{Runner: srv.runner})
 	id, err := srv.Enqueue("refine", dist.Plan.Points(), dist.Rows,
 		CSVShape{Backend: true, Phase: true, Adjust: dist.Adjust})
 	if err != nil {

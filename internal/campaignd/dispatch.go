@@ -341,7 +341,9 @@ func (d *dispatch) observeLocked(l *lease, completed int) {
 // cannot starve a later small one; with one campaign this is exactly
 // plan-order dispatch. It returns no points when everything is
 // leased, held or done; allDone then distinguishes "poll again" from
-// "every enqueued campaign is complete".
+// "every enqueued campaign is complete". Before the first campaign is
+// enqueued the answer is "poll again", so a worker may join a serving
+// coordinator ahead of any submission.
 func (d *dispatch) Lease(worker string, max int) (id string, indexes []int, deadline time.Time, allDone bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -365,7 +367,7 @@ func (d *dispatch) Lease(worker string, max int) (id string, indexes []int, dead
 		}
 	}
 	if len(indexes) == 0 {
-		return "", nil, time.Time{}, d.nDone == len(d.points)
+		return "", nil, time.Time{}, d.nCamps > 0 && d.nDone == len(d.points)
 	}
 	d.seq++
 	d.granted++

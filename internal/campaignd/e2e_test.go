@@ -2,8 +2,11 @@ package campaignd
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,5 +160,60 @@ func TestCrashedWorkerRecovery(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct, merged) {
 		t.Fatal("post-recovery merge differs from single-process campaign")
+	}
+}
+
+// TestWorkerJoinsBeforeFirstCampaign: a worker that connects to a
+// serving coordinator before any campaign exists keeps polling instead
+// of taking the empty queue for a finished one, and completes the
+// campaign enqueued after it joined.
+func TestWorkerJoinsBeforeFirstCampaign(t *testing.T) {
+	srv, _, _ := testServer(t, nil, func(cfg *ServerConfig) {
+		cfg.TTL = 250 * time.Millisecond // 50 ms lease polls
+	})
+	var polls atomic.Int32
+	h := srv.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/lease" {
+			polls.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	type outcome struct {
+		rep WorkerReport
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		w := Worker{URL: hs.URL, ID: "early", Parallelism: 2}
+		rep, err := w.Run(ctx)
+		ran <- outcome{rep, err}
+	}()
+	// Several polls of the empty queue, with the worker still running.
+	for polls.Load() < 3 {
+		select {
+		case o := <-ran:
+			t.Fatalf("worker exited before any campaign was enqueued: %d points, err %v", o.rep.Points, o.err)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	pts := testPoints()
+	if _, err := srv.Enqueue("late", pts, testRows(pts), CSVShape{}); err != nil {
+		t.Fatal(err)
+	}
+	o := <-ran
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if o.rep.Points != len(pts) {
+		t.Fatalf("worker completed %d points, want %d", o.rep.Points, len(pts))
+	}
+	if st := srv.Stats(); st.Dispatch.Done != len(pts) {
+		t.Fatalf("dispatch done = %d, want %d", st.Dispatch.Done, len(pts))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand/v2"
 	"net/url"
@@ -35,13 +34,8 @@ type Worker struct {
 	Max int
 	// Logger receives structured progress records (lease grants,
 	// forfeits, heartbeat trouble) with consistent worker/lease fields.
-	// Nil falls back to a default text handler over Log; with both nil
-	// the worker is silent.
+	// Nil means silent.
 	Logger *slog.Logger
-	// Log is the legacy progress sink: when Logger is nil, a text-
-	// handler slog.Logger is built over it. Nil means silent (unless
-	// Logger is set).
-	Log io.Writer
 	// Metrics receives the worker's lease-plane counters (worker_*) and
 	// is attached to the worker's Runner, so its cache and simulation
 	// instruments land there too. Nil books into a private registry —
@@ -140,12 +134,8 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	w.id = id
-	switch {
-	case w.Logger != nil:
-		w.log = w.Logger
-	case w.Log != nil:
-		w.log = slog.New(slog.NewTextHandler(w.Log, nil))
-	default:
+	w.log = w.Logger
+	if w.log == nil {
 		w.log = slog.New(slog.DiscardHandler)
 	}
 	w.tr = w.Tracer

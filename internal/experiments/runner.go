@@ -263,25 +263,6 @@ func registerMemoCounters(reg *metrics.Registry, name string, b Backend) {
 		func() float64 { return float64(p.MemoStats().PrewarmMisses) }, l)
 }
 
-// BackendFingerprint resolves the store-key identity of a backend
-// name (e.g. "detailed/v1"). An unregistered name falls back to the
-// name itself so key computation stays total (Plan.Shard and PointKey
-// cannot fail) — but such keys never match the ones a process that
-// HAS the backend writes, so they must stay local: distributed
-// coordination refuses plans with unresolvable backends outright
-// (campaignd.New) rather than let the divergence silently wedge a
-// merge. It is the calibration hook for tooling layered above the
-// backends: the auto-refine pipeline (internal/refine) folds both
-// backends' fingerprints into its fit fingerprint, so a backend
-// revision invalidates persisted calibration fits exactly as it
-// invalidates store entries.
-func (r *Runner) BackendFingerprint(name string) string {
-	if b, err := r.backend(name); err == nil {
-		return b.Fingerprint()
-	}
-	return name
-}
-
 // PointBackend resolves the backend a plan point runs on under these
 // options: the point's own override if set, the campaign backend
 // otherwise, DefaultBackend if neither names one. It is THE resolution
@@ -478,15 +459,25 @@ func (r *Runner) observeExecution(backend string, elapsed time.Duration, cycles 
 // fingerprint identifies the result-affecting campaign options inside
 // every persistent-store key. CharInstructions is stored resolved so
 // an explicit budget equal to the default hashes identically, and the
-// backend identity is stored as its versioned fingerprint so backends
-// can never cross-pollute each other's cached entries.
+// backend identity is stored as its versioned fingerprint (e.g.
+// "detailed/v1") so backends can never cross-pollute each other's
+// cached entries. An unregistered name falls back to the name itself
+// so key computation stays total (Plan.Shard and PointKey cannot
+// fail) — but such keys never match the ones a process that HAS the
+// backend writes, so they must stay local: distributed coordination
+// refuses plans with unresolvable backends outright (campaignd.New)
+// rather than let the divergence silently wedge a merge.
 func (r *Runner) fingerprint(backend string) runstore.Fingerprint {
+	id := backend
+	if b, err := r.backend(backend); err == nil {
+		id = b.Fingerprint()
+	}
 	return runstore.Fingerprint{
 		Workers:          r.opts.Workers,
 		Instructions:     r.opts.Instructions,
 		Seed:             r.opts.Seed,
 		CharInstructions: r.opts.charInstructions(),
-		Backend:          r.BackendFingerprint(backend),
+		Backend:          id,
 	}
 }
 

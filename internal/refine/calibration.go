@@ -1,25 +1,10 @@
 package refine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"math"
 
-	"sharedicache/internal/experiments"
-	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 )
-
-// FitVersion versions the calibration scheme itself (which metrics are
-// fitted, the model form y = a·x + b). It is folded into the fit
-// fingerprint, so changing the scheme invalidates every persisted fit.
-const FitVersion = 1
-
-// FitArtifactKind is the run-store artifact slot the calibration fit
-// persists under.
-const FitArtifactKind = "refine-fit"
 
 // Fit is one metric's least-squares correction: the detailed backend's
 // value is estimated from the analytical backend's as a·x + b. RMSE is
@@ -51,17 +36,13 @@ func (f Fit) Apply(x float64) float64 {
 // (fewer than two usable golden rows).
 func identityFit(n int) Fit { return Fit{A: 1, N: n} }
 
-// Calibration is the persisted outcome of one calibration pass:
-// per-metric corrections mapping the analytical backend's estimates
-// onto the detailed backend's ground truth, plus the fingerprint of
-// everything the fit depends on. A Calibration only ever applies under
-// the exact fingerprint it was derived for — LoadFit enforces it, and
-// the run-store artifact layer enforces it again underneath.
+// Calibration is the outcome of one calibration pass: per-metric
+// corrections mapping the analytical backend's estimates onto the
+// detailed backend's ground truth. It is never persisted. Prepare
+// refits it every campaign from the golden plan's results, which a
+// run store serves back as hits on a repeat campaign, so the fit is
+// always derived from exactly the inputs the campaign would simulate.
 type Calibration struct {
-	// Fingerprint identifies the golden design space, both backends'
-	// versioned fingerprints, the campaign options and the fit scheme
-	// version (see FitFingerprint).
-	Fingerprint string
 	// TimeRatio and EnergyRatio correct the two frontier-selection
 	// metrics (the paper's speedup and energy axes).
 	TimeRatio, EnergyRatio Fit
@@ -114,71 +95,4 @@ func FitOLS(xs, ys []float64) Fit {
 	}
 	f.RMSE = math.Sqrt(sse / float64(n))
 	return f
-}
-
-// FitFingerprint derives the identity a calibration fit is valid
-// under: the fit scheme version, both backends' versioned
-// fingerprints, the fitted metric names, and the persistent-store key
-// of every golden plan point in plan order. The point keys already
-// embed the campaign fingerprint (workers, instruction budget, seed,
-// prewarm) and the store format version, so ANY change that would
-// alter a golden result — different options, a revised backend, a
-// different golden space or sampling — yields a different fingerprint,
-// and the stale fit reads as a miss instead of silently applying.
-func FitFingerprint(r *experiments.Runner, golden []experiments.Point) string {
-	doc := struct {
-		Version    int
-		Detailed   string
-		Analytical string
-		Metrics    []string
-		Keys       []string
-	}{
-		Version:    FitVersion,
-		Detailed:   r.BackendFingerprint(backendDetailed),
-		Analytical: r.BackendFingerprint(backendAnalytical),
-		Metrics:    []string{"time_ratio", "energy_ratio"},
-	}
-	for _, pt := range golden {
-		doc.Keys = append(doc.Keys, r.PointKey(pt).Hex())
-	}
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		// Plain strings and ints; Marshal cannot fail on it.
-		panic(fmt.Sprintf("refine: marshal fingerprint: %v", err))
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
-
-// LoadFit returns the persisted calibration matching fingerprint, if
-// the store holds one. Anything else — no store, no artifact, a stale
-// or corrupt one — is a miss: the caller recalibrates.
-func LoadFit(st *runstore.Store, fingerprint string) (Calibration, bool) {
-	if st == nil {
-		return Calibration{}, false
-	}
-	raw, ok := st.GetArtifact(FitArtifactKind, fingerprint)
-	if !ok {
-		return Calibration{}, false
-	}
-	var c Calibration
-	if err := json.Unmarshal(raw, &c); err != nil || c.Fingerprint != fingerprint {
-		return Calibration{}, false
-	}
-	return c, true
-}
-
-// SaveFit persists the calibration under its fingerprint. A fit that
-// cannot be persisted is an error, not a degradation: the whole point
-// of the artifact is that the next campaign skips the golden detailed
-// runs, and silently losing it would re-spend them.
-func SaveFit(st *runstore.Store, c Calibration) error {
-	if st == nil {
-		return nil
-	}
-	raw, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("refine: marshal fit: %w", err)
-	}
-	return st.PutArtifact(FitArtifactKind, c.Fingerprint, raw)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sharedicache/internal/experiments"
-	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 )
 
@@ -129,59 +128,4 @@ func newTestRunner(t *testing.T, seed uint64) *experiments.Runner {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// goldenPoints builds a tiny golden plan's point list for fingerprint
-// tests.
-func goldenPoints(r *experiments.Runner) []experiments.Point {
-	workers := r.Options().Workers
-	return []experiments.Point{
-		{Bench: "FT", Cfg: sweep.BaseConfig(workers), Backend: "detailed"},
-		{Bench: "FT", Cfg: sweep.BaseConfig(workers), Backend: "analytical"},
-		{Bench: "FT", Cfg: sweep.PointConfig(workers, 8, 16, 4, 2), Backend: "detailed"},
-		{Bench: "FT", Cfg: sweep.PointConfig(workers, 8, 16, 4, 2), Backend: "analytical"},
-	}
-}
-
-// TestFitFingerprint pins the invalidation rule: identical inputs
-// agree across runners, and every fit-relevant change — campaign
-// options or golden space — moves the fingerprint.
-func TestFitFingerprint(t *testing.T) {
-	r1, r2 := newTestRunner(t, 1), newTestRunner(t, 1)
-	fp1, fp2 := FitFingerprint(r1, goldenPoints(r1)), FitFingerprint(r2, goldenPoints(r2))
-	if fp1 != fp2 {
-		t.Fatal("identical campaigns must produce identical fingerprints")
-	}
-	if fp := FitFingerprint(r1, goldenPoints(r1)[:2]); fp == fp1 {
-		t.Fatal("a different golden space must change the fingerprint")
-	}
-	rSeed := newTestRunner(t, 2)
-	if fp := FitFingerprint(rSeed, goldenPoints(rSeed)); fp == fp1 {
-		t.Fatal("a different seed must change the fingerprint")
-	}
-}
-
-func TestFitSaveLoadAndStaleMiss(t *testing.T) {
-	st, err := runstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal := Calibration{
-		Fingerprint: "fp-a",
-		TimeRatio:   Fit{A: 1.1, B: -0.05, RMSE: 0.01, N: 6},
-		EnergyRatio: Fit{A: 0.97, B: 0.02, RMSE: 0.02, N: 6},
-	}
-	if err := SaveFit(st, cal); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := LoadFit(st, "fp-a")
-	if !ok || got != cal {
-		t.Fatalf("LoadFit = %+v, %v; want the saved fit", got, ok)
-	}
-	if _, ok := LoadFit(st, "fp-b"); ok {
-		t.Fatal("a fit must never load under a different fingerprint")
-	}
-	if _, ok := LoadFit(nil, "fp-a"); ok {
-		t.Fatal("nil store must miss")
-	}
 }

@@ -61,7 +61,7 @@ func (f *Flags) Selector() (Selector, error) {
 		// An explicit 0 is NOT "skip calibration" — Prepare would read
 		// it as "use the default" and run the golden detailed points
 		// anyway. Refuse it rather than surprise the user with cost.
-		return nil, fmt.Errorf("refine: -refine-golden %d must be at least 1 (calibration always runs; a stored fit is reused while valid)", f.Golden)
+		return nil, fmt.Errorf("refine: -refine-golden %d must be at least 1 (calibration always runs; a warm store makes it free)", f.Golden)
 	}
 	n := 0
 	if f.TopK > 0 {

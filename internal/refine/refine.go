@@ -9,13 +9,12 @@
 //  1. Calibration — a small "golden" slice of the design space runs on
 //     BOTH backends; per-metric least-squares corrections (Fit,
 //     detailed ≈ a·analytical + b over the speedup and energy ratios)
-//     are fitted with their residual error and persisted as a
-//     fingerprinted run-store artifact (FitArtifactKind). The
-//     fingerprint covers the golden point keys and both backends'
-//     versioned fingerprints, so a fit derived under other options,
-//     another backend revision or another golden space is a miss —
-//     never silently applied — while a matching one skips the golden
-//     detailed runs entirely on repeat campaigns.
+//     are fitted with their residual error. The fit is recomputed on
+//     every campaign and never persisted: with a run store attached to
+//     the Runner, a repeat campaign's golden points are store hits, so
+//     the refit costs zero simulations, and any change that would alter
+//     a golden result (options, a backend revision, the golden space)
+//     changes those points' store keys, so a stale fit cannot exist.
 //
 //  2. Frontier selection — the full space runs analytically, the fit
 //     corrects each row's metrics, and a pluggable Selector (TopK,
@@ -45,7 +44,6 @@ import (
 	"strconv"
 
 	"sharedicache/internal/experiments"
-	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 	"sharedicache/internal/tracing"
 )
@@ -76,12 +74,9 @@ type Config struct {
 	Space sweep.Space
 	// Runner supplies the campaign options (fidelity, seed, prewarm,
 	// parallelism) and executes both phases. Attach a store to it
-	// before calling Prepare if results should persist.
+	// before calling Prepare if results should persist; a repeat
+	// campaign then recalibrates from store hits.
 	Runner *experiments.Runner
-	// Store, when non-nil, persists the calibration fit between
-	// campaigns (it is typically the same on-disk store attached to
-	// Runner). Nil means recalibrate every run.
-	Store *runstore.Store
 	// Selector picks the frontier from the calibrated triage metrics.
 	Selector Selector
 	// GoldenMax bounds how many shared design points the calibration
@@ -89,7 +84,7 @@ type Config struct {
 	// additionally runs every benchmark's baseline on both backends.
 	GoldenMax int
 	// Log, when non-nil, receives the pipeline's accounting lines
-	// (calibration fit or reuse, triage size, frontier size).
+	// (calibration fit, triage size, frontier size).
 	Log io.Writer
 	// Tracer, when non-nil, wraps the pipeline's phases in spans
 	// ("refine.calibrate", "refine.triage", "refine.select") under
@@ -113,14 +108,11 @@ type Result struct {
 	// row (Phase "triage", analytical), then every frontier row (Phase
 	// "refine", detailed).
 	Rows []sweep.Row
-	// Calibration is the fit applied to triage metrics, and
-	// CalibrationReused reports whether it was loaded from the store
-	// (true: the golden pass ran zero simulations).
-	Calibration       Calibration
-	CalibrationReused bool
+	// Calibration is the fit applied to triage metrics.
+	Calibration Calibration
 	// GoldenRows is how many shared design points the golden space
 	// sampled; GoldenDetailedSims is how many detailed simulations the
-	// calibration pass actually executed (0 when reused or warm).
+	// calibration pass actually executed (0 on a warm store).
 	GoldenRows         int
 	GoldenDetailedSims int
 	// TriageRows and FrontierRows count the two phases' CSV rows.
@@ -140,11 +132,10 @@ func (r *Result) Adjust(m sweep.Row, v *sweep.Metrics) {
 
 // Prepare runs the calibration and triage phases and returns the
 // mixed campaign ready to execute. It simulates: the golden space on
-// both backends (skipped entirely when a fingerprint-matching fit is
-// stored), the full space analytically, and nothing else — the
-// frontier's detailed points are only planned, so the caller controls
-// where and when they run (locally, or leased to distributed
-// workers).
+// both backends and the full space analytically (each only where the
+// Runner's caches miss), and nothing else — the frontier's detailed
+// points are only planned, so the caller controls where and when they
+// run (locally, or leased to distributed workers).
 func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Runner == nil {
 		return nil, errors.New("refine: Config.Runner is required")
@@ -184,7 +175,6 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 	// --- phase 1: calibration -----------------------------------------
 	golden := goldenSample(len(rows), goldenMax)
 	gplan, grefs := goldenPlan(r, cfg.Space.Benches, rows, golden)
-	fp := FitFingerprint(r, gplan.Points())
 
 	out := &Result{
 		GoldenRows:   len(golden),
@@ -193,32 +183,17 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	detBefore := r.BackendRuns()[backendDetailed]
 	calCtx, calSpan := cfg.Tracer.Start(ctx, "refine.calibrate", tracing.AInt("golden_rows", len(golden)))
-	if cal, ok := LoadFit(cfg.Store, fp); ok {
-		out.Calibration, out.CalibrationReused = cal, true
-		calSpan.SetAttr("reused", "true")
-		fmt.Fprintf(log, "refine: calibration reused stored fit (fingerprint %.12s, 0 golden simulations)\n", fp)
-	} else {
-		// Note staleness before SaveFit replaces the artifact slot.
-		if stale, ok := staleFingerprint(cfg.Store, fp); ok {
-			fmt.Fprintf(log, "refine: stored fit is stale (fingerprint %.12s, want %.12s), recalibrating\n", stale, fp)
-		}
-		cal, err := calibrate(calCtx, r, gplan, grefs, rows, fp)
-		if err != nil {
-			calSpan.End()
-			return nil, err
-		}
-		if err := SaveFit(cfg.Store, cal); err != nil {
-			calSpan.End()
-			return nil, err
-		}
-		out.Calibration = cal
-		out.GoldenDetailedSims = r.BackendRuns()[backendDetailed] - detBefore
-		fmt.Fprintf(log, "refine: calibration fitted over %d golden rows (%d detailed simulations): time_ratio a=%+.4f b=%+.4f rmse=%.4f, energy_ratio a=%+.4f b=%+.4f rmse=%.4f\n",
-			len(golden), out.GoldenDetailedSims,
-			cal.TimeRatio.A, cal.TimeRatio.B, cal.TimeRatio.RMSE,
-			cal.EnergyRatio.A, cal.EnergyRatio.B, cal.EnergyRatio.RMSE)
-	}
+	cal, err := calibrate(calCtx, r, gplan, grefs, rows)
 	calSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	out.Calibration = cal
+	out.GoldenDetailedSims = r.BackendRuns()[backendDetailed] - detBefore
+	fmt.Fprintf(log, "refine: calibration fitted over %d golden rows (%d detailed simulations): time_ratio a=%+.4f b=%+.4f rmse=%.4f, energy_ratio a=%+.4f b=%+.4f rmse=%.4f\n",
+		len(golden), out.GoldenDetailedSims,
+		cal.TimeRatio.A, cal.TimeRatio.B, cal.TimeRatio.RMSE,
+		cal.EnergyRatio.A, cal.EnergyRatio.B, cal.EnergyRatio.RMSE)
 
 	// --- phase 2: triage + frontier selection -------------------------
 	triCtx, triSpan := cfg.Tracer.Start(ctx, "refine.triage", tracing.AInt("rows", len(rows)))
@@ -319,8 +294,7 @@ type goldenRef struct {
 
 // goldenPlan declares the calibration campaign: every benchmark's
 // baseline on both backends, then each sampled row's design point on
-// both backends. Its point list (in this order) is what the fit
-// fingerprint hashes.
+// both backends.
 func goldenPlan(r *experiments.Runner, benches []string, rows []sweep.Row, golden []int) (*experiments.Plan, []goldenRef) {
 	workers := r.Options().Workers
 	plan := r.Plan()
@@ -343,7 +317,7 @@ func goldenPlan(r *experiments.Runner, benches []string, rows []sweep.Row, golde
 
 // calibrate executes the golden plan and fits the per-metric
 // corrections from analytical estimates to detailed ground truth.
-func calibrate(ctx context.Context, r *experiments.Runner, gplan *experiments.Plan, grefs []goldenRef, rows []sweep.Row, fingerprint string) (Calibration, error) {
+func calibrate(ctx context.Context, r *experiments.Runner, gplan *experiments.Plan, grefs []goldenRef, rows []sweep.Row) (Calibration, error) {
 	results, err := gplan.RunAll(ctx)
 	if err != nil {
 		return Calibration{}, fmt.Errorf("refine: calibration pass: %w", err)
@@ -367,24 +341,9 @@ func calibrate(ctx context.Context, r *experiments.Runner, gplan *experiments.Pl
 		xsE, ysE = append(xsE, am.EnergyRatio), append(ysE, dm.EnergyRatio)
 	}
 	return Calibration{
-		Fingerprint: fingerprint,
 		TimeRatio:   FitOLS(xsT, ysT),
 		EnergyRatio: FitOLS(xsE, ysE),
 	}, nil
-}
-
-// staleFingerprint reports the fingerprint of a stored fit that did
-// NOT match the wanted one, for the accounting line explaining a
-// recalibration.
-func staleFingerprint(st *runstore.Store, want string) (string, bool) {
-	if st == nil {
-		return "", false
-	}
-	fp, ok := st.ArtifactFingerprint(FitArtifactKind)
-	if !ok || fp == want {
-		return "", false
-	}
-	return fp, true
 }
 
 // validateFrontier rejects selector output that is not a set of valid

@@ -8,16 +8,15 @@ import (
 )
 
 // Artifacts are the store's second entry kind: small, named blobs a
-// campaign derives from run results and wants to survive the process —
-// today the auto-refine calibration fit (internal/refine). Unlike run
-// entries they are not content-addressed: a kind has exactly one slot
+// campaign derives from run results and wants to survive the process.
+// Nothing in the simulator writes them today. Unlike run entries they
+// are not content-addressed: a kind has exactly one slot
 // (`<kind>.artifact`), and each write replaces the previous value. What
 // keeps a stale artifact from silently applying is the fingerprint the
 // writer stores alongside the payload: GetArtifact only returns data
 // whose recorded fingerprint equals the one the reader asks for, so an
-// artifact derived under other campaign options, another backend
-// version or another golden space reads as a miss, never as a lie —
-// the same corruption-as-miss stance run entries take.
+// artifact derived under other inputs reads as a miss, never as a
+// lie — the same corruption-as-miss stance run entries take.
 //
 // Artifacts share the store's write discipline (gzip, temp file +
 // atomic rename) and GC: an artifact file that fails to decode is
@@ -105,18 +104,6 @@ func (s *Store) GetArtifact(kind, fingerprint string) ([]byte, bool) {
 		return nil, false
 	}
 	return a.Data, true
-}
-
-// ArtifactFingerprint reports the fingerprint the stored artifact of
-// this kind was derived under, so callers can tell a stale artifact
-// ("stored under fingerprint X, wanted Y") from an absent one when
-// explaining why they regenerated.
-func (s *Store) ArtifactFingerprint(kind string) (string, bool) {
-	a, ok := s.readArtifact(kind)
-	if !ok {
-		return "", false
-	}
-	return a.Fingerprint, true
 }
 
 // readArtifact loads and validates one artifact file.

@@ -20,12 +20,9 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatalf("GetArtifact = %q, %v; want %q, true", got, ok, data)
 	}
-	if fp, ok := st.ArtifactFingerprint("refine-fit"); !ok || fp != "fp-1" {
-		t.Fatalf("ArtifactFingerprint = %q, %v; want fp-1, true", fp, ok)
-	}
 }
 
-func TestArtifactFingerprintMismatchIsMiss(t *testing.T) {
+func TestArtifactStaleFingerprintIsMiss(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -19,11 +19,11 @@
 // mislabelled entry is treated as a cache miss, never as an error; GC
 // exists to sweep such debris.
 //
-// Besides run entries the store holds artifacts (PutArtifact /
-// GetArtifact): small named blobs derived from results — such as the
-// auto-refine calibration fit — guarded by a caller-supplied
+// Besides run entries the store can hold artifacts (PutArtifact /
+// GetArtifact): small named blobs guarded by a caller-supplied
 // fingerprint instead of a content address, with the same atomic
-// writes and corruption-as-miss reads.
+// writes and corruption-as-miss reads. No simulator path writes them:
+// the auto-refine calibration fit is recomputed from run entries.
 package runstore
 
 import (

@@ -59,9 +59,10 @@
 //     planes so worker spans parent under coordinator lease spans —
 //     exported as Chrome trace-event JSON for Perfetto; and a
 //     SimReportCollector captures per-point microarchitectural
-//     telemetry (CPI stall stacks, cache/bus stats, host cost),
-//     persisted beside results in the RunStore and aggregated
-//     campaign-wide at GET /v1/simstatsz (see docs/OBSERVABILITY.md).
+//     telemetry (CPI stall stacks, cache/bus stats, host cost), held
+//     in memory, written by the drivers' -report flag and aggregated
+//     campaign-wide at GET /v1/simstatsz from the reports workers ship
+//     with each completed batch (see docs/OBSERVABILITY.md).
 //   - Tech / Cluster wrap the McPAT/CACTI-style area & energy model
 //     (internal/power).
 //   - CMPDesign wraps the Hill-Marty speedup model (internal/amdahl).
@@ -333,8 +334,9 @@ type SweepCSV = sweep.CSV
 func NewSweepCSV(out io.Writer, workers int) *SweepCSV { return sweep.NewCSV(out, workers) }
 
 // RefineConfig assembles an automated triage-then-refine campaign:
-// the full design space, the runner (and optionally the store the
-// calibration fit persists in), and the frontier selector.
+// the full design space, the runner (with the run store, if any, that
+// makes a repeat campaign's calibration free), and the frontier
+// selector.
 type RefineConfig = refine.Config
 
 // RefineResult is a prepared auto-refine campaign: the mixed plan
@@ -367,9 +369,9 @@ type ParetoSelector = refine.Pareto
 // BandSelector selects rows whose metric falls inside [Lo, Hi].
 type BandSelector = refine.Band
 
-// CalibrationFit is the persisted per-metric correction mapping
-// analytical estimates onto detailed ground truth, with its
-// invalidation fingerprint.
+// CalibrationFit is the per-metric correction mapping analytical
+// estimates onto detailed ground truth, refitted every campaign from
+// the golden points' results.
 type CalibrationFit = refine.Calibration
 
 // MetricFit is one metric's least-squares correction (y = A·x + B)
