@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -26,6 +27,84 @@ func TestInterruptedRunWritesOutputs(t *testing.T) {
 	clitest.CheckOutputs(t, dir)
 }
 
+// sweepRun calls run in-process and returns its stdout and stderr,
+// failing the test on an error.
+func sweepRun(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if err := run(context.Background(), args, &out, &errb); err != nil {
+		t.Fatalf("sweep %v: %v\n%s", args, err, errb.String())
+	}
+	return out.String(), errb.String()
+}
+
+// wantLines fails the test unless stderr contains every line.
+func wantLines(t *testing.T, stderr string, lines ...string) {
+	t.Helper()
+	for _, l := range lines {
+		if !strings.Contains(stderr, l) {
+			t.Errorf("stderr lacks %q:\n%s", l, stderr)
+		}
+	}
+}
+
+// TestPersistentStore pins the persistent store end to end through
+// run: a warm rerun over the same store simulates nothing and emits
+// the same bytes, a sharded sweep merged through a store matches the
+// unsharded CSV byte for byte, and the store garbage-collects.
+func TestPersistentStore(t *testing.T) {
+	space := func(extra ...string) []string {
+		return append([]string{"-bench", "FT", "-cpc", "8", "-size", "16", "-n", "20000"}, extra...)
+	}
+	store := t.TempDir()
+	cold, coldErr := sweepRun(t, space("-store", store, "-metrics", "127.0.0.1:0")...)
+	wantLines(t, coldErr, "serving metrics on http://127.0.0.1:")
+	warm, warmErr := sweepRun(t, space("-store", store)...)
+	wantLines(t, warmErr, "sweep: 0 simulated")
+	if warm != cold {
+		t.Fatalf("warm CSV differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+
+	sharded := t.TempDir()
+	sweepRun(t, space("-store", sharded, "-shard", "1/2")...)
+	sweepRun(t, space("-store", sharded, "-shard", "2/2")...)
+	merged, mergeErr := sweepRun(t, space("-store", sharded, "-merge")...)
+	wantLines(t, mergeErr, "0 simulated")
+	if merged != cold {
+		t.Fatalf("merged CSV differs from the unsharded run:\nunsharded:\n%s\nmerged:\n%s", cold, merged)
+	}
+
+	sweepRun(t, "-store", store, "-storeop", "gc")
+}
+
+// TestAnalyticalBackend pins the analytical triage backend end to end
+// through run: it sweeps a Fig 7 space with zero detailed
+// simulations, emits the backend column, and its store entries are
+// isolated from the detailed backend's, so a warm analytical store is
+// a miss for a detailed sweep of the same points.
+func TestAnalyticalBackend(t *testing.T) {
+	store := t.TempDir()
+	csv, stderr := sweepRun(t, "-bench", "UA,FT,LULESH", "-cpc", "2,4,8", "-size", "16,32", "-lb", "4",
+		"-buses", "1,2", "-n", "80000", "-backend", "analytical", "-store", store)
+	if !regexp.MustCompile(`backend analytical: .* \(detailed 0\)`).MatchString(stderr) {
+		t.Errorf("stderr lacks a `backend analytical: ... (detailed 0)` line:\n%s", stderr)
+	}
+	if !strings.HasPrefix(csv, "benchmark,backend,") {
+		t.Errorf("CSV header lacks the backend column:\n%s", csv)
+	}
+	if !strings.Contains(csv, ",analytical,") {
+		t.Errorf("CSV has no analytical rows:\n%s", csv)
+	}
+	if n := strings.Count(csv, "\n"); n <= 30 {
+		t.Errorf("CSV has %d lines, want more than 30", n)
+	}
+
+	// One baseline plus one shared point: both simulate, zero hits.
+	_, stderr = sweepRun(t, "-bench", "FT", "-cpc", "8", "-size", "16", "-lb", "4", "-buses", "2",
+		"-n", "80000", "-store", store)
+	wantLines(t, stderr, "sweep: 2 simulated, 0 store hits")
+}
+
 // TestRefineColdWarm pins the auto-refine campaign end to end through
 // run: the cold run stays within its exact simulation budget (golden
 // + frontier detailed runs) and its detailed rows equal the matching
@@ -36,25 +115,8 @@ func TestRefineColdWarm(t *testing.T) {
 	space := []string{"-bench", "FT", "-cpc", "2,4,8", "-size", "16,32", "-lb", "4", "-buses", "1,2", "-n", "20000"}
 	refineArgs := append(append([]string{}, space...),
 		"-refine", "-refine-top", "4", "-refine-golden", "6", "-store", t.TempDir())
-	sweepRun := func(args []string) (stdout, stderr string) {
-		t.Helper()
-		var out, errb bytes.Buffer
-		if err := run(context.Background(), args, &out, &errb); err != nil {
-			t.Fatalf("sweep %v: %v\n%s", args, err, errb.String())
-		}
-		return out.String(), errb.String()
-	}
-	wantLines := func(stderr string, lines ...string) {
-		t.Helper()
-		for _, l := range lines {
-			if !strings.Contains(stderr, l) {
-				t.Errorf("stderr lacks %q:\n%s", l, stderr)
-			}
-		}
-	}
-
-	cold, coldErr := sweepRun(refineArgs)
-	wantLines(coldErr,
+	cold, coldErr := sweepRun(t, refineArgs...)
+	wantLines(t, coldErr,
 		"refine: calibration fitted over 6 golden rows (7 detailed simulations)",
 		"sweep: refine: 9 detailed simulations (calibration 7 + frontier 2)")
 	if n := strings.Count(cold, ",refine,detailed,"); n != 4 {
@@ -63,7 +125,7 @@ func TestRefineColdWarm(t *testing.T) {
 
 	// Each refine row, minus its phase column, is a row of the plain
 	// detailed sweep.
-	detailed, _ := sweepRun(append(append([]string{}, space...), "-backend", "detailed"))
+	detailed, _ := sweepRun(t, append(append([]string{}, space...), "-backend", "detailed")...)
 	detRows := map[string]bool{}
 	for _, l := range strings.Split(detailed, "\n") {
 		detRows[l] = true
@@ -78,8 +140,8 @@ func TestRefineColdWarm(t *testing.T) {
 		}
 	}
 
-	warm, warmErr := sweepRun(refineArgs)
-	wantLines(warmErr,
+	warm, warmErr := sweepRun(t, refineArgs...)
+	wantLines(t, warmErr,
 		"refine: calibration fitted over 6 golden rows (0 detailed simulations)",
 		"sweep: refine: 0 detailed simulations (calibration 0 + frontier 0), 0 analytical")
 	if warm != cold {

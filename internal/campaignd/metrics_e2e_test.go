@@ -432,7 +432,4 @@ func TestMetricsReconcileWithCampaign(t *testing.T) {
 			t.Errorf("CSV rows labelled %s = %d, want %d:\n%s", backend, got, want, distCSV)
 		}
 	}
-	if simHist, ok := wsnap.Value("runner_point_duration_seconds", metrics.L("backend", "detailed")); !ok || simHist != 4 {
-		t.Errorf("runner_point_duration_seconds{detailed} observations = %v, want 4", simHist)
-	}
 }

@@ -165,8 +165,8 @@ type CampaignInfo struct {
 	TTLMillis int64
 	Batch     int
 	// Reports asks workers to collect per-point simulation telemetry
-	// and send it inside POST /v1/complete; without it they skip the
-	// per-point host-cost sampling nobody would read.
+	// and send it inside POST /v1/complete; without it workers do not
+	// build and ship reports nobody ingests.
 	Reports bool
 }
 

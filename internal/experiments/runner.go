@@ -322,10 +322,10 @@ func (r *Runner) Store() ResultStore {
 
 // SetMetrics attaches a metrics registry. The runner then publishes
 // per-tier cache traffic (runner_cache_hits_total / _misses_total /
-// _writes_total, labelled tier="memory"|"store"), executed simulations
-// by backend (runner_simulations_total) and a per-point wall-clock
-// histogram (runner_point_duration_seconds). Attach before running
-// plans; a nil registry detaches.
+// _writes_total, labelled tier="memory"|"store") and executed
+// simulations by backend (runner_simulations_total). Per-point host
+// cost is not a metric: it lives only in the simreport (SetReporter).
+// Attach before running plans; a nil registry detaches.
 func (r *Runner) SetMetrics(reg *metrics.Registry) {
 	r.mu.Lock()
 	r.metrics = reg
@@ -364,7 +364,7 @@ func (r *Runner) Tracer() *tracing.Tracer {
 // SetReporter attaches a simulation-report collector. Every design
 // point the runner resolves past the memory tier then contributes one
 // simreport.Report: a live execution is captured with its host cost
-// (wall time, allocation delta, simulated cycles per second), and a
+// (the backend execution's wall time, the one record of it), and a
 // warm-store hit rebuilds the report from the stored result, marked
 // Replayed with no host cost. If a metrics registry is attached too,
 // campaign-wide stall-share gauges are registered against the
@@ -430,16 +430,8 @@ func (r *Runner) countWrite() {
 		metrics.L("tier", "store")).Inc()
 }
 
-// simRateBuckets spans simulated-cycles-per-second from interpreter
-// territory (1e3) past the analytical backend's synthetic rates (1e9)
-// in half-decade steps.
-var simRateBuckets = []float64{
-	1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8, 3e8, 1e9,
-}
-
-// observeExecution books one executed simulation, its wall-clock and
-// its simulation rate.
-func (r *Runner) observeExecution(backend string, elapsed time.Duration, cycles uint64) {
+// observeExecution books one executed simulation.
+func (r *Runner) observeExecution(backend string) {
 	r.mu.Lock()
 	reg := r.metrics
 	r.mu.Unlock()
@@ -448,12 +440,6 @@ func (r *Runner) observeExecution(backend string, elapsed time.Duration, cycles 
 	}
 	reg.Counter("runner_simulations_total", "simulations executed (cache misses in both tiers) by backend",
 		metrics.L("backend", backend)).Inc()
-	reg.Histogram("runner_point_duration_seconds", "wall-clock seconds per executed design point",
-		metrics.DurationBuckets, metrics.L("backend", backend)).Observe(elapsed.Seconds())
-	if secs := elapsed.Seconds(); secs > 0 {
-		reg.Histogram("runner_sim_cycles_per_second", "simulated cycles per wall-clock second, by backend",
-			simRateBuckets, metrics.L("backend", backend)).Observe(float64(cycles) / secs)
-	}
 }
 
 // fingerprint identifies the result-affecting campaign options inside
@@ -657,37 +643,15 @@ func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st Resul
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Host-cost capture brackets the execution. runtime.ReadMemStats is
-	// not free, so the allocation delta is only sampled with a collector
-	// attached; it reads the process-wide counter, so the delta is
-	// approximate under concurrent simulations (HostCost documents
-	// this).
-	var allocBefore uint64
-	if rep != nil {
-		allocBefore = totalAllocBytes()
-	}
 	ectx, exec := tr.Start(ctx, "backend.execute", tracing.A("backend", backend))
 	res, wall, err := r.execute(ectx, backend, bench, cfg, prewarm)
-	if err == nil && exec != nil {
-		exec.SetAttr("cycles", fmt.Sprint(res.Cycles))
-		exec.SetAttr("instructions", fmt.Sprint(res.TotalInstructions()))
-		if secs := wall.Seconds(); secs > 0 {
-			exec.SetAttr("cycles_per_second", fmt.Sprintf("%.0f", float64(res.Cycles)/secs))
-		}
-	}
 	exec.End()
 	if err != nil {
 		return nil, err
 	}
 	if rep != nil {
 		report := simreport.FromResult(key.Hex(), bench, backend, prewarm, res)
-		report.Host = simreport.HostCost{
-			WallSeconds: wall.Seconds(),
-			AllocBytes:  totalAllocBytes() - allocBefore,
-		}
-		if secs := wall.Seconds(); secs > 0 {
-			report.Host.SimCyclesPerSecond = float64(res.Cycles) / secs
-		}
+		report.Host.WallSeconds = wall.Seconds()
 		rep.Add(report)
 	}
 	if st != nil {
@@ -702,18 +666,9 @@ func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st Resul
 	return res, nil
 }
 
-// totalAllocBytes samples the process-wide cumulative allocation
-// counter.
-func totalAllocBytes() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
-}
-
 // execute dispatches one design point (always a cache miss) to its
 // backend, books the execution in the per-backend counters and
-// returns its wall time — the one measurement the metrics, the
-// backend.execute span and the report's host cost all share.
+// returns its wall time, which only the report's host cost records.
 func (r *Runner) execute(ctx context.Context, backend, bench string, cfg core.Config, prewarm bool) (*core.Result, time.Duration, error) {
 	b, err := r.backend(backend)
 	if err != nil {
@@ -728,7 +683,7 @@ func (r *Runner) execute(ctx context.Context, backend, bench string, cfg core.Co
 	r.mu.Lock()
 	r.simsBy[backend]++
 	r.mu.Unlock()
-	r.observeExecution(backend, wall, res.Cycles)
+	r.observeExecution(backend)
 	return res, wall, nil
 }
 

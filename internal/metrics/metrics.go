@@ -67,9 +67,8 @@ func (k Kind) String() string {
 	return "untyped"
 }
 
-// DurationBuckets are the default histogram buckets for per-point
-// simulation latency, spanning microsecond-scale analytical estimates
-// to multi-minute detailed runs.
+// DurationBuckets are the default histogram buckets for latencies,
+// spanning microseconds to half an hour.
 var DurationBuckets = []float64{
 	1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300, 1800,
 }
@@ -96,8 +95,8 @@ type series struct {
 	labels []Label
 	key    string
 
-	fn   func() float64
-	bits atomic.Uint64 // float64 bits
+	fn   atomic.Pointer[func() float64] // replaced by re-registration under live scrapes
+	bits atomic.Uint64                  // float64 bits
 
 	counts  []atomic.Int64 // histogram: one per bucket + one for +Inf
 	sumBits atomic.Uint64
@@ -105,8 +104,8 @@ type series struct {
 }
 
 func (s *series) value() float64 {
-	if s.fn != nil {
-		return s.fn()
+	if fn := s.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return math.Float64frombits(s.bits.Load())
 }
@@ -193,8 +192,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // without maintaining a second copy. Re-registering the same (name,
 // labels) replaces the callback (the newest component instance wins).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.instrument(name, help, KindCounter, nil, labels)
-	s.fn = fn
+	r.instrument(name, help, KindCounter, nil, labels).fn.Store(&fn)
 }
 
 // Gauge returns (creating if needed) the gauge for (name, labels).
@@ -206,8 +204,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // GaugeFunc registers a func-backed gauge sampled at scrape time.
 // Re-registering the same (name, labels) replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.instrument(name, help, KindGauge, nil, labels)
-	s.fn = fn
+	r.instrument(name, help, KindGauge, nil, labels).fn.Store(&fn)
 }
 
 // Histogram returns (creating if needed) the histogram for (name,

@@ -290,3 +290,41 @@ func TestSnapshotOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestFuncReregisterDuringScrape pins the func-backed series under
+// concurrent re-registration: two components sharing a registry each
+// register the same (name, labels), and a scrape running meanwhile
+// must see one callback or the other, never a torn write (the race
+// detector flags an unsynchronised callback swap).
+func TestFuncReregisterDuringScrape(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("memo_total", "", func() float64 { return 0 }, L("backend", "detailed"))
+	r.GaugeFunc("share", "", func() float64 { return 0 })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 500; i++ {
+			v := float64(i)
+			r.CounterFunc("memo_total", "", func() float64 { return v }, L("backend", "detailed"))
+			r.GaugeFunc("share", "", func() float64 { return v })
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		snap := r.Snapshot()
+		if v, ok := snap.Value("memo_total", L("backend", "detailed")); !ok || v < 0 || v > 500 {
+			t.Fatalf("memo_total = %v (ok=%v) during re-registration", v, ok)
+		}
+	}
+	snap := r.Snapshot()
+	if v, _ := snap.Value("memo_total", L("backend", "detailed")); v != 500 {
+		t.Fatalf("memo_total = %v after re-registration, want the newest callback's 500", v)
+	}
+	if v, _ := snap.Value("share"); v != 500 {
+		t.Fatalf("share = %v after re-registration, want 500", v)
+	}
+}

@@ -189,7 +189,6 @@ type BackendSummary struct {
 	StallShares map[string]float64
 
 	WallSeconds        float64
-	AllocBytes         uint64
 	SimCyclesPerSecond Distribution
 }
 
@@ -206,6 +205,15 @@ type Summary struct {
 
 	Backends []BackendSummary
 	Groups   []GroupSummary
+}
+
+// simRate derives simulated cycles per host wall second from the
+// report's one host-cost record; a replay has none.
+func (r *Report) simRate() (float64, bool) {
+	if r.Host.WallSeconds <= 0 {
+		return 0, false
+	}
+	return float64(r.Cycles) / r.Host.WallSeconds, true
 }
 
 // Summary aggregates the collected reports. Safe (and empty) on a nil
@@ -233,9 +241,8 @@ func (c *Collector) Summary() Summary {
 		bk.StackCycles += r.StackTotal()
 		bk.Stack.Add(st)
 		bk.WallSeconds += r.Host.WallSeconds
-		bk.AllocBytes += r.Host.AllocBytes
-		if r.Host.SimCyclesPerSecond > 0 {
-			bk.SimCyclesPerSecond.observe(r.Host.SimCyclesPerSecond)
+		if rate, ok := r.simRate(); ok {
+			bk.SimCyclesPerSecond.observe(rate)
 		}
 
 		key := fmt.Sprintf("%s\x00%s\x00%s\x00%d", r.Bench, r.Backend, r.Org, r.CPC)
@@ -255,8 +262,8 @@ func (c *Collector) Summary() Summary {
 			}
 		}
 		g.BusUtilization.observe(r.Bus.Utilization)
-		if r.Host.SimCyclesPerSecond > 0 {
-			g.SimCyclesPerSecond.observe(r.Host.SimCyclesPerSecond)
+		if rate, ok := r.simRate(); ok {
+			g.SimCyclesPerSecond.observe(rate)
 		}
 	}
 	s.StallShares = StackShares(total)

@@ -6,9 +6,8 @@
 // paper's Fig 8, the serial/parallel cycle split, per-level I-cache
 // traffic and MPKI, I-bus occupancy and contention, DRAM row behaviour
 // and runtime synchronisation counts — plus the host-side cost of
-// producing them (wall time, allocation, simulated cycles per second),
-// which is the ground truth the ROADMAP's detailed-throughput work
-// needs.
+// producing them (wall time, from which Summary derives simulated
+// cycles per second). The report is the only record of that host cost.
 //
 // Reports are captured by the experiments Runner around each executed
 // simulation (see Runner.SetReporter). A warm-store hit rebuilds its
@@ -71,15 +70,9 @@ type BusReport struct {
 
 // HostCost is what producing the report cost the simulating host.
 type HostCost struct {
-	// WallSeconds is the backend execution wall time.
+	// WallSeconds is the backend execution wall time. Summary derives
+	// the simulation rate (Cycles / WallSeconds) from it.
 	WallSeconds float64
-	// AllocBytes is the runtime.MemStats TotalAlloc delta across the
-	// execution — approximate under concurrent simulations (the counter
-	// is process-wide), exact when points run serially.
-	AllocBytes uint64
-	// SimCyclesPerSecond is simulated cycles per wall second, the
-	// recorded perf trajectory's headline number.
-	SimCyclesPerSecond float64
 	// Replayed marks a report rebuilt from a stored result rather than
 	// captured around a live execution: the microarchitectural half is
 	// exact, the host cost unknown (zeroed).

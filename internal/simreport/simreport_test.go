@@ -111,7 +111,7 @@ func report(key, bench, backendName, org string, cpc int, cycles uint64) Report 
 			Stack: backend.CPIStack{Busy: cycles / 2, CacheMiss: cycles - cycles/2},
 		}},
 		Bus:  BusReport{Utilization: 0.5},
-		Host: HostCost{WallSeconds: 0.5, AllocBytes: 100, SimCyclesPerSecond: float64(cycles) * 2},
+		Host: HostCost{WallSeconds: 0.5},
 	}
 }
 
@@ -220,7 +220,8 @@ func TestSummaryAggregation(t *testing.T) {
 	if ua.Reports != 2 || ua.Cycles.Min != 1000 || ua.Cycles.Max != 3000 || ua.Cycles.Mean != 2000 {
 		t.Fatalf("UA distribution = %+v", ua.Cycles)
 	}
-	if ua.SimCyclesPerSecond.Count != 2 || ua.SimCyclesPerSecond.Mean != 4000 {
+	// The rate is derived from Cycles/WallSeconds: 1000/0.5 and 3000/0.5.
+	if ua.SimCyclesPerSecond.Count != 2 || ua.SimCyclesPerSecond.Mean != (1000/0.5+3000/0.5)/2 {
 		t.Fatalf("UA cycles/sec = %+v", ua.SimCyclesPerSecond)
 	}
 
