@@ -145,9 +145,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	runner.SetMetrics(reg)
 	// -trace records a span timeline; the same buffer, merged with the
 	// spans workers send, serves GET /v1/trace. -report aggregates the
-	// reports workers send with each batch completion and backs GET
-	// /v1/simstatsz; any simulations the coordinator itself runs (refine
-	// prep's calibration and triage) report into the same collector.
+	// reports the server builds from each campaign point's stored entry
+	// and backs GET /v1/simstatsz; any simulations the coordinator itself
+	// runs (refine prep's calibration and triage) report into the same
+	// collector.
 	// The tracer's process is "coordinator", the pid the Chrome-trace
 	// exporter pins first.
 	cf.out.Process = "coordinator"
@@ -199,7 +200,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	go httpSrv.Serve(ln)
 	// Registered after out.Close, so it runs first: the exit-time files
 	// are written once the listener has drained, with the worker spans
-	// and reports of the grace window merged in.
+	// and PUT-built reports of the grace window merged in.
 	defer func() {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

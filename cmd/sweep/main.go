@@ -203,9 +203,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if cf.worker {
 		// Worker mode: the campaign (benchmarks, axes, budgets) is the
 		// coordinator's; every design-space flag of this process is
-		// ignored so keys cannot disagree. A -report collector stays
-		// local: the worker writes its own file instead of sending it to
-		// the coordinator.
+		// ignored so keys cannot disagree. A -report collector is the
+		// worker's own file; a reporting coordinator builds its reports
+		// from the results this worker stores.
 		if cf.remote == "" {
 			return errors.New("-worker requires -remote URL")
 		}

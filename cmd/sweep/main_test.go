@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -45,6 +46,22 @@ func wantLines(t *testing.T, stderr string, lines ...string) {
 		if !strings.Contains(stderr, l) {
 			t.Errorf("stderr lacks %q:\n%s", l, stderr)
 		}
+	}
+}
+
+// TestFig7GoldenCSV pins the simulator's fast path: a fresh detailed
+// sweep of the Fig 7 space is byte-identical to the golden CSV the
+// naive per-cycle loop generated before the event-driven skip-ahead
+// landed.
+func TestFig7GoldenCSV(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig7_detailed.golden.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := sweepRun(t, "-bench", "FT,UA,nab,CoEVP", "-cpc", "2,4,8", "-size", "16,32", "-lb", "4",
+		"-buses", "1,2", "-n", "20000")
+	if got != string(want) {
+		t.Fatalf("Fig 7 sweep differs from testdata/fig7_detailed.golden.csv:\n%s", got)
 	}
 }
 

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"sharedicache/internal/core"
+	"sharedicache/internal/experiments"
 	"sharedicache/internal/runstore"
 	"sharedicache/internal/simreport"
 	"sharedicache/internal/tracing"
@@ -117,7 +119,9 @@ func (rs *RemoteStore) Put(k runstore.Key, res *core.Result) error {
 }
 
 // PutCtx is Put with a per-call context, propagating any trace context
-// it carries on the X-Trace-Context header (see GetCtx).
+// it carries on the X-Trace-Context header (see GetCtx) and any
+// execution wall time (experiments.ContextWithWall) on X-Wall-Seconds,
+// from which the coordinator builds the point's simulation report.
 func (rs *RemoteStore) PutCtx(ctx context.Context, k runstore.Key, res *core.Result) error {
 	plain, err := runstore.Encode(k, res)
 	if err != nil {
@@ -142,6 +146,9 @@ func (rs *RemoteStore) PutCtx(ctx context.Context, k runstore.Key, res *core.Res
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("Content-Encoding", "gzip")
 		setTraceHeader(req, ctx)
+		if wall, ok := experiments.WallFromContext(ctx); ok {
+			req.Header.Set(wallHeader, strconv.FormatFloat(wall.Seconds(), 'g', -1, 64))
+		}
 		resp, err := rs.hc.Do(req)
 		if err != nil {
 			last = err
@@ -164,10 +171,11 @@ func (rs *RemoteStore) PutCtx(ctx context.Context, k runstore.Key, res *core.Res
 }
 
 // reqCtx picks the context bounding one request: the per-call context
-// when the caller supplied a real one, the store's lifetime context
-// otherwise (the plain ResultStore methods, and defensive nil calls).
+// when the caller supplied a cancellable one, the store's lifetime
+// context otherwise (the plain ResultStore methods, a background
+// context carrying only values, and defensive nil calls).
 func (rs *RemoteStore) reqCtx(ctx context.Context) context.Context {
-	if ctx == nil || ctx == context.Background() {
+	if ctx == nil || ctx.Done() == nil {
 		return rs.ctx
 	}
 	return ctx
@@ -296,12 +304,11 @@ func (c *Client) Renew(ctx context.Context, lease string) error {
 }
 
 // Complete reports a leased batch finished (results already published
-// through the store plane) and delivers the worker's telemetry with
-// it: finished spans and per-point simulation reports, either of which
-// may be empty.
-func (c *Client) Complete(ctx context.Context, lease string, indexes []int, spans []tracing.Span, reports []simreport.Report) error {
+// through the store plane) and delivers the worker's finished spans,
+// if any, with it.
+func (c *Client) Complete(ctx context.Context, lease string, indexes []int, spans []tracing.Span) error {
 	return c.call(ctx, http.MethodPost, "/v1/complete",
-		completeRequest{Lease: lease, Indexes: indexes, Spans: spans, Reports: reports}, nil)
+		completeRequest{Lease: lease, Indexes: indexes, Spans: spans}, nil)
 }
 
 // Release returns part of a live lease to the queue unrun, keeping

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,15 +20,15 @@ import (
 // TestCompleteLostConnectionRebuffers injects a transport failure into
 // the telemetry path: the coordinator hijacks and closes the first
 // POST /v1/complete connection before reading the body. The worker got
-// no response, so it re-buffers that batch's spans and reports and
-// sends them with its next Complete. The coordinator ends with exactly
-// one report per point and no span twice.
+// no response, so it re-buffers that batch's spans and sends them with
+// its next Complete. The coordinator ends with no span twice, and with
+// exactly one report per point, built from each point's PUT.
 func TestCompleteLostConnectionRebuffers(t *testing.T) {
 	col := simreport.NewCollector()
 	tr := tracing.New(tracing.Config{Process: "coordinator"})
 	pts := testPoints()
 	srv, _, _ := testServer(t, pts, func(cfg *ServerConfig) {
-		cfg.Batch = 1 // several Completes, so a later one carries the re-buffered telemetry
+		cfg.Batch = 1 // several Completes, so a later one carries the re-buffered spans
 		cfg.Reports = col
 		cfg.Tracer = tr
 	})
@@ -78,14 +81,12 @@ func TestCompleteLostConnectionRebuffers(t *testing.T) {
 }
 
 // TestCompleteExpiredLeaseDeliversTelemetry pins that a Complete for a
-// lease that has already expired still delivers its telemetry (the
+// lease that has already expired still delivers its spans (the
 // worker's results are durable by then), while completing nothing.
 func TestCompleteExpiredLeaseDeliversTelemetry(t *testing.T) {
-	col := simreport.NewCollector()
 	tr := tracing.New(tracing.Config{Process: "coordinator"})
 	srv, hs, _ := testServer(t, testPoints(), func(cfg *ServerConfig) {
 		cfg.TTL = 20 * time.Millisecond
-		cfg.Reports = col
 		cfg.Tracer = tr
 	})
 	client, err := NewClient(hs.URL)
@@ -103,13 +104,8 @@ func TestCompleteExpiredLeaseDeliversTelemetry(t *testing.T) {
 	}
 
 	span := tracing.Span{TraceID: tr.TraceID(), SpanID: "late-span", Name: "point", Proc: "worker-late"}
-	report := simreport.Report{Key: "late-key", Bench: "FT", Backend: "detailed"}
-	if err := client.Complete(ctx, lr.Lease, []int{lr.Points[0].Index},
-		[]tracing.Span{span}, []simreport.Report{report}); err != nil {
+	if err := client.Complete(ctx, lr.Lease, []int{lr.Points[0].Index}, []tracing.Span{span}); err != nil {
 		t.Fatalf("complete on an expired lease: %v", err)
-	}
-	if got := col.Reports(); len(got) != 1 || got[0].Key != "late-key" {
-		t.Fatalf("coordinator reports = %+v, want the late report", got)
 	}
 	var found bool
 	for _, sp := range tr.Spans() {
@@ -126,13 +122,14 @@ func TestCompleteExpiredLeaseDeliversTelemetry(t *testing.T) {
 // FuzzCompleteBody throws arbitrary bodies at the unauthenticated
 // POST /v1/complete. The handler must never panic and must answer 204
 // or 400. The fuzz server grants no lease, so every body names an
-// unknown one and must never change the dispatch Done count.
+// unknown one and must never change the dispatch Done count, and no
+// body — not even one carrying a Reports array, as workers once sent —
+// may add a simulation report.
 func FuzzCompleteBody(f *testing.F) {
 	valid, err := json.Marshal(completeRequest{
 		Lease:   "lease-1",
 		Indexes: []int{0},
 		Spans:   []tracing.Span{{TraceID: "t", SpanID: "s", Name: "point", Start: 1, Dur: 2}},
-		Reports: []simreport.Report{{Key: "k", Bench: "FT", Backend: "detailed", Cores: []simreport.CoreReport{{Instructions: 10}}}},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -140,7 +137,8 @@ func FuzzCompleteBody(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte(`{"Lease":"lease-1","Indexes":[0,1]}`))
 	f.Add([]byte(`{"Lease":"","Indexes":[-1]}`))
-	f.Add([]byte(`{"Spans":[{}],"Reports":[{}]}`))
+	f.Add([]byte(`{"Spans":[{}]}`))
+	f.Add([]byte(`{"Lease":"lease-1","Reports":[{"Key":"k","Bench":"FT","Host":{"WallSeconds":1}}]}`))
 	f.Add([]byte(`{`))
 
 	col := simreport.NewCollector()
@@ -159,8 +157,52 @@ func FuzzCompleteBody(f *testing.F) {
 		if done := srv.d.Stats().Done; done != 0 {
 			t.Fatalf("a body naming an unknown lease marked %d points done: %q", done, body)
 		}
-		// Keep the sinks small over a long fuzz run.
-		col.Drain()
+		if n := col.Len(); n != 0 {
+			t.Fatalf("a Complete body added %d simulation reports: %q", n, body)
+		}
+		// Keep the span sink small over a long fuzz run.
 		tr.Drain()
 	})
+}
+
+// TestCompleteIgnoresForgedReports pins that POST /v1/complete cannot
+// plant simulation reports: a body carrying a Reports array for a real
+// point key — under an unknown lease and under a live one — leaves
+// GET /v1/simstatsz unchanged. Only the PUT that stores a point builds
+// its report.
+func TestCompleteIgnoresForgedReports(t *testing.T) {
+	pts := testPoints()
+	srv, hs, _ := testServer(t, pts, func(cfg *ServerConfig) {
+		cfg.Reports = simreport.NewCollector()
+	})
+	client, err := NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before, err := client.SimStatsz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := client.Lease(ctx, "forger", 1)
+	if err != nil || len(lr.Points) != 1 {
+		t.Fatalf("lease: %+v, %v", lr, err)
+	}
+	key := srv.runner.PointKey(lr.Points[0].Point).Hex()
+	for _, lease := range []string{"no-such-lease", lr.Lease} {
+		body := fmt.Sprintf(`{"Lease":%q,"Indexes":[%d],"Reports":[{"Key":%q,"Bench":"FT","Backend":"detailed","Cycles":1,"Host":{"WallSeconds":1}}]}`,
+			lease, lr.Points[0].Index, key)
+		resp, err := http.Post(hs.URL+"/v1/complete", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		after, err := client.SimStatsz(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("Complete under lease %q changed /v1/simstatsz: %+v, was %+v", lease, after, before)
+		}
+	}
 }

@@ -284,16 +284,20 @@ func (d *dispatch) markDoneLocked(i int) {
 }
 
 // completeHash marks every plan point stored under the given content
-// address as done. The store plane calls it after each successful PUT:
-// a point is complete exactly when its result is durably in the store,
-// which also lets a coordinator restarted over a warm store resume
-// instead of re-dispatching finished work.
-func (d *dispatch) completeHash(hash string) {
+// address as done and returns the backend those points resolve to; ok
+// is false when the hash names no plan point. The store plane calls it
+// after each successful PUT: a point is complete exactly when its
+// result is durably in the store, which also lets a coordinator
+// restarted over a warm store resume instead of re-dispatching finished
+// work.
+func (d *dispatch) completeHash(hash string) (backend string, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, i := range d.byHash[hash] {
 		d.markDoneLocked(i)
+		backend, ok = d.backendOf[i], true
 	}
+	return backend, ok
 }
 
 // effectiveBatchLocked resolves the batch size for the next lease: the

@@ -9,7 +9,9 @@
 //	GET /v1/run/{hash}   entry bytes, 404 on miss (Content-Encoding:
 //	                     gzip for clients that accept it)
 //	PUT /v1/run/{hash}   publish an entry (validated, atomic), 204;
-//	                     gzip or plain-JSON bodies both verify
+//	                     gzip or plain-JSON bodies both verify; an
+//	                     X-Wall-Seconds header carries the point's
+//	                     execution wall time
 //	GET /v1/index        JSON index of trustworthy entries
 //	GET /v1/statsz       store + dispatch counters (JSON, or a
 //	                     human-readable page for Accept: text/html)
@@ -34,7 +36,7 @@
 //	POST /v1/renew       heartbeat: extend a lease's deadline
 //	POST /v1/release     return part of a live lease to the queue unrun
 //	POST /v1/complete    report a batch finished, release the lease;
-//	                     the body also carries the worker's telemetry
+//	                     the body also carries the worker's spans
 //	GET  /v1/trace       the campaign's merged span timeline as Chrome
 //	                     trace-event JSON (404 unless tracing is on)
 //	GET  /v1/simstatsz   campaign-wide simulation-telemetry aggregate
@@ -46,12 +48,13 @@
 // it and send them back with completion, so GET /v1/trace exports
 // one merged timeline of queue wait, leases, execution and writes.
 //
-// With reporting enabled (ServerConfig.Reports) the campaign handshake
-// tells workers to collect per-point simulation telemetry
-// (internal/simreport) and send it with completion, so
-// GET /v1/simstatsz serves the whole campaign's microarchitectural
-// aggregate — CPI stall-stack shares, per-benchmark/per-config
-// distributions, and simulated-cycles-per-second — while it runs.
+// With reporting enabled (ServerConfig.Reports) the coordinator builds
+// each campaign point's simulation report (internal/simreport) from the
+// entry its PUT stores, with the wall time the PUT's X-Wall-Seconds
+// header carries, so GET /v1/simstatsz serves the whole campaign's
+// microarchitectural aggregate — CPI stall-stack shares,
+// per-benchmark/per-config distributions, and
+// simulated-cycles-per-second — while it runs. Workers ship no reports.
 //
 // Workers lease batches in plan order, heartbeat to keep them, publish
 // each result through the store plane, then complete the lease. A
@@ -73,7 +76,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -93,6 +98,10 @@ const (
 
 // maxEntryBytes bounds a store-plane PUT body.
 const maxEntryBytes = 16 << 20
+
+// wallHeader carries a PUT entry's backend execution wall time in
+// seconds (see experiments.ContextWithWall).
+const wallHeader = "X-Wall-Seconds"
 
 // ServerConfig assembles a coordinator.
 type ServerConfig struct {
@@ -127,10 +136,10 @@ type ServerConfig struct {
 	// GET /v1/trace. Nil (the default) disables tracing and drops spans.
 	Tracer *tracing.Tracer
 	// Reports, when non-nil, turns on campaign-wide simulation
-	// telemetry: the handshake tells workers to collect per-point
-	// reports (internal/simreport) and send them inside
-	// POST /v1/complete, and the merged aggregate is served as JSON at
-	// GET /v1/simstatsz. Nil (the default) disables it and drops reports.
+	// telemetry: each PUT /v1/run/{hash} of a campaign point adds the
+	// report built from the stored entry (internal/simreport), and the
+	// aggregate is served as JSON at GET /v1/simstatsz. Nil (the
+	// default) disables it.
 	Reports *simreport.Collector
 
 	// now overrides the clock in tests.
@@ -164,10 +173,6 @@ type CampaignInfo struct {
 	Options   experiments.Options
 	TTLMillis int64
 	Batch     int
-	// Reports asks workers to collect per-point simulation telemetry
-	// and send it inside POST /v1/complete; without it workers do not
-	// build and ship reports nobody ingests.
-	Reports bool
 }
 
 // LeasedPoint is one dispatched plan point.
@@ -207,13 +212,12 @@ type releaseRequest struct {
 	Indexes []int
 }
 
-// completeRequest also carries the worker's telemetry since its last
+// completeRequest also carries the worker's spans since its last
 // delivered Complete.
 type completeRequest struct {
 	Lease   string
 	Indexes []int
-	Spans   []tracing.Span     `json:",omitempty"`
-	Reports []simreport.Report `json:",omitempty"`
+	Spans   []tracing.Span `json:",omitempty"`
 }
 
 // Statsz is the /v1/statsz body.
@@ -381,6 +385,11 @@ func (s *Server) handlePutRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed content address", http.StatusBadRequest)
 		return
 	}
+	host, err := hostCost(r.Header.Get(wallHeader))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEntryBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -408,9 +417,28 @@ func (s *Server) handlePutRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The durable write IS the point's completion; the dispatch plane's
-	// Complete only releases the lease.
-	s.d.completeHash(hash)
+	// Complete only releases the lease. A campaign point's report is a
+	// pure function of the entry just verified, plus the wall time.
+	if b, ok := s.d.completeHash(hash); ok && s.reports != nil {
+		report := simreport.FromResult(hash, k.Bench, b, k.Prewarm, res)
+		report.Host = host
+		s.reports.Add(report)
+	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// hostCost parses a PUT's wall header: absent means the result was not
+// timed (a replayed report), anything but a finite number >= 0 is
+// malformed.
+func hostCost(v string) (simreport.HostCost, error) {
+	if v == "" {
+		return simreport.HostCost{Replayed: true}, nil
+	}
+	sec, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(sec) || math.IsInf(sec, 0) || sec < 0 {
+		return simreport.HostCost{}, fmt.Errorf("malformed %s header %q", wallHeader, v)
+	}
+	return simreport.HostCost{WallSeconds: sec}, nil
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -438,7 +466,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		Options:   s.runner.Options(),
 		TTLMillis: s.d.ttl.Milliseconds(),
 		Batch:     s.d.Batch(),
-		Reports:   s.reports != nil,
 	})
 }
 
@@ -481,17 +508,16 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleComplete releases a lease and ingests the telemetry riding with
-// it whenever the body decodes — even for an expired lease, whose
-// results are already durable — dropping a surface this coordinator
-// does not collect (both sinks are nil-safe).
+// handleComplete releases a lease and ingests the spans riding with it
+// whenever the body decodes — even for an expired lease, whose results
+// are already durable — dropping them when this coordinator does not
+// trace (the tracer is nil-safe).
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
 	if !readJSON(w, r, maxCompleteBytes, &req) {
 		return
 	}
 	s.tracer.Ingest(req.Spans)
-	s.reports.Ingest(req.Reports)
 	if err := s.d.Complete(req.Lease, req.Indexes); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -532,8 +558,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// Request body bounds: a Complete carries a batch's telemetry (spans
-// are a few hundred bytes, reports a few KB each); the rest are small.
+// Request body bounds: a Complete carries a batch's spans (a few hundred
+// bytes each); the rest are small.
 const (
 	maxRequestBytes  = 1 << 20
 	maxCompleteBytes = 8 << 20

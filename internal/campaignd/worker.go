@@ -52,14 +52,12 @@ type Worker struct {
 	// buffered here, still sharing the coordinator's trace ID via the
 	// grant's trace context, so local timelines remain mergeable.
 	Tracer *tracing.Tracer
-	// Reports collects per-point simulation telemetry. Nil auto-enables
-	// collection when the campaign handshake asks for it (the
-	// coordinator was started with -report), and the reports travel to
-	// the coordinator inside each batch's POST /v1/complete —
-	// campaign-wide telemetry needs no worker-side flag. An explicitly
-	// supplied collector instead belongs to the caller (the drivers'
-	// -report flag writes it to a local file): its reports stay here
-	// and are never drained.
+	// Reports, when non-nil, collects this worker's per-point
+	// simulation telemetry for the caller (the drivers' -report flag
+	// writes it to a local file). Campaign-wide telemetry needs no
+	// worker-side collector: every result PUT carries its execution
+	// wall time, and a reporting coordinator builds the point's report
+	// from the entry it stores.
 	Reports *simreport.Collector
 
 	// backendRegistered overrides the backend-availability check in
@@ -67,12 +65,11 @@ type Worker struct {
 	// registry); nil means experiments.BackendRegistered.
 	backendRegistered func(string) bool
 
-	// log, id, tr and col are the per-Run resolved logger, worker
-	// identity, tracer and report collector.
+	// log, id and tr are the per-Run resolved logger, worker identity
+	// and tracer.
 	log *slog.Logger
 	id  string
 	tr  *tracing.Tracer
-	col *simreport.Collector
 }
 
 // WorkerReport summarises one worker's share of a campaign.
@@ -157,14 +154,7 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 	}
 	runner.SetMetrics(reg)
 	runner.SetTracer(w.tr)
-	// A handshake asking for telemetry auto-enables collection (the
-	// reports ride each batch's Complete); a caller-supplied collector
-	// is attached regardless and stays local.
-	w.col = w.Reports
-	if w.col == nil && info.Reports {
-		w.col = simreport.NewCollector()
-	}
-	runner.SetReporter(w.col)
+	runner.SetReporter(w.Reports)
 	m := newWorkerMetrics(reg)
 
 	ttl := time.Duration(info.TTLMillis) * time.Millisecond
@@ -206,7 +196,7 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 			w.log.Warn("worker: forfeiting lease — backend not registered in this worker",
 				"worker", id, "lease", lr.Lease, "backend", missing)
 			if err := w.giveBack(ctx, m, "forfeit", lr.Lease, func(ctx context.Context) error {
-				return client.Complete(ctx, lr.Lease, nil, nil, nil)
+				return client.Complete(ctx, lr.Lease, nil, nil)
 			}); err != nil {
 				return rep, err
 			}
@@ -411,7 +401,7 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 		select {
 		case <-leaseLost:
 			// Abandoned, not failed. An empty Complete still delivers the
-			// batch's telemetry (an expired lease completes nothing). The
+			// batch's spans (an expired lease completes nothing). The
 			// writes delta is exactly this batch's published (hence
 			// completed) points: the runner is ours alone and idle
 			// between batches.
@@ -429,28 +419,22 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 }
 
 // complete sends a batch's Complete carrying the auto-enabled tracer's
-// spans and collector's reports (caller-supplied ones stay local). The
-// telemetry is re-buffered for the next Complete only when the call got
-// no HTTP response: any response means the coordinator read the body,
-// so nothing is ingested twice. A failed Complete only delays the
-// lease's release: the store-plane writes already marked the points
-// done.
+// spans (a caller-supplied tracer's stay local). The spans are
+// re-buffered for the next Complete only when the call got no HTTP
+// response: any response means the coordinator read the body, so
+// nothing is ingested twice. A failed Complete only delays the lease's
+// release: the store-plane writes already marked the points done.
 func (w *Worker) complete(ctx context.Context, client *Client, lease string, indexes []int) {
 	var spans []tracing.Span
 	if w.Tracer == nil {
 		spans = w.tr.Drain()
 	}
-	var reports []simreport.Report
-	if w.Reports == nil {
-		reports = w.col.Drain()
-	}
-	err := client.Complete(ctx, lease, indexes, spans, reports)
+	err := client.Complete(ctx, lease, indexes, spans)
 	if err == nil {
 		return
 	}
 	if errors.As(err, new(*url.Error)) {
 		w.tr.Ingest(spans)
-		w.col.Ingest(reports)
 	}
 	w.log.Warn("worker: complete failed (results are already published)",
 		"worker", w.id, "lease", lease, "error", err)

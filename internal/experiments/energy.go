@@ -9,10 +9,12 @@ import (
 	"sharedicache/internal/stats"
 )
 
-// clusterFor maps a simulated ACMP configuration to the power model's
-// worker-cluster description. Only worker-side structures are costed
-// (the paper excludes master core, LLC and NoC from §VI-D).
-func clusterFor(cfg core.Config) power.Cluster {
+// ClusterFor maps a simulated ACMP configuration to the power model's
+// worker-cluster description, for all three organisations. Only
+// worker-side structures are costed (the paper excludes master core,
+// LLC and NoC from §VI-D). The sweep CSV's area and energy columns use
+// it too.
+func ClusterFor(cfg core.Config) power.Cluster {
 	cl := power.Cluster{
 		Workers:            cfg.Workers,
 		Cache:              cfg.ICache,
@@ -37,9 +39,9 @@ func clusterFor(cfg core.Config) power.Cluster {
 	return cl
 }
 
-// activityFor extracts the energy-model activity counters from one
+// ActivityFor extracts the energy-model activity counters from one
 // simulation result.
-func activityFor(res *core.Result) power.Activity {
+func ActivityFor(res *core.Result) power.Activity {
 	var lineNeeds, cacheFetches uint64
 	for _, c := range res.Cores[1:] {
 		lineNeeds += c.FE.LineNeeds
@@ -116,7 +118,7 @@ func Fig12(ctx context.Context, r *Runner) (*Fig12Result, error) {
 		var baseRep power.Report
 		for di, d := range designs {
 			res := results[pi*len(designs)+di]
-			rep, err := tech.Evaluate(clusterFor(d.cfg), activityFor(res))
+			rep, err := tech.Evaluate(ClusterFor(d.cfg), ActivityFor(res))
 			if err != nil {
 				return nil, err
 			}

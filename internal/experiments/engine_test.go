@@ -42,7 +42,7 @@ func TestSingleflightOneKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.Simulate("FT", baselineConfig())
+			res, err := runOne(r, Point{Bench: "FT", Cfg: baselineConfig()})
 			if err != nil {
 				t.Error(err)
 				return

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"sharedicache/internal/core"
 )
 
 // testBenchmarks is a subset spanning the interesting regimes: FT
@@ -35,6 +37,15 @@ func testRunner(t *testing.T) *Runner {
 		t.Fatal(sharedRunnerErr)
 	}
 	return sharedRunner
+}
+
+// runOne resolves a single design point through RunAll.
+func runOne(r *Runner, pt Point) (*core.Result, error) {
+	res, err := r.RunAll(context.Background(), pt)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 func TestOptionsValidate(t *testing.T) {
@@ -77,12 +88,12 @@ func TestCharInstructionsResolution(t *testing.T) {
 func TestRunnerCachesRuns(t *testing.T) {
 	r := testRunner(t)
 	before := r.CachedRuns()
-	a, err := r.Simulate("FT", baselineConfig())
+	a, err := runOne(r, Point{Bench: "FT", Cfg: baselineConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	afterFirst := r.CachedRuns()
-	b, err := r.Simulate("FT", baselineConfig())
+	b, err := runOne(r, Point{Bench: "FT", Cfg: baselineConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +101,17 @@ func TestRunnerCachesRuns(t *testing.T) {
 		t.Fatal("cached run should return the identical result")
 	}
 	if r.CachedRuns() != afterFirst || afterFirst < before {
-		t.Fatal("second Simulate should not add a cache entry")
+		t.Fatal("second run should not add a cache entry")
 	}
 	// Cold and warm runs are distinct cache entries.
-	c, err := r.SimulateCold("FT", baselineConfig())
+	c, err := runOne(r, Point{Bench: "FT", Cfg: baselineConfig(), Cold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c == a {
 		t.Fatal("cold and warm runs must be distinct")
 	}
-	if _, err := r.Simulate("nope", baselineConfig()); err == nil {
+	if _, err := runOne(r, Point{Bench: "nope", Cfg: baselineConfig()}); err == nil {
 		t.Fatal("unknown benchmark should error")
 	}
 }

@@ -503,26 +503,6 @@ func (r *Runner) charWorkload(p synth.Profile) (*synth.Workload, error) {
 	})
 }
 
-// Simulate runs (or returns the cached result of) one benchmark on one
-// ACMP configuration, honouring the campaign's Prewarm option and
-// backend selection.
-func (r *Runner) Simulate(bench string, cfg core.Config) (*core.Result, error) {
-	return r.simulate(context.Background(), r.opts.backendName(), bench, cfg, r.opts.Prewarm)
-}
-
-// SimulateCold is Simulate with prewarming forced off, for the
-// experiments whose subject is the cold-miss behaviour itself.
-func (r *Runner) SimulateCold(bench string, cfg core.Config) (*core.Result, error) {
-	return r.simulate(context.Background(), r.opts.backendName(), bench, cfg, false)
-}
-
-// SimulateContext is Simulate with cancellation: if ctx is done before
-// the simulation starts (or while waiting on another goroutine's
-// in-flight run of the same point), it returns ctx.Err().
-func (r *Runner) SimulateContext(ctx context.Context, bench string, cfg core.Config) (*core.Result, error) {
-	return r.simulate(ctx, r.opts.backendName(), bench, cfg, r.opts.Prewarm)
-}
-
 // simulate resolves one design point through the singleflight cache.
 func (r *Runner) simulate(ctx context.Context, backend, bench string, cfg core.Config, prewarm bool) (*core.Result, error) {
 	cfg.Workers = r.opts.Workers
@@ -583,12 +563,29 @@ func (r *Runner) simulate(ctx context.Context, backend, bench string, cfg core.C
 // ContextResultStore is the optional per-call-context extension of
 // ResultStore: stores that carry requests over the network implement
 // it so each lookup and write can propagate the caller's trace
-// context (the X-Trace-Context header on the campaign store plane).
-// The runner type-asserts and prefers these methods when present;
-// plain stores (the on-disk runstore.Store) need not care.
+// context (the X-Trace-Context header on the campaign store plane)
+// and, on a write, the execution wall time (WallFromContext). The
+// runner type-asserts and prefers these methods when present; plain
+// stores (the on-disk runstore.Store) need not care.
 type ContextResultStore interface {
 	GetCtx(context.Context, runstore.Key) (*core.Result, bool)
 	PutCtx(context.Context, runstore.Key, *core.Result) error
+}
+
+type wallKey struct{}
+
+// ContextWithWall returns ctx carrying the backend execution wall time
+// of the result being written. The runner sets it on every write-back
+// of a live execution, so a network store can send the point's one
+// host-cost fact with the write that makes the point durable.
+func ContextWithWall(ctx context.Context, wall time.Duration) context.Context {
+	return context.WithValue(ctx, wallKey{}, wall)
+}
+
+// WallFromContext returns the wall time ContextWithWall attached.
+func WallFromContext(ctx context.Context) (time.Duration, bool) {
+	wall, ok := ctx.Value(wallKey{}).(time.Duration)
+	return wall, ok
 }
 
 // storeGet dispatches a store lookup, threading ctx when the store
@@ -656,7 +653,7 @@ func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st Resul
 	}
 	if st != nil {
 		wctx, write := tr.Start(ctx, "store.write")
-		err := storePut(wctx, st, key, res)
+		err := storePut(ContextWithWall(wctx, wall), st, key, res)
 		write.End()
 		if err != nil {
 			return nil, fmt.Errorf("persist result: %w", err)
@@ -668,7 +665,8 @@ func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st Resul
 
 // execute dispatches one design point (always a cache miss) to its
 // backend, books the execution in the per-backend counters and
-// returns its wall time, which only the report's host cost records.
+// returns its wall time: the report's host cost, which also rides the
+// store write-back (ContextWithWall).
 func (r *Runner) execute(ctx context.Context, backend, bench string, cfg core.Config, prewarm bool) (*core.Result, time.Duration, error) {
 	b, err := r.backend(backend)
 	if err != nil {

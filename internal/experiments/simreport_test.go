@@ -149,7 +149,7 @@ func TestReporterMetrics(t *testing.T) {
 	r.SetReporter(col)
 
 	for _, bench := range []string{"FT", "UA"} {
-		if _, err := r.Simulate(bench, sharedConfig(8, 16, 4, 1)); err != nil {
+		if _, err := runOne(r, Point{Bench: bench, Cfg: sharedConfig(8, 16, 4, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -189,7 +189,7 @@ func TestLookupStoreOnly(t *testing.T) {
 
 	// Populate only the warm variant; the cold variant stays a miss
 	// because Cold is part of the identity.
-	res, err := r.Simulate(warm.Bench, warm.Cfg)
+	res, err := runOne(r, warm)
 	if err != nil {
 		t.Fatal(err)
 	}

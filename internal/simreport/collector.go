@@ -20,8 +20,8 @@ import (
 // another), and the aggregate must count each point once. A live
 // (captured) report always wins over a replayed one, because it
 // carries real host cost; between two reports of the same liveness the
-// first wins, so re-ingesting a batch after a failed delivery cannot
-// churn the aggregate.
+// first wins, so a second store of the same point (a stolen lease
+// re-run) cannot churn the aggregate.
 type Collector struct {
 	mu      sync.Mutex
 	reports []Report
@@ -51,14 +51,6 @@ func (c *Collector) Add(r Report) {
 	c.reports = append(c.reports, r)
 }
 
-// Ingest folds a batch of reports (a worker's batch completion, or a
-// re-buffered failed delivery) into the collection.
-func (c *Collector) Ingest(reports []Report) {
-	for _, r := range reports {
-		c.Add(r)
-	}
-}
-
 // Len reports how many distinct design points have been collected.
 func (c *Collector) Len() int {
 	if c == nil {
@@ -77,22 +69,6 @@ func (c *Collector) Reports() []Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Report(nil), c.reports...)
-}
-
-// Drain removes and returns the collected reports, resetting the
-// collection — a campaign worker takes each batch's reports with it
-// for POST /v1/complete and re-Ingests them if the call gets no
-// response, exactly like the tracer's spans.
-func (c *Collector) Drain() []Report {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.reports
-	c.reports = nil
-	c.byKey = map[string]int{}
-	return out
 }
 
 // ShareKinds lists the CPI-stack category names StackShares keys its

@@ -12,11 +12,12 @@
 // Reports are captured by the experiments Runner around each executed
 // simulation (see Runner.SetReporter). A warm-store hit rebuilds its
 // report from the stored result — the microarchitectural half is a pure
-// function of it — marked Replayed, with no host cost. Campaign workers
-// ship their reports to the coordinator inside POST /v1/complete, and
-// Collector.Summary aggregates them campaign-wide — served at the
-// coordinator's GET /v1/simstatsz and written by the drivers' -report
-// flag. Like tracing, the whole layer is off by default and nil-safe:
+// function of it — marked Replayed, with no host cost. In a distributed
+// campaign workers ship no reports: the coordinator builds each point's
+// report from the entry the worker's PUT stores, with the wall time
+// that PUT carries. Collector.Summary aggregates reports campaign-wide —
+// served at the coordinator's GET /v1/simstatsz and written by the
+// drivers' -report flag. Like tracing, the whole layer is off by default and nil-safe:
 // an unattached collector costs a nil check per point.
 package simreport
 

@@ -149,27 +149,16 @@ func TestCollectorDedup(t *testing.T) {
 		t.Fatal("replayed report displaced a live one")
 	}
 
-	c.Ingest([]Report{report("k2", "UA", "detailed", "private", 1, 500)})
+	c.Add(report("k2", "UA", "detailed", "private", 1, 500))
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-
-	drained := c.Drain()
-	if len(drained) != 2 || c.Len() != 0 {
-		t.Fatalf("Drain returned %d, left %d", len(drained), c.Len())
-	}
-	// Re-ingest after a failed push restores the collection.
-	c.Ingest(drained)
-	if c.Len() != 2 {
-		t.Fatalf("re-ingest left Len = %d", c.Len())
 	}
 }
 
 func TestCollectorNilSafe(t *testing.T) {
 	var c *Collector
 	c.Add(report("k", "FT", "detailed", "shared", 4, 10))
-	c.Ingest([]Report{report("k", "FT", "detailed", "shared", 4, 10)})
-	if c.Len() != 0 || c.Reports() != nil || c.Drain() != nil {
+	if c.Len() != 0 || c.Reports() != nil {
 		t.Fatal("nil collector must be inert")
 	}
 	if st := c.AggregateStack(); st.Total() != 0 {

@@ -58,13 +58,13 @@ func NewEvaluator(workers int) *Evaluator {
 // result and its baseline's, evaluating (and memoising) the baseline
 // power report on first use.
 func (e *Evaluator) Metrics(m Row, base, res *core.Result) (Metrics, error) {
-	rep, err := e.tech.Evaluate(clusterFor(res.Config), activityFor(res))
+	rep, err := e.tech.Evaluate(experiments.ClusterFor(res.Config), experiments.ActivityFor(res))
 	if err != nil {
 		return Metrics{}, err
 	}
 	baseRep, ok := e.baseReps[m.BaseIdx]
 	if !ok {
-		if baseRep, err = e.tech.Evaluate(clusterFor(e.baseCfg), activityFor(base)); err != nil {
+		if baseRep, err = e.tech.Evaluate(experiments.ClusterFor(e.baseCfg), experiments.ActivityFor(base)); err != nil {
 			return Metrics{}, err
 		}
 		e.baseReps[m.BaseIdx] = baseRep
@@ -179,41 +179,6 @@ func (c *CSV) Flush() error {
 		return fmt.Errorf("write CSV: %w", err)
 	}
 	return nil
-}
-
-// clusterFor maps a simulator config to the power model's cluster.
-func clusterFor(cfg core.Config) power.Cluster {
-	cl := power.Cluster{
-		Workers:            cfg.Workers,
-		Cache:              cfg.ICache,
-		LineBuffersPerCore: cfg.LineBuffers,
-	}
-	if cfg.Organization == core.OrgWorkerShared {
-		cl.Caches = cfg.Workers / cfg.CPC
-		cl.BusesPerCache = cfg.Buses
-		cl.BusWidthBytes = cfg.BusWidthBytes
-		cl.SharedCacheOverhead = 0.25
-		cl.Cache.Banks = cfg.Buses
-	} else {
-		cl.Caches = cfg.Workers
-	}
-	return cl
-}
-
-// activityFor extracts the energy-model counters from a result.
-func activityFor(res *core.Result) power.Activity {
-	var lineNeeds, cacheFetches uint64
-	for _, c := range res.Cores[1:] {
-		lineNeeds += c.FE.LineNeeds
-		cacheFetches += c.FE.CacheFetches
-	}
-	return power.Activity{
-		Cycles:          res.Cycles,
-		Instructions:    res.WorkerInstructions(),
-		CacheAccesses:   res.WorkerICache.Accesses,
-		BusTransactions: res.Bus.Granted,
-		LineBufferHits:  lineNeeds - cacheFetches,
-	}
 }
 
 func f(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
