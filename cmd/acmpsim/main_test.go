@@ -11,7 +11,10 @@ import (
 	"sharedicache/internal/clitest"
 )
 
-func TestUsageGolden(t *testing.T) { clitest.Usage(t, registerFlags) }
+func TestUsageGolden(t *testing.T) {
+	clitest.Usage(t, registerFlags)
+	clitest.BadFlag(t, "acmpsim", run)
+}
 
 // TestReplayRejectsStore: trace replay bypasses the run store, so
 // -traces with -store is a usage error raised before any trace file

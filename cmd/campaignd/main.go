@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fs := flag.NewFlagSet("campaignd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cf := registerFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := sweep.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	switch {

@@ -17,7 +17,10 @@ import (
 )
 
 // TestUsageGolden pins the -h flag listing, as cmd/sweep's does.
-func TestUsageGolden(t *testing.T) { clitest.Usage(t, registerFlags) }
+func TestUsageGolden(t *testing.T) {
+	clitest.Usage(t, registerFlags)
+	clitest.BadFlag(t, "campaignd", run)
+}
 
 // syncBuffer is a bytes.Buffer safe for the coordinator's concurrent
 // stderr writers (the driver, its slog handler and HTTP handlers).

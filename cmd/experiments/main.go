@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	f := registerFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := sweep.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	switch f.format {

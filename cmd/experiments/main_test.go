@@ -12,7 +12,10 @@ import (
 	"sharedicache/internal/clitest"
 )
 
-func TestUsageGolden(t *testing.T) { clitest.Usage(t, registerFlags) }
+func TestUsageGolden(t *testing.T) {
+	clitest.Usage(t, registerFlags)
+	clitest.BadFlag(t, "experiments", run)
+}
 
 // TestCharacterisationGolden pins the §II characterisation tables
 // (Figures 2-4) byte for byte.

@@ -125,7 +125,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cf := registerFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := sweep.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	sf := cf.sf

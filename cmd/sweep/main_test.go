@@ -12,7 +12,10 @@ import (
 	"sharedicache/internal/clitest"
 )
 
-func TestUsageGolden(t *testing.T) { clitest.Usage(t, registerFlags) }
+func TestUsageGolden(t *testing.T) {
+	clitest.Usage(t, registerFlags)
+	clitest.BadFlag(t, "sweep", run)
+}
 
 // TestInterruptedRunWritesOutputs: a cancelled sweep still writes every
 // requested exit-time file, each complete.
@@ -51,8 +54,7 @@ func wantLines(t *testing.T, stderr string, lines ...string) {
 
 // TestFig7GoldenCSV pins the simulator's fast path: a fresh detailed
 // sweep of the Fig 7 space is byte-identical to the golden CSV the
-// naive per-cycle loop generated before the event-driven skip-ahead
-// landed.
+// naive per-cycle loop generated before any fast path landed.
 func TestFig7GoldenCSV(t *testing.T) {
 	want, err := os.ReadFile("testdata/fig7_detailed.golden.csv")
 	if err != nil {

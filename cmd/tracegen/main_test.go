@@ -6,4 +6,7 @@ import (
 	"sharedicache/internal/clitest"
 )
 
-func TestUsageGolden(t *testing.T) { clitest.Usage(t, registerFlags) }
+func TestUsageGolden(t *testing.T) {
+	clitest.Usage(t, registerFlags)
+	clitest.BadFlag(t, "tracegen", run)
+}

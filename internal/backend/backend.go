@@ -102,7 +102,7 @@ func (s *CPIStack) Add(o CPIStack) {
 func (s *CPIStack) record(k StallKind) { s.skip(k, 1) }
 
 // skip attributes n stalled cycles at once (the bulk form record
-// delegates to, used by the skip-ahead fast path).
+// delegates to, used when the simulator folds idle cycles).
 func (s *CPIStack) skip(k StallKind, n uint64) {
 	switch k {
 	case StallBranch:
@@ -211,9 +211,9 @@ func (b *Backend) Tick(cause StallKind) int {
 // credits accumulate at the commit rate and saturate at the same cap
 // (min is monotone, so one clamped addition equals n per-cycle clamped
 // additions), nothing commits, and the CPI stack gains n cycles in
-// cause's bucket. It is the back-end half of the simulator's skip-ahead
-// fast path and panics if instructions are queued — a non-empty queue
-// commits or paces every cycle and must be ticked.
+// cause's bucket. The simulator's fast path uses it for folded idle
+// cycles and parked sync stalls. It panics if instructions are queued —
+// a non-empty queue commits or paces every cycle and must be ticked.
 func (b *Backend) SkipIdle(cause StallKind, n uint64) {
 	if n == 0 {
 		return

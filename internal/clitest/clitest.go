@@ -6,12 +6,16 @@ package clitest
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"sharedicache/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -51,6 +55,22 @@ func Usage[T any](t testing.TB, register func(*flag.FlagSet) T) {
 	fs.SetOutput(&buf)
 	fs.PrintDefaults()
 	Golden(t, filepath.Join("testdata", "usage.golden"), buf.Bytes())
+}
+
+// BadFlag runs a driver with an unknown flag and requires what its
+// main does with the error to exit 2 with the parse error on stderr
+// exactly once.
+func BadFlag(t testing.TB, driver string, run func(context.Context, []string, io.Writer, io.Writer) error) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{"-nosuchflag"}, &stdout, &stderr)
+	if code := sweep.ExitCode(driver, err, &stderr); code != 2 {
+		t.Errorf("%s -nosuchflag exits %d, want 2 (err %v)", driver, code, err)
+	}
+	const msg = "flag provided but not defined: -nosuchflag"
+	if n := strings.Count(stderr.String(), msg); n != 1 {
+		t.Errorf("%s -nosuchflag prints %q %d times, want once:\n%s", driver, msg, n, stderr.String())
+	}
 }
 
 // OutputArgs requests every exit-time file the lifecycle writes on

@@ -17,12 +17,12 @@ import (
 	"sharedicache/internal/trace"
 )
 
-// These tests pin the fast path's defining invariant: the event-driven
-// skip-ahead loop (Run) must produce a Result deep-equal to the naive
+// These tests pin the fast path's defining invariant: the quiet-cycle
+// folding loop (Run) must produce a Result deep-equal to the naive
 // tick-every-cycle loop (RunReference) — same cycles, same CPI stacks,
 // same cache/bus/DRAM statistics, bit for bit. Any divergence is a bug
-// in a NextEvent/StallWindow contract, never an acceptable
-// approximation. See docs/PERFORMANCE.md.
+// in a Stream/StallWindow contract or in the fold and unpark rules,
+// never an acceptable approximation. See docs/PERFORMANCE.md.
 
 // buildSim constructs one simulator over bench's workload, optionally
 // prewarmed to steady state, mirroring experiments.detailedBackend.
@@ -245,35 +245,43 @@ func TestFastPathEquivalenceRandom(t *testing.T) {
 	digest.check(t, digestName("random"), n)
 }
 
-// TestFastPathSkips guards the fast path against silently degrading to
-// per-cycle ticking. On a Fig 7 point whose stalls leave every unit
-// idle (FT, 8 workers per 16 KB cache, one bus) Run must skip cycles
-// while RunReference skips none; and on a trivial all-idle window a
+// TestFastPathFolds guards the fast path against silently degrading to
+// per-cycle ticking. On a Fig 7 point whose cores spend most cycles
+// streaming, waiting on fetches or blocked in the runtime (FT, 8
+// workers per 16 KB cache, one bus) Run must play out more than half of
+// all core-cycles in bulk while RunReference plays out none; and a
 // deadlocked sync wait must error out at the cycle bound quickly
 // instead of ticking 5e7 cycles.
-func TestFastPathSkips(t *testing.T) {
+func TestFastPathFolds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ICache.SizeBytes = 16 << 10
 	cfg.Organization = OrgWorkerShared
 	cfg.CPC = 8
 	cfg.Buses = 1
 	fast := buildSim(t, cfg, "FT", 20_000, 1, true)
-	if _, err := fast.Run(); err != nil {
+	res, err := fast.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.skipped == 0 {
-		t.Error("Run skipped no cycles on a stall-heavy shared point: the fast path never engaged")
+	var coreCycles uint64
+	for _, c := range res.Cores {
+		coreCycles += c.SerialCycles + c.ParallelCycles
+	}
+	folded := fast.streamed + fast.parked
+	t.Logf("Run folded %d of %d core-cycles (%d streamed, %d parked)", folded, coreCycles, fast.streamed, fast.parked)
+	if 2*folded <= coreCycles {
+		t.Errorf("Run folded %d of %d core-cycles, want more than half: the fast path barely engages", folded, coreCycles)
 	}
 	ref := buildSim(t, cfg, "FT", 20_000, 1, true)
 	if _, err := ref.RunReference(); err != nil {
 		t.Fatal(err)
 	}
-	if ref.skipped != 0 {
-		t.Errorf("RunReference skipped %d cycles; the reference loop must tick every cycle", ref.skipped)
+	if ref.streamed+ref.parked != 0 {
+		t.Errorf("RunReference folded %d core-cycles; the reference loop must tick every cycle", ref.streamed+ref.parked)
 	}
 
 	cfg = DefaultConfig()
-	cfg.MaxCycles = 50_000_000 // naive loop would grind; skip-ahead jumps
+	cfg.MaxCycles = 50_000_000 // naive loop would grind; Run jumps
 	// A single worker that blocks forever on a parallel region the
 	// master never opens: every unit goes idle with no wake event.
 	srcs := []trace.Source{

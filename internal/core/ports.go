@@ -168,11 +168,11 @@ func (s *sharedICache) Tick(now uint64) {
 }
 
 // nextEvent returns the earliest cycle ≥ now at which Tick can make
-// progress: the fabric's next possible grant. With nothing queued a
-// Tick grants nothing and mutates nothing (stale MSHR entries are
-// already semantically absent — lookups check fill > now — so deferring
-// the lazy trim changes no behaviour), which lets the skip-ahead loop
-// bypass idle fabrics entirely.
+// progress: the fabric's next possible grant. A Tick that grants
+// nothing mutates nothing (stale MSHR entries are already semantically
+// absent — lookups check fill > now — so deferring the lazy trim
+// changes no behaviour), which lets Run tick a fabric only when it can
+// grant.
 func (s *sharedICache) nextEvent(now uint64) uint64 {
 	return s.fabric.NextEvent(now)
 }

@@ -33,6 +33,15 @@ type coreSim struct {
 	finished   bool
 	inParallel bool
 
+	// quietUntil is the next cycle Run ticks this core for real: the
+	// cycles before it were played out in bulk by fold. It is never
+	// while the core is finished or parked.
+	quietUntil uint64
+	// parked marks a runtime-blocked core Run does not tick; parkedAt
+	// is the first cycle of its sync stall, booked in bulk on release.
+	parked   bool
+	parkedAt uint64
+
 	serialCycles   uint64
 	parallelCycles uint64
 	serialInstr    uint64
@@ -66,10 +75,17 @@ type Simulator struct {
 	shared []*sharedICache
 	cores  []*coreSim
 	ran    bool
-	// skipped counts the cycles skipTo accounted in bulk instead of
-	// ticking; tests read it to pin that the fast path engages. It is
-	// not part of the Result.
-	skipped uint64
+	// grantLat bounds how soon after its grant a shared fetch's data
+	// can be ready: bus traversal plus SRAM access.
+	grantLat uint64
+	// syncs counts handled sync records, so Run can tell that a tick
+	// may have released parked cores.
+	syncs uint64
+	// streamed and parked count the core-cycles Run played out in bulk
+	// (by FrontEnd.Stream, and as parked sync stalls) instead of
+	// ticking; tests read them to pin that the fast path engages. They
+	// are not part of the Result.
+	streamed, parked uint64
 }
 
 // New builds a simulator for cfg over the given per-thread trace
@@ -84,9 +100,10 @@ func New(cfg Config, sources []trace.Source) (*Simulator, error) {
 	memCfg := cfg.Mem
 	memCfg.Cores = cfg.Cores()
 	s := &Simulator{
-		cfg: cfg,
-		rt:  omprt.New(cfg.Cores()),
-		mem: memsys.New(memCfg),
+		cfg:      cfg,
+		rt:       omprt.New(cfg.Cores()),
+		mem:      memsys.New(memCfg),
+		grantLat: uint64(cfg.BusLatency + cfg.ICacheLatency),
 	}
 
 	// Fetch ports per core. All ports share one request arena: the
@@ -163,6 +180,7 @@ func New(cfg Config, sources []trace.Source) (*Simulator, error) {
 // handleSync consumes one synchronisation record. The pipeline is
 // drained when this is called, matching join semantics.
 func (s *Simulator) handleSync(c *coreSim, rec trace.Record) {
+	s.syncs++
 	switch rec.Kind {
 	case trace.KindParallelStart:
 		s.rt.ParallelStart(c.id)
@@ -220,25 +238,19 @@ func (s *Simulator) tickCore(now uint64, c *coreSim) {
 
 // account books one elapsed cycle and its commits to the current
 // section.
-func (c *coreSim) account(committed int) {
-	if c.inParallel {
-		c.parallelCycles++
-		c.parallelInstr += uint64(committed)
-	} else {
-		c.serialCycles++
-		c.serialInstr += uint64(committed)
-	}
-}
+func (c *coreSim) account(committed int) { c.accountSpan(1, uint64(committed)) }
 
-// skipAccount books n elapsed zero-commit cycles to the current
-// section, the bulk form of n account(0) calls. The section cannot
-// flip inside a skipped window: inParallel changes only in handleSync,
-// which runs only on real ticks.
-func (c *coreSim) skipAccount(n uint64) {
+// accountSpan books n elapsed cycles and their commits to the current
+// section, the bulk form of account. The section cannot flip inside a
+// span played out in bulk: inParallel changes only in handleSync, which
+// runs only on real ticks.
+func (c *coreSim) accountSpan(n, committed uint64) {
 	if c.inParallel {
 		c.parallelCycles += n
+		c.parallelInstr += committed
 	} else {
 		c.serialCycles += n
+		c.serialInstr += committed
 	}
 }
 
@@ -290,50 +302,153 @@ func (s *Simulator) Prewarm(icLines, l2Lines [][]uint64) {
 // zero: far above any legitimate run at library scale.
 const defaultMaxCycles = 1 << 27
 
+// never is a cycle no simulation reaches: the quietUntil of a finished
+// or parked core, the next event of an idle fabric.
+const never = ^uint64(0)
+
+// start marks the simulator used and returns the cycle bound.
+func (s *Simulator) start() (uint64, error) {
+	if s.ran {
+		return 0, fmt.Errorf("core: Simulator is single-use; construct a new one")
+	}
+	s.ran = true
+	if s.cfg.MaxCycles == 0 {
+		return defaultMaxCycles, nil
+	}
+	return s.cfg.MaxCycles, nil
+}
+
+func errMaxCycles(maxCycles uint64) error {
+	return fmt.Errorf("core: exceeded %d cycles (deadlock or runaway trace)", maxCycles)
+}
+
 // Run executes the simulation to completion and returns the collected
 // results. It errors if the cycle bound is exceeded (deadlock guard) or
 // if Run was already called.
 //
-// Run uses an event-driven fast path: whenever every unit is provably
-// idle it jumps straight to the earliest next-event cycle, replaying
-// the skipped window as bulk stall accounting instead of per-cycle
-// ticks. The Result is bit-identical to RunReference's naive loop (see
-// docs/PERFORMANCE.md for the contract and its invariants).
-func (s *Simulator) Run() (*Result, error) { return s.run(true) }
+// Run folds quiet cycles per core: after each real tick a core plays
+// out the cycles that follow in bulk for as long as it can prove from
+// its own state that they change nothing but its instruction queue,
+// commit credits and stall accounting (fold); a runtime-blocked core is
+// parked until another core's sync releases it; a fabric ticks only
+// when it can grant. Time jumps straight to the next cycle some core or
+// fabric must act in. The Result is bit-identical to RunReference's
+// naive loop (see docs/PERFORMANCE.md for the contract and its
+// invariants).
+func (s *Simulator) Run() (*Result, error) {
+	maxCycles, err := s.start()
+	if err != nil {
+		return nil, err
+	}
+	live, now := len(s.cores), uint64(0)
+	for {
+		if now >= maxCycles {
+			return nil, errMaxCycles(maxCycles)
+		}
+		for _, sc := range s.shared {
+			if sc.nextEvent(now) <= now {
+				sc.Tick(now)
+			}
+		}
+		for _, c := range s.cores {
+			if c.quietUntil > now {
+				continue
+			}
+			syncs := s.syncs
+			s.tickCore(now, c)
+			if s.syncs != syncs {
+				if c.finished {
+					live--
+				}
+				s.unpark(now, c)
+			}
+			s.fold(now, c, maxCycles)
+		}
+		if live == 0 {
+			return s.collect(now + 1), nil
+		}
+		next := never
+		for _, c := range s.cores {
+			next = min(next, c.quietUntil)
+		}
+		for _, sc := range s.shared {
+			next = min(next, sc.nextEvent(now+1))
+		}
+		// A deadlock (next == never) lands on the cycle bound's error.
+		now = min(next, maxCycles)
+	}
+}
+
+// fold sets c.quietUntil after c's real tick at now and books the
+// cycles before it in bulk. A finished core is inert; a blocked one
+// parks. A running core streams (FrontEnd.Stream) unless its next trace
+// record could act before the front-end's own state changes: a fetch
+// block is pushed once the redirect bubble ends if the FTQ has room
+// (it cannot gain room in a quiet cycle), an IPC change is consumed at
+// once, and a sync record once both ends drain, which cannot happen
+// while the FTQ holds a block. Every fold stops at the cycle bound.
+func (s *Simulator) fold(now uint64, c *coreSim, maxCycles uint64) {
+	switch {
+	case c.finished:
+		c.quietUntil = never
+		return
+	case s.rt.Blocked(c.id):
+		c.parked, c.parkedAt, c.quietUntil = true, now+1, never
+		return
+	}
+	bound := maxCycles
+	if rec, ok := c.peek(); ok {
+		switch rec.Kind {
+		case trace.KindFetchBlock:
+			bound = min(bound, c.fe.AcceptFrom())
+		case trace.KindIPCSet:
+			bound = now
+		default:
+			if c.fe.Empty() {
+				bound = now
+			}
+		}
+	}
+	next, committed := c.fe.Stream(now, bound, s.grantLat, c.be)
+	c.accountSpan(next-now-1, committed)
+	s.streamed += next - now - 1
+	c.quietUntil = next
+}
+
+// unpark releases the parked cores that waker's sync at cycle now
+// unblocked, booking each one's sync stall in bulk. The per-cycle loop
+// ticks cores in index order, so a core before the waker was still
+// blocked when it ticked at now and resumes at now+1, while a core
+// after it resumes at now itself, later in this cycle's pass.
+func (s *Simulator) unpark(now uint64, waker *coreSim) {
+	for _, c := range s.cores {
+		if !c.parked || s.rt.Blocked(c.id) {
+			continue
+		}
+		resume := now
+		if c.id < waker.id {
+			resume = now + 1
+		}
+		c.be.SkipIdle(backend.StallSync, resume-c.parkedAt)
+		c.accountSpan(resume-c.parkedAt, 0)
+		s.parked += resume - c.parkedAt
+		c.parked, c.quietUntil = false, resume
+	}
+}
 
 // RunReference executes the simulation with the naive
-// tick-every-unit-every-cycle loop, no skip-ahead. It exists as the
+// tick-every-unit-every-cycle loop, no folding. It exists as the
 // semantic reference for differential tests of the fast path; results
 // must be deep-equal to Run's on every workload and configuration.
-func (s *Simulator) RunReference() (*Result, error) { return s.run(false) }
-
-func (s *Simulator) run(fast bool) (*Result, error) {
-	if s.ran {
-		return nil, fmt.Errorf("core: Simulator is single-use; construct a new one")
-	}
-	s.ran = true
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = defaultMaxCycles
+func (s *Simulator) RunReference() (*Result, error) {
+	maxCycles, err := s.start()
+	if err != nil {
+		return nil, err
 	}
 	now := uint64(0)
 	for !s.allFinished() {
 		if now >= maxCycles {
-			return nil, fmt.Errorf("core: exceeded %d cycles (deadlock or runaway trace)", maxCycles)
-		}
-		if fast {
-			if next := s.nextEvent(now); next > now {
-				// Everything idles until next: account the window in
-				// bulk and jump. Clamping to the cycle bound keeps the
-				// deadlock guard (and a true deadlock's next == never)
-				// on the naive loop's error path.
-				if next > maxCycles {
-					next = maxCycles
-				}
-				s.skipTo(now, next)
-				now = next
-				continue
-			}
+			return nil, errMaxCycles(maxCycles)
 		}
 		for _, sc := range s.shared {
 			sc.Tick(now)
@@ -344,105 +459,6 @@ func (s *Simulator) run(fast bool) (*Result, error) {
 		now++
 	}
 	return s.collect(now), nil
-}
-
-// nextEvent returns the earliest cycle ≥ now at which any unit can make
-// progress. A return of now means some unit is active and this cycle
-// must be simulated; a later cycle T is a proof that ticking every
-// cycle in [now, T) would change nothing but idle-stall accounting,
-// which skipTo reproduces in bulk. Sources of events:
-//
-//   - shared-cache fabrics: the next cycle a queued request can be
-//     granted (idle fabrics never fire on their own);
-//   - cores: a consumable trace record, a non-empty instruction queue
-//     (commit pacing is not skipped), or the front-end's own clock —
-//     resolved fill arrivals and redirect-bubble expiry.
-//
-// Finished cores are inert, and cores blocked in the runtime wake only
-// through another core's sync handling, which happens on real ticks
-// only — neither contributes an event.
-func (s *Simulator) nextEvent(now uint64) uint64 {
-	const never = ^uint64(0)
-	event := never
-	for _, sc := range s.shared {
-		e := sc.nextEvent(now)
-		if e <= now {
-			return now
-		}
-		if e < event {
-			event = e
-		}
-	}
-	for _, c := range s.cores {
-		if c.finished || s.rt.Blocked(c.id) {
-			continue
-		}
-		if !c.be.Drained() {
-			return now
-		}
-		if rec, ok := c.peek(); ok {
-			switch rec.Kind {
-			case trace.KindFetchBlock:
-				if c.fe.CanAccept(now) {
-					return now
-				}
-				// Blocked on a redirect bubble (expiry is a front-end
-				// event below) or a full FTQ (drains only through
-				// front-end progress, also an event below).
-			case trace.KindIPCSet:
-				return now
-			default:
-				// Sync records consume once both ends are drained; the
-				// back-end already is.
-				if c.fe.Drained() {
-					return now
-				}
-			}
-		}
-		e, idle := c.fe.NextEvent(now)
-		if !idle {
-			return now
-		}
-		if e < event {
-			event = e
-		}
-	}
-	return event
-}
-
-// skipTo bulk-accounts the idle window [now, target) for every core,
-// reproducing exactly what per-cycle ticking would have recorded:
-// runtime-blocked cores book sync stalls; running-but-stalled cores
-// book their front-end's stall classification, split into the
-// piecewise-constant sub-windows StallWindow reports (a request's
-// bus-traversal window ending mid-skip flips attribution from bus
-// latency to cache miss, say). Shared caches need no accounting — an
-// idle fabric's tick is a no-op, which is what made the skip legal.
-func (s *Simulator) skipTo(now, target uint64) {
-	s.skipped += target - now
-	for _, c := range s.cores {
-		if c.finished {
-			continue
-		}
-		if s.rt.Blocked(c.id) {
-			c.be.SkipIdle(backend.StallSync, target-now)
-			c.skipAccount(target - now)
-			continue
-		}
-		for t := now; t < target; {
-			kind, until := c.fe.StallWindow(t)
-			end := target
-			if until < end {
-				end = until
-			}
-			if end <= t {
-				panic("core: stall window does not advance")
-			}
-			c.be.SkipIdle(kind, end-t)
-			c.skipAccount(end - t)
-			t = end
-		}
-	}
 }
 
 // CoreResult is per-core output.

@@ -198,10 +198,15 @@ func (p *program) walk(rng *rand.Rand, i int) (trace.Record, int) {
 // randomStream drives one front-end over a seeded block stream for a
 // fixed number of cycles, with requests granted after seeded delays and
 // resolved with mixed latencies, and summarises what it did: every
-// request's cycle and line, NextEvent's answer at rest before each
-// cycle, the front-end Stats and the back-end's CPI stack.
-func randomStream(lb, ftq int) string {
+// request's cycle and line, the front-end Stats and the back-end's CPI
+// stack. With stream set, every Tick is followed by Stream, bounded at
+// the next cycle a block could be pushed, and the cycles it plays out
+// are not ticked; the port still advances every cycle. Both drivers
+// must print the same summary. folded counts the cycles not ticked.
+func randomStream(lb, ftq int, stream bool) (summary string, folded uint64) {
 	const cycles = 30_000
+	// scriptPort resolves a grant at cycle g no earlier than g+2.
+	const grantLat = 2
 	rng := rand.New(rand.NewSource(int64(1000*lb + ftq)))
 	port := &scriptPort{
 		rng:        rand.New(rand.NewSource(int64(7*lb + ftq))),
@@ -213,61 +218,71 @@ func randomStream(lb, ftq int) string {
 	be := backend.New(24, 1500)
 	prog := newProgram(rng, 96)
 
-	h := sha256.New()
-	var word [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(word[:], v)
-		h.Write(word[:])
-	}
 	rec, next := prog.walk(rng, 0)
+	resume := uint64(0)
 	for now := uint64(0); now < cycles; now++ {
-		event, idle := fe.NextEvent(now)
-		put(event)
-		if idle {
-			put(1)
-		} else {
-			put(0)
-		}
 		port.tick(now)
+		if now < resume {
+			folded++
+			continue
+		}
 		if fe.CanAccept(now) && rng.Intn(4) != 0 {
 			fe.PushBlock(now, rec)
 			rec, next = prog.walk(rng, next)
 		}
 		fe.Tick(now, be)
 		be.Tick(fe.BlockReason(now))
+		if stream {
+			resume, _ = fe.Stream(now, min(fe.AcceptFrom(), cycles), grantLat, be)
+		}
 	}
+	h := sha256.New()
+	var word [8]byte
 	for _, r := range port.log {
-		put(r.cycle)
-		put(r.line)
+		for _, v := range []uint64{r.cycle, r.line} {
+			binary.LittleEndian.PutUint64(word[:], v)
+			h.Write(word[:])
+		}
 	}
-	return fmt.Sprintf("lb=%d ftq=%d requests=%d stats=%+v stack=%+v sha256=%s",
+	summary = fmt.Sprintf("lb=%d ftq=%d requests=%d stats=%+v stack=%+v sha256=%s",
 		lb, ftq, len(port.log), fe.Stats(), be.Stack(), hex.EncodeToString(h.Sum(nil))[:32])
+	return summary, folded
 }
 
 // TestRandomStreamPinned replays seeded random block streams over every
-// line-buffer count and two FTQ depths and requires each summary to
-// match testdata/random_stream.golden line for line.
+// line-buffer count and two FTQ depths, ticked every cycle and folded
+// through Stream, and requires each summary to match
+// testdata/random_stream.golden line for line.
 func TestRandomStreamPinned(t *testing.T) {
 	want, err := readLines("testdata/random_stream.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, lb := range []int{1, 2, 4, 8} {
-		for _, ftq := range []int{2, 8} {
-			got = append(got, randomStream(lb, ftq))
-		}
-	}
-	for i, line := range got {
-		if i >= len(want) || line != want[i] {
-			t.Errorf("stream %d diverges from testdata/random_stream.golden\ngot:  %s", i, line)
-			if i < len(want) {
-				t.Errorf("want: %s", want[i])
+	for _, stream := range []bool{false, true} {
+		var got []string
+		var folded uint64
+		for _, lb := range []int{1, 2, 4, 8} {
+			for _, ftq := range []int{2, 8} {
+				line, n := randomStream(lb, ftq, stream)
+				got = append(got, line)
+				folded += n
 			}
 		}
-	}
-	if len(want) != len(got) {
-		t.Errorf("golden has %d streams, test ran %d", len(want), len(got))
+		t.Logf("stream=%v: %d of %d cycles folded", stream, folded, 8*30_000)
+		if stream && folded == 0 {
+			t.Error("Stream folded no cycles: the differential compares two per-cycle runs")
+		}
+		for i, line := range got {
+			if i >= len(want) || line != want[i] {
+				t.Errorf("stream=%v: stream %d diverges from testdata/random_stream.golden\ngot:  %s", stream, i, line)
+				if i < len(want) {
+					t.Errorf("want: %s", want[i])
+				}
+			}
+		}
+		if len(want) != len(got) {
+			t.Errorf("golden has %d streams, test ran %d", len(want), len(got))
+		}
 	}
 }
 

@@ -408,9 +408,9 @@ func (f *FrontEnd) deliver(now uint64, be *backend.Backend) {
 	}
 }
 
-// never marks a next-event horizon that no front-end-internal clock
-// will reach: the state can only change through an external wake-up
-// (a bus grant, a runtime release) that forces a real tick anyway.
+// never marks a horizon that no front-end-internal clock will reach:
+// the state can only change through an external event (a bus grant, a
+// push, a runtime release) that forces a real tick anyway.
 const never = ^uint64(0)
 
 // BlockReason classifies what the front-end is blocked on at cycle now,
@@ -424,9 +424,9 @@ func (f *FrontEnd) BlockReason(now uint64) backend.StallKind {
 // the stall classification at cycle now plus the first later cycle at
 // which that classification can change on its own clock (never when
 // only an external event — a grant, a fill latch, a runtime release —
-// can change it; those all force a real tick). The skip-ahead loop
-// replays a skipped window as piecewise-constant stall sub-windows, so
-// the CPI stack comes out identical to per-cycle attribution.
+// can change it; those all force a real tick). Stream books a waiting
+// window as piecewise-constant stall sub-windows, so the CPI stack
+// comes out identical to per-cycle attribution.
 // BlockReason delegates here, which keeps the two from drifting.
 func (f *FrontEnd) StallWindow(now uint64) (backend.StallKind, uint64) {
 	if now < f.stallUntil {
@@ -450,70 +450,144 @@ func (f *FrontEnd) StallWindow(now uint64) (backend.StallKind, uint64) {
 	return backend.StallBusQueue, never
 }
 
-// NextEvent reports whether the front-end is idle at cycle now — a
-// Tick would change no state beyond the stall attribution the caller
-// bulk-accounts via StallWindow — and if so the earliest front-end
-// clock (a resolved fill's arrival, the end of a redirect bubble) at
-// which that stops holding; never when only an external event can wake
-// it. idle=false means Tick must run at now. The checks mirror Tick's
-// three stages:
+// AcceptFrom returns the first cycle at which CanAccept can hold with
+// no further Tick: the end of the redirect bubble while the FTQ has
+// room, never while it is full (only a Tick that pops the head makes
+// room).
+func (f *FrontEnd) AcceptFrom() uint64 {
+	if len(f.ftq) < f.cfg.FTQDepth {
+		return f.stallUntil
+	}
+	return never
+}
+
+// Empty reports whether the FTQ holds no block.
+func (f *FrontEnd) Empty() bool { return len(f.ftq) == 0 }
+
+// Stream plays out, after a real Tick at cycle now, the quiet cycles
+// that follow it: cycles in which a Tick would change nothing but the
+// back-end's queue and commit credits, the head block's delivery
+// progress and the marked buffer's LRU stamp. It books them on be
+// exactly as per-cycle Tick plus be.Tick(BlockReason) would, and
+// returns next, the first cycle that must be ticked for real, with the
+// instructions committed over [now+1, next). next is now+1 when no
+// cycle is quiet, and never exceeds bound unless bound <= now+1.
 //
-//   - fill latch: a resolved pending request that is Ready now would
-//     latch (active); one resolved for later contributes its ReadyAt.
-//     Unresolved requests wake through their fabric's grant, which is
-//     a separate next-event source.
-//   - issue: active if the head line needs an issue-cursor rewind, or
-//     if the first unissued line of any FTQ entry is either already
-//     buffered (the cursor would advance and touch LRU state) or could
-//     get a buffer from allocBuffer; once allocBuffer fails, issue
-//     returns, so nothing past the first unissued line can act. This
-//     is re-derived at rest, never read from issue's blocked memo,
-//     which was recorded under issue-time in-use marks.
-//   - deliver: active if the head line sits valid in a buffer (even a
-//     zero-instruction delivery touches LRU and in-use marks). A set
-//     in-use mark is transient within one Tick; seeing one at rest
-//     forces a tick, after which the window can open.
-func (f *FrontEnd) NextEvent(now uint64) (event uint64, idle bool) {
-	event = never
-	if now < f.stallUntil {
-		event = f.stallUntil
-	}
+// A cycle is quiet when issue would do nothing (its last allocation
+// failed at the current generation, or no FTQ entry has unissued
+// bytes), no head rewind is due, no fill latches, and the front-end is
+// in one of two states:
+//
+//   - streaming: the head line is valid in the buffer deliver last
+//     marked, and this cycle's delivery does not finish that line;
+//   - waiting: nothing is deliverable and no mark is held. The queue
+//     drains first (busy cycles); once it is empty, the cycles are
+//     booked as the piecewise-constant StallWindow sub-windows, which
+//     needs the head request resolved: an unresolved one changes its
+//     stall kind at a grant Stream cannot see.
+//
+// Nothing outside the front-end can change that state except a grant
+// resolving one of its requests, which is why Stream stops before the
+// earliest resolved fill's ReadyAt and, while any request is
+// unresolved, before now+1+grantLat: a grant comes at cycle now+1 at the
+// earliest, and grantLat bounds how much later its data can be ready.
+// Pushing a block is the caller's business; it passes the cycle the
+// next push can happen in as bound.
+func (f *FrontEnd) Stream(now, bound, grantLat uint64, be *backend.Backend) (next, committed uint64) {
+	next = now + 1
+	limit := bound
 	for i := range f.bufs {
-		b := &f.bufs[i]
-		if b.inUse {
-			return 0, false
-		}
-		if b.pending != nil && b.pending.Resolved {
-			if b.pending.ReadyAt <= now {
-				return 0, false
-			}
-			if b.pending.ReadyAt < event {
-				event = b.pending.ReadyAt
+		if r := f.bufs[i].pending; r != nil {
+			if !r.Resolved {
+				limit = min(limit, now+1+grantLat)
+			} else {
+				limit = min(limit, r.ReadyAt)
 			}
 		}
 	}
+	if limit <= next || !f.issueIdle() {
+		return next, 0
+	}
+	head := -1
 	if len(f.ftq) > 0 {
 		e := &f.ftq[0]
-		if j := f.headBuffer(); j < 0 {
-			if e.needIssued > e.consumed {
-				return 0, false // head rewind pending
-			}
-		} else if f.bufs[j].valid {
-			return 0, false // deliver would act
+		if head = f.headBuffer(); head < 0 && e.needIssued > e.consumed {
+			return next, 0 // head rewind due
 		}
+	}
+	if f.marked >= 0 {
+		if head != f.marked || !f.bufs[head].valid {
+			return next, 0 // deliver would move or drop the mark
+		}
+		return f.stream(next, limit, be)
+	}
+	if head >= 0 && f.bufs[head].valid {
+		return next, 0 // deliver would act
+	}
+	// Waiting: drain the queue, then book idle sub-windows.
+	for next < limit && be.QueueLen() > 0 {
+		committed += uint64(be.Tick(backend.StallNone))
+		next++
+	}
+	if next == limit || head >= 0 && !f.bufs[head].pending.Resolved {
+		return next, committed
+	}
+	for next < limit {
+		kind, until := f.StallWindow(next)
+		if until <= next {
+			panic("frontend: stall window does not advance")
+		}
+		end := min(limit, until)
+		be.SkipIdle(kind, end-next)
+		next = end
+	}
+	return next, committed
+}
+
+// issueIdle reports whether issue does nothing beyond re-marking the
+// head's buffer: its last allocation failed at the current generation,
+// or no FTQ entry has unissued bytes.
+func (f *FrontEnd) issueIdle() bool {
+	if f.blockedGen == f.gen {
+		return true
 	}
 	for i := range f.ftq {
-		e := &f.ftq[i]
-		if e.needIssued >= e.length {
-			continue
+		if f.ftq[i].needIssued < f.ftq[i].length {
+			return false
 		}
-		line := (e.addr + uint64(e.needIssued)) & f.lineMask
-		if f.findBuffer(line) >= 0 || f.allocBuffer(i) >= 0 {
-			return 0, false // issue would act
-		}
-		break // buffers exhausted: issue returns here
 	}
-	return event, true
+	return true
+}
+
+// stream is Stream's streaming state: delivery from the marked head
+// line, one back-end cycle at a time from cycle next, stopping before
+// the cycle whose delivery would finish the line. The queue is never
+// empty at commit, so every cycle is busy and the stall cause unused.
+func (f *FrontEnd) stream(next, limit uint64, be *backend.Backend) (uint64, uint64) {
+	e := &f.ftq[0]
+	cur := e.addr + uint64(e.consumed)
+	avail := min(cur&f.lineMask+uint64(f.cfg.LineBytes), e.addr+uint64(e.length))
+	left := int(avail-cur) / 4
+	start, committed := next, uint64(0)
+	for next < limit {
+		n := min(left, be.Free())
+		if n == left {
+			break
+		}
+		be.Push(n)
+		left -= n
+		e.consumed += uint32(n * 4)
+		f.stats.InstrDelivered += uint64(n)
+		committed += uint64(be.Tick(backend.StallNone))
+		next++
+	}
+	if next > start {
+		// The next real deliver re-stamps this buffer before anything
+		// reads it; stamping here keeps the state per-cycle ticking
+		// leaves.
+		f.bufs[f.marked].lastUse = next - 1
+	}
+	return next, committed
 }
 
 // Drained reports whether the FTQ is empty and no fills are pending,
@@ -532,10 +606,3 @@ func (f *FrontEnd) Drained() bool {
 
 // Stats returns a copy of the accumulated statistics.
 func (f *FrontEnd) Stats() Stats { return f.stats }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -68,6 +68,7 @@ type Bus struct {
 	occupancy int
 	policy    Policy
 	queues    [][]Request
+	pending   int // total queued requests, so NextEvent is O(1)
 	rr        int
 	busyUntil uint64
 	stats     Stats
@@ -115,17 +116,12 @@ func (b *Bus) Submit(now uint64, req Request) {
 	}
 	req.SubmitCycle = now
 	b.queues[req.Requester] = append(b.queues[req.Requester], req)
+	b.pending++
 	b.stats.Submitted++
 }
 
 // Pending returns the number of queued (not yet granted) requests.
-func (b *Bus) Pending() int {
-	n := 0
-	for _, q := range b.queues {
-		n += len(q)
-	}
-	return n
-}
+func (b *Bus) Pending() int { return b.pending }
 
 // Busy reports whether the bus is occupied at cycle now.
 func (b *Bus) Busy(now uint64) bool { return b.busyUntil > now }
@@ -133,10 +129,10 @@ func (b *Bus) Busy(now uint64) bool { return b.busyUntil > now }
 // NextEvent returns the earliest cycle ≥ now at which Tick can grant a
 // request: now when a request is pending and the bus is free, the end
 // of the current transfer when it is busy, and never (^uint64(0)) when
-// nothing is queued — an idle bus's Tick changes no state, so the
-// skip-ahead loop need not call it until a Submit forces a real tick.
+// nothing is queued. A Tick before that cycle changes no state, so the
+// simulator ticks a fabric only when its NextEvent has come.
 func (b *Bus) NextEvent(now uint64) uint64 {
-	if b.Pending() == 0 {
+	if b.pending == 0 {
 		return ^uint64(0)
 	}
 	if b.busyUntil > now {
@@ -160,6 +156,7 @@ func (b *Bus) Tick(now uint64) (Grant, bool) {
 	req := q[0]
 	copy(q, q[1:])
 	b.queues[idx] = q[:len(q)-1]
+	b.pending--
 	b.rr = (idx + 1) % len(b.queues)
 	b.busyUntil = now + uint64(b.occupancy)
 	g := Grant{Request: req, GrantCycle: now, WaitCycles: now - req.SubmitCycle}

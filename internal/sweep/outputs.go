@@ -125,13 +125,34 @@ func writeHeapProfile(path string) error {
 	return f.Close()
 }
 
+// UsageError marks a command-line parse error. The flag package has
+// already printed it above the usage listing, so ExitCode maps it to
+// status 2 without printing it again.
+type UsageError struct{ Err error }
+
+func (e *UsageError) Error() string { return e.Err.Error() }
+func (e *UsageError) Unwrap() error { return e.Err }
+
+// ParseFlags parses a driver's args into fs, wrapping a failure in
+// *UsageError.
+func ParseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return &UsageError{Err: err}
+	}
+	return nil
+}
+
 // ExitCode maps a driver's run error to its process exit status,
-// printing the error on stderr: 0 for success and -h, 130 with
+// printing the error on stderr: 0 for success and -h, 2 for a flag
+// parse error (already printed by the flag package), 130 with
 // "<driver>: interrupted" for a cancelled run, 1 otherwise.
 func ExitCode(driver string, err error, stderr io.Writer) int {
+	var usage *UsageError
 	switch {
 	case err == nil, errors.Is(err, flag.ErrHelp):
 		return 0
+	case errors.As(err, &usage):
+		return 2
 	case errors.Is(err, context.Canceled):
 		fmt.Fprintln(stderr, driver+": interrupted")
 		return 130
