@@ -163,13 +163,15 @@ func TestWorkerForfeitsUnknownBackend(t *testing.T) {
 		{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "quantum-sim"},
 		{Bench: "FT", Cfg: sharedCfg(8, 16, 2), Backend: "quantum-sim"},
 	}
-	srv, hs, _ := testServer(t, pts, func(cfg *ServerConfig) {
-		cfg.TTL = 200 * time.Millisecond
-	})
+	// The worker stops after its third forfeit has landed.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
+	srv, hs := wrapCoordinator(t, pts, func(cfg *ServerConfig) {
+		cfg.TTL = 200 * time.Millisecond
+	}, cancelAfterCompletes(3, cancel))
 
-	w := Worker{URL: hs.URL, ID: "limited", Parallelism: 1, backendRegistered: lacksQuantum}
+	w := Worker{URL: hs.URL, ID: "limited", Parallelism: 1, backendRegistered: lacksQuantum,
+		poll: time.Millisecond}
 	rep, err := w.Run(ctx)
 	if err == nil {
 		t.Fatal("worker claimed the campaign completed without the backend")
@@ -197,18 +199,20 @@ func TestWorkerPartialBatchRelease(t *testing.T) {
 		{Bench: "FT", Cfg: core.DefaultConfig()},
 		{Bench: "FT", Cfg: sharedCfg(8, 16, 2)},
 	}
-	srv, hs, _ := testServer(t, pts, func(cfg *ServerConfig) {
-		cfg.Batch = 3 // one lease spans the mixed plan
-		cfg.TTL = 500 * time.Millisecond
-	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
+	// The limited worker stops once its forfeit of the released point
+	// (its second Complete, after the batch's) has landed.
+	limitedCtx, stopLimited := context.WithTimeout(ctx, 4*time.Second)
+	defer stopLimited()
+	srv, hs := wrapCoordinator(t, pts, func(cfg *ServerConfig) {
+		cfg.Batch = 3 // one lease spans the mixed plan
+		cfg.TTL = 500 * time.Millisecond
+	}, cancelAfterCompletes(2, stopLimited))
 
 	// The limited worker runs first: it must complete the two detailed
 	// points and release the quantum one.
 	limited := Worker{URL: hs.URL, ID: "limited", Parallelism: 2, backendRegistered: lacksQuantum}
-	limitedCtx, stopLimited := context.WithTimeout(ctx, 4*time.Second)
-	defer stopLimited()
 	lrep, lerr := limited.Run(limitedCtx)
 	if lrep.Points != 2 {
 		t.Fatalf("limited worker completed %d points (err %v), want its 2 executable ones", lrep.Points, lerr)

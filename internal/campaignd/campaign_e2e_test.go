@@ -398,7 +398,7 @@ func TestMultiCampaignFaultInjection(t *testing.T) {
 		t.Fatalf("crasher leased %d points, want 1", len(grant.Points))
 	}
 
-	w := Worker{URL: hs.URL, ID: "survivor", Parallelism: 2}
+	w := Worker{URL: hs.URL, ID: "survivor", Parallelism: 2, putBackoff: time.Millisecond}
 	rep, err := w.Run(ctx)
 	if err != nil {
 		t.Fatal(err)

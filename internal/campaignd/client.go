@@ -33,6 +33,9 @@ const httpTimeout = 30 * time.Second
 // multi-hour simulation whose result is sitting in memory.
 const putAttempts = 3
 
+// putBackoff is the publish retry step: attempt n waits n steps.
+const putBackoff = 250 * time.Millisecond
+
 // RemoteStore resolves and publishes run-store entries over a
 // coordinator's store plane. It implements experiments.ResultStore, so
 // Runner.SetStore gives a remote campaign the same memory -> store ->
@@ -46,6 +49,9 @@ type RemoteStore struct {
 	ctx  context.Context
 
 	hits, misses, writes, bad atomic.Int64
+	// putBackoff overrides the package's publish retry step when
+	// non-zero (a Worker passes its own; tests shorten it).
+	putBackoff time.Duration
 }
 
 // NewRemoteStore builds a client for the coordinator at baseURL (e.g.
@@ -134,7 +140,7 @@ func (rs *RemoteStore) PutCtx(ctx context.Context, k runstore.Key, res *core.Res
 	for attempt := 0; attempt < putAttempts; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-time.After(time.Duration(attempt) * 250 * time.Millisecond):
+			case <-time.After(time.Duration(attempt) * orDefault(rs.putBackoff, putBackoff)):
 			case <-callCtx.Done():
 				return fmt.Errorf("campaignd: publish %s: %w", k.Bench, callCtx.Err())
 			}

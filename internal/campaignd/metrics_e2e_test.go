@@ -65,6 +65,22 @@ func wrapCoordinator(t *testing.T, points []experiments.Point, mutate func(*Serv
 	return srv, hs
 }
 
+// cancelAfterCompletes is wrapCoordinator middleware that calls cancel
+// once the coordinator has answered n POST /v1/complete calls, so a
+// test stops a worker that cannot finish the campaign at a known point
+// instead of after a wall-clock wait.
+func cancelAfterCompletes(n int64, cancel context.CancelFunc) func(http.Handler) http.Handler {
+	var served atomic.Int64
+	return func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			inner.ServeHTTP(w, r)
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/complete" && served.Add(1) == n {
+				cancel()
+			}
+		})
+	}
+}
+
 // TestReleaseFailureRetriedOnce is the regression pin for the silent
 // Release-failure bug: a worker whose mixed-batch Release is rejected
 // by the coordinator must retry it (once, after a backoff) instead of
@@ -78,6 +94,13 @@ func TestReleaseFailureRetriedOnce(t *testing.T) {
 		{Bench: "FT", Cfg: core.DefaultConfig()},
 		{Bench: "FT", Cfg: sharedCfg(8, 16, 2)},
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// The limited worker stops once its forfeit of the quantum point
+	// (its second Complete, after the batch's) has landed.
+	limitedCtx, stopLimited := context.WithTimeout(ctx, 5*time.Second)
+	defer stopLimited()
+	stopAfterForfeit := cancelAfterCompletes(2, stopLimited)
 	var releaseAttempts atomic.Int64
 	srv, hs := wrapCoordinator(t, pts,
 		func(cfg *ServerConfig) {
@@ -87,7 +110,7 @@ func TestReleaseFailureRetriedOnce(t *testing.T) {
 			cfg.TTL = time.Minute
 		},
 		func(inner http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			return stopAfterForfeit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.Method == http.MethodPost && r.URL.Path == "/v1/release" {
 					if releaseAttempts.Add(1) == 1 {
 						http.Error(w, "injected release failure", http.StatusInternalServerError)
@@ -95,16 +118,13 @@ func TestReleaseFailureRetriedOnce(t *testing.T) {
 					}
 				}
 				inner.ServeHTTP(w, r)
-			})
+			}))
 		})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
 
 	limReg := metrics.NewRegistry()
 	limited := Worker{URL: hs.URL, ID: "limited", Parallelism: 2,
-		Metrics: limReg, backendRegistered: lacksQuantum}
-	limitedCtx, stopLimited := context.WithTimeout(ctx, 5*time.Second)
-	defer stopLimited()
+		Metrics: limReg, backendRegistered: lacksQuantum,
+		releaseBackoff: time.Millisecond}
 	lrep, lerr := limited.Run(limitedCtx)
 	if lrep.Points != 2 {
 		t.Fatalf("limited worker completed %d points (err %v), want its 2 executable ones", lrep.Points, lerr)
@@ -290,7 +310,7 @@ func TestHandshakeBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{URL: hs.URL}
+	w := &Worker{URL: hs.URL, handshakeDelay: 5 * time.Millisecond, handshakeBudget: 500 * time.Millisecond}
 	start := time.Now()
 	info, err := w.handshake(context.Background(), client)
 	if err != nil {
@@ -302,10 +322,10 @@ func TestHandshakeBackoff(t *testing.T) {
 	if got := calls.Load(); got != 4 {
 		t.Fatalf("coordinator saw %d probes, want 4 (3 failures + success)", got)
 	}
-	// Three failures back off 50+100+200 ms nominal (with jitter at
-	// most 1.5x each): recovery lands far inside the total budget.
-	if elapsed := time.Since(start); elapsed > handshakeBudget {
-		t.Fatalf("recovery took %v, want well under the %v budget", elapsed, handshakeBudget)
+	// Three failures back off 5+10+20 ms nominal (with jitter at most
+	// 1.5x each): recovery lands far inside the total budget.
+	if elapsed := time.Since(start); elapsed > w.handshakeBudget {
+		t.Fatalf("recovery took %v, want well under the %v budget", elapsed, w.handshakeBudget)
 	}
 
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -321,8 +341,53 @@ func TestHandshakeBackoff(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "coordinator unreachable") {
 		t.Fatalf("dead coordinator handshake error = %v, want unreachable", err)
 	}
-	if elapsed := time.Since(start); elapsed < handshakeBudget || elapsed > 4*handshakeBudget {
-		t.Fatalf("dead coordinator handshake took %v, want about the %v budget", elapsed, handshakeBudget)
+	if elapsed := time.Since(start); elapsed < w.handshakeBudget || elapsed > 4*w.handshakeBudget {
+		t.Fatalf("dead coordinator handshake took %v, want about the %v budget", elapsed, w.handshakeBudget)
+	}
+}
+
+// TestLeaseRetry pins the lease retry: a worker rides out two failed
+// lease calls, pausing its leaseRetry between attempts, and gives up
+// with the last error after three failures in a row.
+func TestLeaseRetry(t *testing.T) {
+	var calls atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) <= 2 {
+			http.Error(w, "coordinator hiccup", http.StatusServiceUnavailable)
+			return
+		}
+		writeJSON(w, LeaseGrant{Lease: "l1", Done: true})
+	}))
+	defer hs.Close()
+	client, err := NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{URL: hs.URL, leaseRetry: time.Millisecond}
+	lr, err := w.lease(context.Background(), client, "w")
+	if err != nil || lr.Lease != "l1" || !lr.Done {
+		t.Fatalf("lease after two failures = %+v, %v; want the served grant", lr, err)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("coordinator saw %d lease calls, want 3 (2 failures + success)", got)
+	}
+
+	var deadCalls atomic.Int64
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		deadCalls.Add(1)
+		http.Error(w, "permanently broken", http.StatusServiceUnavailable)
+	}))
+	defer dead.Close()
+	deadClient, err := NewClient(dead.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.lease(context.Background(), deadClient, "w"); err == nil ||
+		!strings.Contains(err.Error(), "campaignd: lease:") || !strings.Contains(err.Error(), "permanently broken") {
+		t.Fatalf("lease against a dead coordinator: err = %v, want the last failure", err)
+	}
+	if got := deadCalls.Load(); got != 3 {
+		t.Fatalf("dead coordinator saw %d lease calls, want 3 attempts", got)
 	}
 }
 

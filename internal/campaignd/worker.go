@@ -65,6 +65,18 @@ type Worker struct {
 	// registry); nil means experiments.BackendRegistered.
 	backendRegistered func(string) bool
 
+	// The lease plane's waits, each defaulting when zero; tests shorten
+	// them. poll is the pause before leasing again when every point is
+	// leased elsewhere, doubled after a forfeit (default a fifth of the
+	// lease TTL, within [10 ms, 1 s]); releaseBackoff precedes the one
+	// retry of a failed give-back; leaseRetry separates lease attempts;
+	// handshakeDelay is the handshake's first backoff window (it
+	// doubles up to a fifth of handshakeBudget, the handshake's total
+	// retry time); putBackoff is the RemoteStore's publish retry step.
+	poll, releaseBackoff, leaseRetry time.Duration
+	handshakeDelay, handshakeBudget  time.Duration
+	putBackoff                       time.Duration
+
 	// log, id and tr are the per-Run resolved logger, worker identity
 	// and tracer.
 	log *slog.Logger
@@ -125,6 +137,7 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 	if err != nil {
 		return rep, err
 	}
+	store.putBackoff = w.putBackoff
 	id := w.ID
 	if id == "" {
 		host, _ := os.Hostname()
@@ -158,7 +171,7 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 	m := newWorkerMetrics(reg)
 
 	ttl := time.Duration(info.TTLMillis) * time.Millisecond
-	poll := clamp(ttl/5, 10*time.Millisecond, time.Second)
+	poll := orDefault(w.poll, clamp(ttl/5, 10*time.Millisecond, time.Second))
 	defer func() {
 		rep.Simulations = runner.Simulations()
 		rep.Store = store.Stats()
@@ -280,7 +293,7 @@ func (w *Worker) giveBack(ctx context.Context, m *workerMetrics, what, lease str
 	w.log.Warn("worker: queue-returning call failed; retrying once",
 		"worker", w.id, "lease", lease, "call", what, "error", err)
 	select {
-	case <-time.After(releaseBackoff):
+	case <-time.After(orDefault(w.releaseBackoff, releaseBackoff)):
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -444,15 +457,19 @@ func (w *Worker) complete(ctx context.Context, client *Client, lease string, ind
 // the same ~5 s the old fixed 250 ms × 20 schedule allowed.
 const handshakeBudget = 5 * time.Second
 
+// leaseRetry separates lease attempts after a failed call.
+const leaseRetry = 500 * time.Millisecond
+
 // handshake fetches the campaign info, tolerating a coordinator that
 // is still binding its listener. Retries back off exponentially
-// (50 ms doubling to a 1 s cap) with full jitter over the current
-// window, so a fleet of workers launched together neither hammers a
-// slow coordinator nor retries in lockstep.
+// (50 ms doubling to a 1 s cap, a fifth of the budget) with full
+// jitter over the current window, so a fleet of workers launched
+// together neither hammers a slow coordinator nor retries in lockstep.
 func (w *Worker) handshake(ctx context.Context, client *Client) (CampaignInfo, error) {
 	var last error
-	deadline := time.Now().Add(handshakeBudget)
-	for delay := 50 * time.Millisecond; ; {
+	budget := orDefault(w.handshakeBudget, handshakeBudget)
+	deadline := time.Now().Add(budget)
+	for delay := orDefault(w.handshakeDelay, 50*time.Millisecond); ; {
 		info, err := client.Campaign(ctx)
 		if err == nil {
 			return info, nil
@@ -470,8 +487,8 @@ func (w *Worker) handshake(ctx context.Context, client *Client) (CampaignInfo, e
 		case <-ctx.Done():
 			return CampaignInfo{}, ctx.Err()
 		}
-		if delay *= 2; delay > time.Second {
-			delay = time.Second
+		if delay *= 2; delay > budget/5 {
+			delay = budget / 5
 		}
 	}
 	return CampaignInfo{}, fmt.Errorf("campaignd: coordinator unreachable: %w", last)
@@ -485,7 +502,7 @@ func (w *Worker) lease(ctx context.Context, client *Client, id string) (LeaseGra
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-time.After(500 * time.Millisecond):
+			case <-time.After(orDefault(w.leaseRetry, leaseRetry)):
 			case <-ctx.Done():
 				return LeaseGrant{}, ctx.Err()
 			}
@@ -500,6 +517,14 @@ func (w *Worker) lease(ctx context.Context, client *Client, id string) (LeaseGra
 		last = err
 	}
 	return LeaseGrant{}, fmt.Errorf("campaignd: lease: %w", last)
+}
+
+// orDefault returns d, or def when d is zero.
+func orDefault(d, def time.Duration) time.Duration {
+	if d == 0 {
+		return def
+	}
+	return d
 }
 
 func clamp(d, lo, hi time.Duration) time.Duration {

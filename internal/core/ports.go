@@ -71,10 +71,15 @@ type sharedICache struct {
 	// L2 used for fills is the requesting core's own).
 	groupCores []int
 
-	pending   map[uint64]*frontend.LineRequest
-	nextToken uint64
-	mshr      map[uint64]uint64 // line -> cycle its L2/DRAM fill completes
-	arena     *reqArena
+	// slots holds each queued request at the index its bus token
+	// names; free lists the empty slots. A grant empties its slot, so
+	// the table stays as large as the most requests ever queued at
+	// once, orphans of a flush included (they are granted like any
+	// other).
+	slots []*frontend.LineRequest
+	free  []uint64
+	mshr  map[uint64]uint64 // line -> cycle its L2/DRAM fill completes
+	arena *reqArena
 
 	merged uint64 // requests satisfied by an in-flight fill
 }
@@ -91,7 +96,6 @@ func newSharedICache(cfg Config, groupCores []int, mem *memsys.System, arena *re
 		mem:        mem,
 		cacheLat:   cfg.ICacheLatency,
 		groupCores: groupCores,
-		pending:    map[uint64]*frontend.LineRequest{},
 		mshr:       map[uint64]uint64{},
 		arena:      arena,
 	}
@@ -115,9 +119,15 @@ func (p *sharedPort) Request(now uint64, lineAddr uint64) *frontend.LineRequest 
 		SubmitAt: now, Shared: true,
 		BusLatency: s.fabric.Latency(), CacheLatency: s.cacheLat,
 	}
-	tok := s.nextToken
-	s.nextToken++
-	s.pending[tok] = req
+	var tok uint64
+	if n := len(s.free); n > 0 {
+		tok = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slots[tok] = req
+	} else {
+		tok = uint64(len(s.slots))
+		s.slots = append(s.slots, req)
+	}
 	s.fabric.Submit(now, interconnect.Request{
 		Requester: p.local, Addr: lineAddr, Token: tok,
 	})
@@ -130,8 +140,9 @@ func (p *sharedPort) Request(now uint64, lineAddr uint64) *frontend.LineRequest 
 // flight.
 func (s *sharedICache) Tick(now uint64) {
 	for _, g := range s.fabric.Tick(now) {
-		req := s.pending[g.Token]
-		delete(s.pending, g.Token)
+		req := s.slots[g.Token]
+		s.slots[g.Token] = nil
+		s.free = append(s.free, g.Token)
 		req.Granted = true
 		req.GrantAt = g.GrantCycle
 		base := g.GrantCycle + uint64(s.fabric.Latency()+s.cacheLat)

@@ -331,22 +331,30 @@ func errMaxCycles(maxCycles uint64) error {
 // its own state that they change nothing but its instruction queue,
 // commit credits and stall accounting (fold); a runtime-blocked core is
 // parked until another core's sync releases it; a fabric ticks only
-// when it can grant. Time jumps straight to the next cycle some core or
-// fabric must act in. The Result is bit-identical to RunReference's
-// naive loop (see docs/PERFORMANCE.md for the contract and its
-// invariants).
+// when it can grant, which is polled once per step. Time jumps straight
+// to the next cycle some core or fabric must act in. The Result is
+// bit-identical to RunReference's naive loop (see docs/PERFORMANCE.md
+// for the contract and its invariants).
 func (s *Simulator) Run() (*Result, error) {
 	maxCycles, err := s.start()
 	if err != nil {
 		return nil, err
+	}
+	// events[i] is shared cache i's next possible grant, taken at the
+	// end of the last step. Only a core's request submits to a fabric,
+	// and no core ticks between then and this step's grant check, so
+	// events[i] <= now exactly when nextEvent(now) <= now.
+	events := make([]uint64, len(s.shared))
+	for i, sc := range s.shared {
+		events[i] = sc.nextEvent(0)
 	}
 	live, now := len(s.cores), uint64(0)
 	for {
 		if now >= maxCycles {
 			return nil, errMaxCycles(maxCycles)
 		}
-		for _, sc := range s.shared {
-			if sc.nextEvent(now) <= now {
+		for i, sc := range s.shared {
+			if events[i] <= now {
 				sc.Tick(now)
 			}
 		}
@@ -371,8 +379,9 @@ func (s *Simulator) Run() (*Result, error) {
 		for _, c := range s.cores {
 			next = min(next, c.quietUntil)
 		}
-		for _, sc := range s.shared {
-			next = min(next, sc.nextEvent(now+1))
+		for i, sc := range s.shared {
+			events[i] = sc.nextEvent(now + 1)
+			next = min(next, events[i])
 		}
 		// A deadlock (next == never) lands on the cycle bound's error.
 		now = min(next, maxCycles)

@@ -195,6 +195,29 @@ func (p *program) walk(rng *rand.Rand, i int) (trace.Record, int) {
 	return rec, next
 }
 
+// streamSpec configures one randomStream run: the front-end's geometry,
+// the seeds of the block stream and of the port, the port's grant
+// delays and latencies (each request draws one of each; a latency must
+// be at least 1) and the number of cycles.
+type streamSpec struct {
+	lb, ftq               int
+	seed, portSeed        int64
+	grantDelay, latencies []uint64
+	cycles                uint64
+}
+
+// pinnedSpec is the stream testdata/random_stream.golden pins for lb
+// line buffers and FTQ depth ftq.
+func pinnedSpec(lb, ftq int) streamSpec {
+	return streamSpec{
+		lb: lb, ftq: ftq,
+		seed: int64(1000*lb + ftq), portSeed: int64(7*lb + ftq),
+		grantDelay: []uint64{0, 0, 0, 1, 2, 6},
+		latencies:  []uint64{1, 1, 2, 3, 12, 40},
+		cycles:     30_000,
+	}
+}
+
 // randomStream drives one front-end over a seeded block stream for a
 // fixed number of cycles, with requests granted after seeded delays and
 // resolved with mixed latencies, and summarises what it did: every
@@ -203,24 +226,24 @@ func (p *program) walk(rng *rand.Rand, i int) (trace.Record, int) {
 // the next cycle a block could be pushed, and the cycles it plays out
 // are not ticked; the port still advances every cycle. Both drivers
 // must print the same summary. folded counts the cycles not ticked.
-func randomStream(lb, ftq int, stream bool) (summary string, folded uint64) {
-	const cycles = 30_000
+// check, when set, sees the front-end before every Tick.
+func randomStream(spec streamSpec, stream bool, check func(now uint64, fe *FrontEnd)) (summary string, folded uint64) {
 	// scriptPort resolves a grant at cycle g no earlier than g+2.
 	const grantLat = 2
-	rng := rand.New(rand.NewSource(int64(1000*lb + ftq)))
+	rng := rand.New(rand.NewSource(spec.seed))
 	port := &scriptPort{
-		rng:        rand.New(rand.NewSource(int64(7*lb + ftq))),
-		grantDelay: []uint64{0, 0, 0, 1, 2, 6},
-		latencies:  []uint64{1, 1, 2, 3, 12, 40},
+		rng:        rand.New(rand.NewSource(spec.portSeed)),
+		grantDelay: spec.grantDelay,
+		latencies:  spec.latencies,
 	}
-	fe := New(Config{LineBuffers: lb, FTQDepth: ftq, LineBytes: 64, MispredictPenalty: 6},
+	fe := New(Config{LineBuffers: spec.lb, FTQDepth: spec.ftq, LineBytes: 64, MispredictPenalty: 6},
 		port, branch.NewDefault())
 	be := backend.New(24, 1500)
 	prog := newProgram(rng, 96)
 
 	rec, next := prog.walk(rng, 0)
 	resume := uint64(0)
-	for now := uint64(0); now < cycles; now++ {
+	for now := uint64(0); now < spec.cycles; now++ {
 		port.tick(now)
 		if now < resume {
 			folded++
@@ -230,10 +253,13 @@ func randomStream(lb, ftq int, stream bool) (summary string, folded uint64) {
 			fe.PushBlock(now, rec)
 			rec, next = prog.walk(rng, next)
 		}
+		if check != nil {
+			check(now, fe)
+		}
 		fe.Tick(now, be)
 		be.Tick(fe.BlockReason(now))
 		if stream {
-			resume, _ = fe.Stream(now, min(fe.AcceptFrom(), cycles), grantLat, be)
+			resume, _ = fe.Stream(now, min(fe.AcceptFrom(), spec.cycles), grantLat, be)
 		}
 	}
 	h := sha256.New()
@@ -245,7 +271,7 @@ func randomStream(lb, ftq int, stream bool) (summary string, folded uint64) {
 		}
 	}
 	summary = fmt.Sprintf("lb=%d ftq=%d requests=%d stats=%+v stack=%+v sha256=%s",
-		lb, ftq, len(port.log), fe.Stats(), be.Stack(), hex.EncodeToString(h.Sum(nil))[:32])
+		spec.lb, spec.ftq, len(port.log), fe.Stats(), be.Stack(), hex.EncodeToString(h.Sum(nil))[:32])
 	return summary, folded
 }
 
@@ -263,7 +289,7 @@ func TestRandomStreamPinned(t *testing.T) {
 		var folded uint64
 		for _, lb := range []int{1, 2, 4, 8} {
 			for _, ftq := range []int{2, 8} {
-				line, n := randomStream(lb, ftq, stream)
+				line, n := randomStream(pinnedSpec(lb, ftq), stream, nil)
 				got = append(got, line)
 				folded += n
 			}
@@ -284,6 +310,111 @@ func TestRandomStreamPinned(t *testing.T) {
 			t.Errorf("golden has %d streams, test ran %d", len(want), len(got))
 		}
 	}
+}
+
+// failPort fails the test on any request: a blocked walk must not
+// issue one.
+type failPort struct{ t testing.TB }
+
+func (p failPort) Request(now uint64, lineAddr uint64) *LineRequest {
+	p.t.Fatalf("cycle %d: a skipped walk would have requested line %#x", now, lineAddr)
+	return nil
+}
+
+// clone copies f deeply, pending requests included, with its requests
+// going to port. The predictor is shared: nothing a walk does reads it.
+func (f *FrontEnd) clone(port ICachePort) *FrontEnd {
+	c := *f
+	c.port = port
+	c.ftq = slices.Clone(f.ftq)
+	c.bufs = slices.Clone(f.bufs)
+	for i := range c.bufs {
+		if r := c.bufs[i].pending; r != nil {
+			cp := *r
+			c.bufs[i].pending = &cp
+		}
+	}
+	return &c
+}
+
+// skipChecker returns a randomStream check that proves every skipped
+// walk sound. Before each Tick it replays, on a deep copy of the
+// front-end, what Tick does up to issue's blocked check (latch the
+// ready fills, protect the head). If issue is going to skip its walk,
+// it forces the walk on the copy, whose port fails the test on any
+// request: the walk must fail at the recorded entry, counting nothing
+// and moving no cursor. skips counts the skipped walks checked.
+func skipChecker(t testing.TB, skips *int) func(now uint64, fe *FrontEnd) {
+	return func(now uint64, fe *FrontEnd) {
+		sh := fe.clone(failPort{t})
+		sh.latch(now)
+		sh.protectHead()
+		if !sh.blocked() {
+			return
+		}
+		*skips++
+		at, stats, gen := sh.blockedAt, sh.stats, sh.gen
+		if got := sh.walk(now); got != at {
+			t.Fatalf("cycle %d: skipped walk would fail at entry %d, not the recorded %d", now, got, at)
+		}
+		if sh.stats != stats || sh.gen != gen {
+			t.Fatalf("cycle %d: skipped walk would change the front-end (stats %+v -> %+v, gen %d -> %d)",
+				now, stats, sh.stats, gen, sh.gen)
+		}
+	}
+}
+
+// TestBlockedIssueSound checks every skipped walk of the pinned random
+// streams, ticked every cycle and folded through Stream. Run and
+// RunReference share FrontEnd.Tick, so their differential cannot see
+// an unsound skip; this shadow walk can.
+func TestBlockedIssueSound(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		total := 0
+		for _, lb := range []int{1, 2, 4, 8} {
+			for _, ftq := range []int{2, 8} {
+				skips := 0
+				randomStream(pinnedSpec(lb, ftq), stream, skipChecker(t, &skips))
+				if lb < 8 && skips == 0 {
+					t.Errorf("stream=%v lb=%d ftq=%d: no walk was skipped, nothing was checked", stream, lb, ftq)
+				}
+				total += skips
+			}
+		}
+		t.Logf("stream=%v: %d skipped walks checked", stream, total)
+	}
+}
+
+// FuzzBlockedIssueSound runs the shadow-walk check of
+// TestBlockedIssueSound over fuzzed line-buffer counts, FTQ depths,
+// port grant delays and latencies and seeds, and requires the ticked
+// and the folded driver to print the same summary.
+func FuzzBlockedIssueSound(f *testing.F) {
+	f.Add(uint8(4), uint8(8), []byte{0, 0, 0, 1, 2, 6}, []byte{1, 1, 2, 3, 12, 40}, int64(1))
+	f.Add(uint8(1), uint8(2), []byte{0}, []byte{1}, int64(2))
+	f.Add(uint8(2), uint8(12), []byte{9, 0}, []byte{60, 1, 5}, int64(3))
+	f.Fuzz(func(t *testing.T, lb, ftq uint8, delays, lats []byte, seed int64) {
+		spec := streamSpec{
+			lb: 1 + int(lb%8), ftq: 1 + int(ftq%12),
+			seed: seed, portSeed: seed ^ 0x5eed,
+			cycles: 4_000,
+		}
+		for _, d := range delays[:min(len(delays), 8)] {
+			spec.grantDelay = append(spec.grantDelay, uint64(d%16))
+		}
+		for _, l := range lats[:min(len(lats), 8)] {
+			spec.latencies = append(spec.latencies, 1+uint64(l%64))
+		}
+		if len(spec.grantDelay) == 0 || len(spec.latencies) == 0 {
+			t.Skip("the port needs a grant delay and a latency to draw")
+		}
+		skips := 0
+		ticked, _ := randomStream(spec, false, skipChecker(t, &skips))
+		folded, _ := randomStream(spec, true, skipChecker(t, &skips))
+		if ticked != folded {
+			t.Fatalf("the folded driver diverges from the ticked one\nticked: %s\nfolded: %s", ticked, folded)
+		}
+	})
 }
 
 func readLines(path string) ([]string, error) {

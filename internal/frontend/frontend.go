@@ -104,12 +104,19 @@ type FrontEnd struct {
 	// or which buffer holds the head line: a fill latch, a Request, an
 	// issue-cursor advance or rewind, a delivery that crosses a line or
 	// pops, a flush, a push into an empty FTQ, and a change in which
-	// buffer deliver marked in use. A blocked cycle then costs O(1):
-	// see docs/PERFORMANCE.md, "Fetch-blocked cycles".
+	// buffer deliver marked in use. It keys the headBuffer cache.
 	gen uint64
-	// blockedGen is the generation at which issue's last allocation
-	// failed; an issue at that generation would fail again.
-	blockedGen uint64
+	// wake is bumped by the subset of gen's mutations that can let a
+	// failed allocation succeed: every one but a head line-cross, a
+	// fill latch of a buffer the blocked walk could not take, and a pop
+	// that leaves the blocked entry behind the head. A blocked cycle
+	// then costs O(1): see docs/PERFORMANCE.md, "Fetch-blocked cycles".
+	wake uint64
+	// blockedWake is the wake count at which issue's last allocation
+	// failed, and blockedAt the FTQ index of the entry it failed for;
+	// while wake == blockedWake, a walk would fail there again.
+	blockedWake uint64
+	blockedAt   int
 	// headBuf is findBuffer of the head block's current line, valid
 	// while headGen == gen.
 	headGen uint64
@@ -133,7 +140,8 @@ func New(cfg Config, port ICachePort, pred *branch.Predictor) *FrontEnd {
 		pred:     pred,
 		bufs:     make([]lineBuffer, cfg.LineBuffers),
 		lineMask: ^uint64(cfg.LineBytes - 1),
-		gen:      1, // blockedGen and headGen start out stale
+		gen:      1, // headGen starts out stale
+		wake:     1, // and so does blockedWake
 		marked:   -1,
 	}
 }
@@ -156,7 +164,7 @@ func (f *FrontEnd) PushBlock(now uint64, rec trace.Record) {
 		panic("frontend: PushBlock without CanAccept")
 	}
 	if len(f.ftq) == 0 {
-		f.gen++ // a new head line
+		f.bump() // a new head line
 	}
 	// A push behind an existing head changes nothing issue can reach: a
 	// blocked issue returns before the new tail entry, and an entry with
@@ -182,13 +190,24 @@ func (f *FrontEnd) PushBlock(now uint64, rec trace.Record) {
 // survive, as their data lives in registers that a redirect does not
 // scrub.
 func (f *FrontEnd) flush() {
-	f.gen++
+	f.bump()
 	for i := range f.bufs {
 		if f.bufs[i].pending != nil {
 			f.bufs[i] = lineBuffer{}
 		}
 	}
 }
+
+// bump records a mutation that can change both which buffer holds the
+// head line and whether a blocked issue can now allocate.
+func (f *FrontEnd) bump() {
+	f.gen++
+	f.wake++
+}
+
+// blocked reports whether issue's last allocation failed and nothing
+// since could let it succeed: a walk now would fail at blockedAt.
+func (f *FrontEnd) blocked() bool { return f.blockedWake == f.wake }
 
 // findBuffer returns the buffer index holding lineAddr (valid or
 // pending), or -1.
@@ -278,41 +297,73 @@ func (f *FrontEnd) allocBuffer(forEntry int) int {
 // FTQ head into the back-end queue (at most one line's worth per
 // cycle, the fetch bandwidth of Table I).
 func (f *FrontEnd) Tick(now uint64, be *backend.Backend) {
-	// Fill stage: latch completed requests.
+	f.latch(now)
+	f.issue(now)
+	f.deliver(now, be)
+}
+
+// latch is the fill stage: it latches completed requests.
+func (f *FrontEnd) latch(now uint64) {
 	for i := range f.bufs {
 		b := &f.bufs[i]
 		if b.pending != nil && b.pending.Ready(now) {
 			b.valid = true
 			b.pending = nil
 			f.gen++
+			// A buffer the blocked walk could not take stays
+			// untakeable until some other mutation bumps wake.
+			if !f.blocked() || f.evictable(b.lineAddr) {
+				f.wake++
+			}
 		}
 	}
-
-	f.issue(now)
-	f.deliver(now, be)
 }
 
-// issue walks the FTQ in order and requests the first line that is not
-// yet covered by a line buffer (one request per cycle, one outstanding
-// request per buffer).
+// evictable reports whether a valid, unmarked buffer holding lineAddr
+// could be allocBuffer's choice for the blocked entry: its line is not
+// live, or the blocked entry is the head and may take the last resort,
+// a line owned by a younger entry.
+func (f *FrontEnd) evictable(lineAddr uint64) bool {
+	owner, live := f.liveOwner(lineAddr)
+	return !live || f.blockedAt == 0 && owner > 0
+}
+
+// issue requests the first line of the FTQ that is not yet covered by
+// a line buffer (one request per cycle, one outstanding request per
+// buffer).
 func (f *FrontEnd) issue(now uint64) {
-	// Protect the line the head block is consuming (or about to): it
-	// must not be evicted by requests for younger blocks, and if it
-	// already was, rewind the issue cursor so it is fetched again.
-	if len(f.ftq) > 0 {
-		e := &f.ftq[0]
-		if j := f.headBuffer(); j >= 0 {
-			f.bufs[j].inUse = true
-		} else if e.needIssued > e.consumed {
-			e.needIssued = e.consumed
-			f.gen++
-		}
-	}
-	if f.blockedGen == f.gen {
-		// Nothing changed since allocation last failed: the walk would
-		// reach the same line and fail again, counting nothing.
+	f.protectHead()
+	if f.blocked() {
+		// Nothing that could free a buffer happened since allocation
+		// last failed: the walk would reach the same line and fail
+		// again, counting nothing.
 		return
 	}
+	f.walk(now)
+}
+
+// protectHead protects the line the head block is consuming (or is
+// about to): it must not be evicted by requests for younger blocks, and
+// if it already was, the head's issue cursor is rewound so it is
+// fetched again.
+func (f *FrontEnd) protectHead() {
+	if len(f.ftq) == 0 {
+		return
+	}
+	e := &f.ftq[0]
+	if j := f.headBuffer(); j >= 0 {
+		f.bufs[j].inUse = true
+	} else if e.needIssued > e.consumed {
+		e.needIssued = e.consumed
+		f.bump()
+	}
+}
+
+// walk goes through the FTQ in order, moving each issue cursor past
+// lines a buffer already holds, and requests the first line none does.
+// It returns the FTQ index whose allocation failed, or -1 when it
+// requested a line or found nothing left to issue.
+func (f *FrontEnd) walk(now uint64) int {
 	for i := range f.ftq {
 		e := &f.ftq[i]
 		for e.needIssued < e.length {
@@ -321,28 +372,30 @@ func (f *FrontEnd) issue(now uint64) {
 			if j := f.findBuffer(line); j >= 0 {
 				f.bufs[j].lastUse = now
 				e.needIssued = f.advanceToNextLine(e, e.needIssued, line)
-				f.gen++
+				f.bump()
 				continue
 			}
 			j := f.allocBuffer(i)
 			if j < 0 {
-				// All buffers busy: retry next cycle. Un-count the
-				// need so the retry is not double-counted.
+				// All buffers busy: retry once something could free
+				// one. Un-count the need so the retry is not
+				// double-counted.
 				f.stats.LineNeeds--
-				f.blockedGen = f.gen
-				return
+				f.blockedWake, f.blockedAt = f.wake, i
+				return i
 			}
 			b := &f.bufs[j]
 			b.lineAddr = line
 			b.valid = false
 			b.lastUse = now
 			b.pending = f.port.Request(now, line)
-			f.gen++
+			f.bump()
 			f.stats.CacheFetches++
 			e.needIssued = f.advanceToNextLine(e, e.needIssued, line)
-			return // one request per cycle
+			return -1 // one request per cycle
 		}
 	}
+	return -1
 }
 
 // advanceToNextLine moves the issue cursor past the portion of the
@@ -375,7 +428,7 @@ func (f *FrontEnd) deliver(now uint64, be *backend.Backend) {
 		// may have freed a buffer (after a pop, the old head's) while
 		// keeping or moving the head's own mark.
 		f.marked = j
-		f.gen++
+		f.bump()
 	}
 	if j < 0 {
 		return
@@ -403,8 +456,19 @@ func (f *FrontEnd) deliver(now uint64, be *backend.Backend) {
 		copy(f.ftq, f.ftq[1:])
 		f.ftq = f.ftq[:len(f.ftq)-1]
 		f.gen++
+		// Only a blocked entry that is now the head gains a way to
+		// allocate (the last resort); the old head's line leaves the
+		// live set, but its buffer stays marked until a mark change
+		// bumps wake.
+		if f.blockedAt <= 1 {
+			f.wake++
+		}
+		f.blockedAt--
 	} else if (e.addr+uint64(e.consumed))&f.lineMask != line {
-		f.gen++ // the head moved on to its next line
+		// The head moved on to its next line. The old line may leave
+		// the live set, but its buffer stays marked until the next
+		// deliver moves the mark, which bumps wake.
+		f.gen++
 	}
 }
 
@@ -473,10 +537,9 @@ func (f *FrontEnd) Empty() bool { return len(f.ftq) == 0 }
 // instructions committed over [now+1, next). next is now+1 when no
 // cycle is quiet, and never exceeds bound unless bound <= now+1.
 //
-// A cycle is quiet when issue would do nothing (its last allocation
-// failed at the current generation, or no FTQ entry has unissued
-// bytes), no head rewind is due, no fill latches, and the front-end is
-// in one of two states:
+// A cycle is quiet when issue would do nothing (it is blocked, or no
+// FTQ entry has unissued bytes), no head rewind is due, no fill
+// latches, and the front-end is in one of two states:
 //
 //   - streaming: the head line is valid in the buffer deliver last
 //     marked, and this cycle's delivery does not finish that line;
@@ -545,10 +608,9 @@ func (f *FrontEnd) Stream(now, bound, grantLat uint64, be *backend.Backend) (nex
 }
 
 // issueIdle reports whether issue does nothing beyond re-marking the
-// head's buffer: its last allocation failed at the current generation,
-// or no FTQ entry has unissued bytes.
+// head's buffer: it is blocked, or no FTQ entry has unissued bytes.
 func (f *FrontEnd) issueIdle() bool {
-	if f.blockedGen == f.gen {
+	if f.blocked() {
 		return true
 	}
 	for i := range f.ftq {
