@@ -20,12 +20,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
-	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 	"sharedicache/internal/synth"
 	"sharedicache/internal/trace"
@@ -39,7 +37,7 @@ type cliFlags struct {
 	// -seed, -cold, -backend) under this driver's defaults and help.
 	sf                     sweep.Flags
 	out                    sweep.OutputConfig
-	org, traces, store     string
+	org, traces            string
 	cpc, icache, lb, buses int
 	list                   bool
 }
@@ -57,19 +55,14 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	fs.Uint64Var(&f.sf.Seed, "seed", 1, "workload synthesis seed")
 	fs.BoolVar(&f.sf.Cold, "cold", false, "start with cold caches instead of steady state")
 	fs.StringVar(&f.traces, "traces", "", "directory of <bench>.tNN.trace files from cmd/tracegen (replaces synthesis)")
-	fs.StringVar(&f.store, "store", "", "persistent run-store directory (synthesised runs only)")
+	fs.StringVar(&f.out.Store, "store", "", "persistent run-store directory (synthesised runs only)")
 	fs.StringVar(&f.sf.Backend, "backend", "", "simulation backend: detailed (default) or analytical (synthesised runs only)")
 	f.out.RegisterTraceFlag(fs)
 	fs.BoolVar(&f.list, "listbench", false, "list benchmark names and exit")
 	return f
 }
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	stop()
-	os.Exit(sweep.ExitCode("acmpsim", err, os.Stderr))
-}
+func main() { sweep.Main("acmpsim", run) }
 
 // run is the whole driver: it parses args, simulates the one point and
 // prints its report to stdout.
@@ -79,6 +72,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	f := registerFlags(fs)
 	if err := sweep.ParseFlags(fs, args); err != nil {
 		return err
+	}
+
+	if f.traces != "" {
+		switch {
+		case f.sf.Backend != "":
+			return errors.New("-backend applies to synthesised runs only; trace replay is always cycle-level")
+		case f.out.Store != "":
+			return errors.New("-store applies to synthesised runs only; trace replay bypasses the run store")
+		}
 	}
 
 	// -trace: spans come from the experiments engine on the synthesised
@@ -135,14 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if err != nil {
 			return err
 		}
-		runner.SetTracer(out.Tracer)
-		if f.store != "" {
-			st, err := runstore.Open(f.store)
-			if err != nil {
-				return err
-			}
-			runner.SetStore(st)
-		}
+		out.Attach(runner)
 		results, err := runner.RunAll(ctx, experiments.Point{Bench: f.sf.Bench, Cfg: cfg})
 		if err != nil {
 			return err
@@ -151,12 +146,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return nil
 	}
 
-	switch {
-	case f.sf.Backend != "":
-		return errors.New("-backend applies to synthesised runs only; trace replay is always cycle-level")
-	case f.store != "":
-		return errors.New("-store applies to synthesised runs only; trace replay bypasses the run store")
-	}
 	w, err := synth.New(p, synth.Config{Workers: f.sf.Workers, MasterInstructions: f.sf.N, Seed: f.sf.Seed})
 	if err != nil {
 		return err

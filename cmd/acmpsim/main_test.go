@@ -34,3 +34,28 @@ func TestReplayRejectsStore(t *testing.T) {
 		t.Errorf("stdout not empty:\n%s", stdout.Bytes())
 	}
 }
+
+// TestStoreLogsBadEntry: a corrupted -store entry is a miss that the
+// run logs on stderr, and the point simulates again to the same
+// report.
+func TestStoreLogsBadEntry(t *testing.T) {
+	store := t.TempDir()
+	args := []string{"-bench", "FT", "-n", "20000", "-store", store}
+	var cold, warm, stderr bytes.Buffer
+	if err := run(context.Background(), args, &cold, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.Bytes())
+	}
+	if n := clitest.CorruptStore(t, store); n != 1 {
+		t.Fatalf("store holds %d entries, want 1", n)
+	}
+	stderr.Reset()
+	if err := run(context.Background(), args, &warm, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), clitest.UntrustedEntryLogged) {
+		t.Errorf("stderr lacks %q:\n%s", clitest.UntrustedEntryLogged, stderr.Bytes())
+	}
+	if warm.String() != cold.String() {
+		t.Errorf("report over a corrupted store differs:\ncold:\n%s\nwarm:\n%s", cold.Bytes(), warm.Bytes())
+	}
+}

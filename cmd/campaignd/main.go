@@ -46,20 +46,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"time"
 
 	"sharedicache/internal/campaignd"
 	"sharedicache/internal/experiments"
-	"sharedicache/internal/metrics"
 	"sharedicache/internal/refine"
-	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
-	"sharedicache/internal/tracing"
 )
 
 // cliFlags is cmd/campaignd's full flag set; registerFlags declares
@@ -68,11 +62,11 @@ type cliFlags struct {
 	sf *sweep.Flags
 	rf *refine.Flags
 
-	out            sweep.OutputConfig
-	addr, storeDir string
-	ttl, grace     time.Duration
-	batch          int
-	serve, pprof   bool
+	out        sweep.OutputConfig
+	addr       string
+	ttl, grace time.Duration
+	batch      int
+	serve      bool
 }
 
 // registerFlags declares every cmd/campaignd flag on fs. The
@@ -82,23 +76,18 @@ type cliFlags struct {
 func registerFlags(fs *flag.FlagSet) *cliFlags {
 	f := &cliFlags{sf: sweep.RegisterFlags(fs), rf: refine.RegisterFlags(fs)}
 	fs.StringVar(&f.addr, "addr", ":8417", "listen address for the store and dispatch planes")
-	fs.StringVar(&f.storeDir, "store", "", "run-store directory backing the store plane (required)")
+	fs.StringVar(&f.out.Store, "store", "", "run-store directory backing the store plane (required)")
 	fs.BoolVar(&f.serve, "serve", false, "persistent service mode: enqueue no campaign from the flags and accept campaigns over POST /v1/campaign until interrupted (design-space flags are ignored)")
 	fs.DurationVar(&f.ttl, "ttl", campaignd.DefaultTTL, "lease TTL; a worker missing heartbeats this long forfeits its batch")
 	fs.IntVar(&f.batch, "lease-batch", 0, "max design points per lease; 0 derives the batch from the observed mean point latency")
 	fs.DurationVar(&f.grace, "grace", 2*time.Second, "keep serving this long after completion so polling workers see the campaign finish")
 	fs.StringVar(&f.out.Trace, "trace", "", "write the merged Chrome trace-event JSON span timeline to this file at exit (also served at GET /v1/trace)")
 	fs.StringVar(&f.out.Report, "report", "", "collect the workers' per-point simulation telemetry, serve it at GET /v1/simstatsz, and write it as JSON to this file at exit")
-	fs.BoolVar(&f.pprof, "pprof", false, "also serve net/http/pprof under /debug/pprof/ on -addr")
+	fs.BoolVar(&f.out.Pprof, "pprof", false, "also serve net/http/pprof under /debug/pprof/ on -addr")
 	return f
 }
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	stop()
-	os.Exit(sweep.ExitCode("campaignd", err, os.Stderr))
-}
+func main() { sweep.Main("campaignd", run) }
 
 // run is the whole driver: it parses args, serves until the flags'
 // campaign completes (or, with -serve, until ctx is cancelled), and
@@ -111,57 +100,40 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 	switch {
-	case cf.storeDir == "":
+	case cf.out.Store == "":
 		return errors.New("-store is required (it backs the store plane)")
 	case cf.serve && cf.rf.Enabled():
 		return errors.New("-serve accepts campaigns over the API; drop -refine")
-	case cf.rf.Enabled() && cf.sf.Backend != "":
-		return errors.New("-refine assigns backends per phase; drop -backend")
 	}
 	opts, err := cf.sf.Options()
 	if err != nil {
 		return err
 	}
-	runner, err := experiments.NewRunner(opts)
-	if err != nil {
-		return err
-	}
-	// Structured coordinator logging: slog for progress and store
-	// warnings; the campaign accounting lines the smoke tests pin stay
-	// plain Fprintf below.
-	logger := slog.New(slog.NewTextHandler(stderr, nil))
-	store, err := runstore.Open(cf.storeDir)
-	if err != nil {
-		return err
-	}
-	store.SetLogger(logger)
-	runner.SetStore(store)
-	// One registry for the whole process, created before any refine prep
-	// so the calibration and triage simulations are on it too; the server
-	// serves it at GET /metrics next to /v1/statsz. Runtime gauges
-	// (goroutines, heap, GC pauses) ride along.
-	reg := metrics.NewRegistry()
-	metrics.RegisterRuntime(reg)
-	runner.SetMetrics(reg)
-	// -trace records a span timeline; the same buffer, merged with the
-	// spans workers send, serves GET /v1/trace. -report aggregates the
+	// The runtime opens the store, builds the one registry every
+	// instrument lands on (served at GET /metrics next to /v1/statsz)
+	// and, before any refine prep, gives the runner both, so the
+	// calibration and triage simulations are on them too. -trace
+	// records a span timeline; the same buffer, merged with the spans
+	// workers send, serves GET /v1/trace. -report aggregates the
 	// reports the server builds from each campaign point's stored entry
-	// and backs GET /v1/simstatsz; any simulations the coordinator itself
-	// runs (refine prep's calibration and triage) report into the same
-	// collector.
-	// The tracer's process is "coordinator", the pid the Chrome-trace
-	// exporter pins first.
+	// and backs GET /v1/simstatsz; simulations the coordinator itself
+	// runs (refine prep) report into the same collector. The tracer's
+	// process is "coordinator", the pid the Chrome-trace exporter pins
+	// first.
 	cf.out.Process = "coordinator"
 	out, err := sweep.StartOutputs("campaignd", cf.out, stderr)
 	if err != nil {
 		return err
 	}
 	defer func() { err = errors.Join(err, out.Close()) }()
-	runner.SetTracer(out.Tracer)
-	runner.SetReporter(out.Reporter)
+	runner, err := experiments.NewRunner(opts)
+	if err != nil {
+		return err
+	}
+	out.Attach(runner)
 	srv, err := campaignd.New(campaignd.ServerConfig{
-		Runner: runner, Store: store,
-		TTL: cf.ttl, Batch: cf.batch, Metrics: reg, Tracer: out.Tracer,
+		Runner: runner, Store: out.Local,
+		TTL: cf.ttl, Batch: cf.batch, Metrics: out.Registry, Tracer: out.Tracer,
 		Reports: out.Reporter,
 	})
 	if err != nil {
@@ -169,15 +141,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	// Enqueue the flags' campaign before listening, so the snapshot
-	// below already counts what enqueueing resolved locally. Under
-	// -serve no campaign exists yet; workers that join then keep
+	// below already counts what enqueueing resolved locally: the plain
+	// sweep, or with -refine the mixed plan whose calibration and
+	// triage ran here (the cheap phases, whose results land in the
+	// store, so workers lease only the frontier's detailed points).
+	// Under -serve no campaign exists yet; workers that join then keep
 	// polling until one is submitted.
 	var (
-		id  int
-		ref *refine.Result
+		id      int
+		refined bool
 	)
 	if !cf.serve {
-		if id, ref, err = enqueueFlags(ctx, cf, srv, runner, out.Tracer, stderr); err != nil {
+		c, err := cf.rf.Campaign(ctx, cf.sf, runner, stderr)
+		if err != nil {
+			return err
+		}
+		name := "campaignd"
+		if refined = c.Refine != nil; refined {
+			name += "-refine"
+		}
+		if id, err = srv.Enqueue(name, c.Plan.Points(), c.Rows, c.Shape); err != nil {
 			return err
 		}
 	}
@@ -189,14 +172,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err != nil {
 		return err
 	}
-	handler := srv.Handler()
-	if cf.pprof {
-		mux := http.NewServeMux()
-		metrics.RegisterPprof(mux)
-		mux.Handle("/", handler)
-		handler = mux
-	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: out.Handler(srv.Handler())}
 	go httpSrv.Serve(ln)
 	// Registered after out.Close, so it runs first: the exit-time files
 	// are written once the listener has drained, with the worker spans
@@ -210,9 +186,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if cf.batch == 0 {
 		batchDesc = "adaptive batch"
 	}
-	logger.Info("campaignd: serving",
+	out.Logger.Info("campaignd: serving",
 		"addr", ln.Addr().String(), "points", pre.Dispatch.Points, "in_store", pre.Dispatch.Done,
-		"ttl", cf.ttl, "batch", batchDesc, "pprof", cf.pprof, "trace", cf.out.Trace != "", "report", cf.out.Report != "")
+		"ttl", cf.ttl, "batch", batchDesc, "pprof", cf.out.Pprof, "trace", cf.out.Trace != "", "report", cf.out.Report != "")
 
 	if cf.serve {
 		// The service runs until interrupted, then reports its whole
@@ -234,7 +210,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		fmt.Fprintf(stderr, "campaignd: campaign complete: points=%d writes=%d duplicates=%d expired_leases=%d\n",
 			st.Dispatch.Points, writes,
 			max(0, writes-int64(st.Dispatch.Points-pre.Dispatch.Done)), st.Dispatch.ExpiredLeases)
-		if ref != nil {
+		if refined {
 			by := runner.BackendRuns()
 			fmt.Fprintf(stderr, "campaignd: refine: coordinator ran %d detailed simulations (calibration), %d analytical (triage); workers ran the frontier\n",
 				by["detailed"], by["analytical"])
@@ -249,40 +225,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	return nil
-}
-
-// enqueueFlags enqueues the campaign the flags describe: the plain
-// design-space sweep, or with -refine the auto-refine mixed plan.
-// Refine prep runs calibration and analytical triage locally (they
-// are the cheap phases, and their results land in the store, so the
-// enqueue marks them done); what workers lease is the frontier's
-// detailed points. The CSV shape mirrors cmd/sweep: an explicit
-// -backend adds the backend column, and -refine the phase and backend
-// columns with the calibration applied to triage rows.
-func enqueueFlags(ctx context.Context, cf *cliFlags, srv *campaignd.Server, runner *experiments.Runner,
-	tracer *tracing.Tracer, stderr io.Writer) (int, *refine.Result, error) {
-	space, err := cf.sf.Space()
-	if err != nil {
-		return 0, nil, err
-	}
-	if !cf.rf.Enabled() {
-		plan, rows := space.Build(runner)
-		id, err := srv.Enqueue("campaignd", plan.Points(), rows, campaignd.CSVShape{Backend: cf.sf.Backend != ""})
-		return id, nil, err
-	}
-	sel, err := cf.rf.Selector()
-	if err != nil {
-		return 0, nil, err
-	}
-	ref, err := refine.Prepare(ctx, refine.Config{
-		Space: space, Runner: runner,
-		Selector: sel, GoldenMax: cf.rf.Golden, Log: stderr,
-		Tracer: tracer,
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	id, err := srv.Enqueue("campaignd-refine", ref.Plan.Points(), ref.Rows,
-		campaignd.CSVShape{Backend: true, Phase: true, Adjust: ref.Adjust})
-	return id, ref, err
 }

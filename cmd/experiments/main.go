@@ -12,8 +12,8 @@
 // goroutines (default: all cores); Ctrl-C aborts the remaining design
 // points cleanly. With -store DIR results persist across invocations
 // in an on-disk run store, so regenerating a figure against a warm
-// store simulates nothing. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// store simulates nothing. The paper-vs-measured record is in
+// ROADMAP.md until its EXPERIMENTS.md ledger lands.
 //
 // The §II workload characterisation (Figures 2-4) walks synthetic
 // traces without cycle simulation, over max(-n, 2M) master
@@ -29,13 +29,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strings"
 	"time"
 
 	"sharedicache/internal/experiments"
-	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 	"sharedicache/internal/tracing"
 )
@@ -43,11 +40,11 @@ import (
 // cliFlags is cmd/experiments' full flag set; registerFlags declares
 // it so the usage golden test can pin the -h output run parses.
 type cliFlags struct {
-	fig, bench, backend, format, store, storeop string
-	out                                         sweep.OutputConfig
-	n, seed                                     uint64
-	workers, par, chart                         int
-	cold, stream, list                          bool
+	fig, bench, backend, format, storeop string
+	out                                  sweep.OutputConfig
+	n, seed                              uint64
+	workers, par, chart                  int
+	cold, stream, list                   bool
 }
 
 func registerFlags(fs *flag.FlagSet) *cliFlags {
@@ -62,7 +59,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&f.backend, "backend", "", "simulation backend: detailed (default) or analytical")
 	fs.StringVar(&f.format, "format", "text", "output format: text, csv, json")
 	fs.IntVar(&f.chart, "chart", -1, "also render column N (0-based) as an ASCII bar chart")
-	fs.StringVar(&f.store, "store", "", "persistent run-store directory (second cache tier)")
+	fs.StringVar(&f.out.Store, "store", "", "persistent run-store directory (second cache tier)")
 	fs.StringVar(&f.storeop, "storeop", "", "run-store maintenance: 'index' or 'gc', then exit")
 	fs.BoolVar(&f.stream, "stream", true, "render supporting figures row-by-row as points complete (text format)")
 	fs.BoolVar(&f.list, "list", false, "list experiment ids and exit")
@@ -70,12 +67,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	return f
 }
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	stop()
-	os.Exit(sweep.ExitCode("experiments", err, os.Stderr))
-}
+func main() { sweep.Main("experiments", run) }
 
 // run is the whole driver: it parses args, renders the selected
 // figures to stdout and writes progress and cache accounting to stderr.
@@ -92,10 +84,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("unknown format %q (text, csv, json)", f.format)
 	}
 
-	// Whole-run pprof captures (docs/PERFORMANCE.md has the recipe), the
-	// -trace timeline (one parent span per figure, point/store spans
-	// nested under it by the runner) and the -report collection (one
-	// microarchitectural report per executed or store-replayed point).
+	// The runtime: the -store run store, whole-run pprof captures
+	// (docs/PERFORMANCE.md has the recipe), the -trace timeline (one
+	// parent span per figure, point/store spans nested under it by the
+	// runner) and the -report collection (one microarchitectural report
+	// per executed or store-replayed point).
 	out, err := sweep.StartOutputs("experiments", f.out, stderr)
 	if err != nil {
 		return err
@@ -125,20 +118,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err != nil {
 		return err
 	}
-	runner.SetTracer(out.Tracer)
-	runner.SetReporter(out.Reporter)
-	var st *runstore.Store
-	if f.store != "" {
-		if st, err = runstore.Open(f.store); err != nil {
-			return err
-		}
-		runner.SetStore(st)
-	}
+	out.Attach(runner)
 	if f.storeop != "" {
-		if st == nil {
+		if out.Local == nil {
 			return errors.New("-storeop requires -store")
 		}
-		return sweep.Maint(st, f.storeop, "experiments", stdout, stderr)
+		return sweep.Maint(out.Local, f.storeop, "experiments", stdout, stderr)
 	}
 
 	var selected []experiments.Experiment
@@ -213,8 +198,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		fmt.Fprintf(stderr, "backend %s: %d simulated (detailed %d)\n",
 			f.backend, runner.Simulations(), by["detailed"])
 	}
-	if st != nil {
-		s := st.Stats()
+	if out.Local != nil {
+		s := out.Local.Stats()
 		fmt.Fprintf(stderr, "cache: %d simulated, %d store hits, %d store misses, %d store writes\n",
 			runner.Simulations(), s.Hits, s.Misses, s.Writes)
 	} else {

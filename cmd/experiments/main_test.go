@@ -58,3 +58,29 @@ func TestInterruptedRunWritesOutputs(t *testing.T) {
 	}
 	clitest.CheckOutputs(t, dir)
 }
+
+// TestStoreLogsBadEntry: corrupted -store entries are misses that the
+// run logs on stderr, one warning per entry, and the figure renders
+// the same table.
+func TestStoreLogsBadEntry(t *testing.T) {
+	store := t.TempDir()
+	args := []string{"-fig", "fig7", "-bench", "FT", "-n", "20000", "-backend", "analytical", "-store", store}
+	var cold, warm, stderr bytes.Buffer
+	if err := run(context.Background(), args, &cold, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.Bytes())
+	}
+	n := clitest.CorruptStore(t, store)
+	if n == 0 {
+		t.Fatal("the run stored nothing")
+	}
+	stderr.Reset()
+	if err := run(context.Background(), args, &warm, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.Bytes())
+	}
+	if got := strings.Count(stderr.String(), clitest.UntrustedEntryLogged); got != n {
+		t.Errorf("stderr logs %d untrusted entries, want %d:\n%s", got, n, stderr.Bytes())
+	}
+	if warm.String() != cold.String() {
+		t.Errorf("figure over a corrupted store differs:\ncold:\n%s\nwarm:\n%s", cold.Bytes(), warm.Bytes())
+	}
+}

@@ -62,22 +62,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"time"
 
 	"sharedicache/internal/campaignd"
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
-	"sharedicache/internal/metrics"
 	"sharedicache/internal/refine"
 	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 	"sharedicache/internal/synth"
-	"sharedicache/internal/tracing"
 )
 
 // cliFlags is cmd/sweep's full flag set; registerFlags declares it so
@@ -86,10 +80,10 @@ type cliFlags struct {
 	sf *sweep.Flags
 	rf *refine.Flags
 
-	out                                               sweep.OutputConfig
-	storeDir, remote, replay, shard, storeop, metrics string
-	par                                               int
-	worker, submit, merge, pprof                      bool
+	out                            sweep.OutputConfig
+	remote, replay, shard, storeop string
+	par                            int
+	worker, submit, merge          bool
 }
 
 // registerFlags declares every cmd/sweep flag on fs. The design-space
@@ -98,7 +92,7 @@ type cliFlags struct {
 func registerFlags(fs *flag.FlagSet) *cliFlags {
 	f := &cliFlags{sf: sweep.RegisterFlags(fs), rf: refine.RegisterFlags(fs)}
 	fs.IntVar(&f.par, "par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	fs.StringVar(&f.storeDir, "store", "", "persistent run-store directory (second cache tier)")
+	fs.StringVar(&f.out.Store, "store", "", "persistent run-store directory (second cache tier)")
 	fs.StringVar(&f.remote, "remote", "", "campaignd coordinator URL serving the run store (replaces -store)")
 	fs.BoolVar(&f.worker, "worker", false, "with -remote: lease and simulate the coordinator's campaign instead of this sweep")
 	fs.BoolVar(&f.submit, "submit", false, "with -remote: enqueue this sweep on a serving coordinator (campaignd -serve), wait, and print its merged CSV")
@@ -106,18 +100,13 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&f.shard, "shard", "", "simulate only shard i/N of the design space into -store; no CSV")
 	fs.BoolVar(&f.merge, "merge", false, "render the CSV from the store without simulating")
 	fs.StringVar(&f.storeop, "storeop", "", "run-store maintenance: 'index' or 'gc', then exit")
-	fs.StringVar(&f.metrics, "metrics", "", "serve Prometheus text metrics at this address (GET /metrics) for the run's duration")
-	fs.BoolVar(&f.pprof, "pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/ on the metrics address")
+	fs.StringVar(&f.out.Metrics, "metrics", "", "serve Prometheus text metrics at this address (GET /metrics) for the run's duration")
+	fs.BoolVar(&f.out.Pprof, "pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/ on the metrics address")
 	f.out.RegisterFlags(fs)
 	return f
 }
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	stop()
-	os.Exit(sweep.ExitCode("sweep", err, os.Stderr))
-}
+func main() { sweep.Main("sweep", run) }
 
 // run is the whole driver: it parses args, runs the mode the flags
 // select, and writes the CSV to stdout and the accounting to stderr.
@@ -130,15 +119,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	sf := cf.sf
 
-	if cf.storeDir != "" && cf.remote != "" {
+	local := cf.shard != "" || cf.merge || cf.storeop != ""
+	switch {
+	case cf.out.Store != "" && cf.remote != "":
 		return errors.New("-store and -remote are mutually exclusive")
+	case cf.out.Pprof && cf.out.Metrics == "":
+		return errors.New("-pprof requires -metrics (it mounts on the metrics listener)")
+	case (cf.submit || cf.replay != "") && cf.remote == "":
+		return errors.New("-submit/-replay require -remote URL (a campaignd -serve coordinator)")
+	case cf.submit && cf.replay != "":
+		return errors.New("-submit and -replay are mutually exclusive")
+	case (cf.submit || cf.replay != "") && (cf.worker || local || cf.rf.Enabled()):
+		return errors.New("-submit/-replay drive a remote campaign; they do not compose with -worker, -shard, -merge, -storeop or -refine")
+	case cf.worker && cf.remote == "":
+		return errors.New("-worker requires -remote URL")
+	case cf.worker && local:
+		return errors.New("-worker runs the coordinator's campaign; it does not compose with -shard, -merge or -storeop")
+	case cf.shard != "" && cf.merge:
+		return errors.New("-shard and -merge are mutually exclusive")
 	}
 	if cf.rf.Enabled() {
 		// Refine is a whole campaign shape of its own; the flags that
 		// reinterpret a plain sweep do not compose with it.
 		switch {
-		case sf.Backend != "":
-			return errors.New("-refine assigns backends per phase; drop -backend")
 		case cf.remote != "" || cf.worker:
 			return errors.New("-refine runs locally (use campaignd -refine to lease the frontier to workers)")
 		case cf.shard != "" || cf.merge:
@@ -147,71 +150,37 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			return errors.New("-refine and -storeop are mutually exclusive")
 		}
 	}
-	if cf.pprof && cf.metrics == "" {
-		return errors.New("-pprof requires -metrics (it mounts on the metrics listener)")
-	}
 
-	// -cpuprofile/-memprofile: whole-run pprof captures for offline
-	// analysis (docs/PERFORMANCE.md has the recipe). -trace: a span
-	// timeline of the whole run as Chrome trace-event JSON. -report: a
-	// per-point microarchitectural report for every executed or
-	// store-replayed design point, plus the campaign summary.
+	// The runtime: the -store run store, one metrics registry for the
+	// whole process (runner cache tiers, store, worker lease counters,
+	// runtime gauges), served by -metrics while the run lasts, and the
+	// exit-time files. -cpuprofile/-memprofile: whole-run pprof captures
+	// for offline analysis (docs/PERFORMANCE.md has the recipe). -trace:
+	// a span timeline of the whole run as Chrome trace-event JSON.
+	// -report: a per-point microarchitectural report for every executed
+	// or store-replayed design point, plus the campaign summary.
 	out, err := sweep.StartOutputs("sweep", cf.out, stderr)
 	if err != nil {
 		return err
 	}
 	defer func() { err = errors.Join(err, out.Close()) }()
 
-	// One registry covers the whole process — the runner's cache tiers,
-	// the local store if any, and worker-mode lease counters all land on
-	// it; -metrics serves it for scraping while the run lasts. Runtime
-	// gauges (goroutines, heap, GC pauses) ride along for free.
-	reg := metrics.NewRegistry()
-	metrics.RegisterRuntime(reg)
-	if cf.metrics != "" {
-		ln, err := net.Listen("tcp", cf.metrics)
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		if cf.pprof {
-			metrics.RegisterPprof(mux)
-		}
-		go http.Serve(ln, mux)
-		fmt.Fprintf(stderr, "sweep: serving metrics on http://%s/metrics\n", ln.Addr())
-	}
-
 	// -submit / -replay: drive a serving coordinator's campaign API —
 	// this process simulates nothing; the service and its workers do.
-	if cf.submit || cf.replay != "" {
-		switch {
-		case cf.remote == "":
-			return errors.New("-submit/-replay require -remote URL (a campaignd -serve coordinator)")
-		case cf.submit && cf.replay != "":
-			return errors.New("-submit and -replay are mutually exclusive")
-		case cf.worker || cf.shard != "" || cf.merge || cf.storeop != "" || cf.rf.Enabled():
-			return errors.New("-submit/-replay drive a remote campaign; they do not compose with -worker, -shard, -merge, -storeop or -refine")
-		}
-		if cf.replay != "" {
-			return runReplay(ctx, cf, stdout, stderr)
-		}
+	switch {
+	case cf.replay != "":
+		return runReplay(ctx, cf, stdout, stderr)
+	case cf.submit:
 		return runSubmit(ctx, cf, stdout, stderr)
-	}
-
-	if cf.worker {
+	case cf.worker:
 		// Worker mode: the campaign (benchmarks, axes, budgets) is the
 		// coordinator's; every design-space flag of this process is
 		// ignored so keys cannot disagree. A -report collector is the
 		// worker's own file; a reporting coordinator builds its reports
 		// from the results this worker stores.
-		if cf.remote == "" {
-			return errors.New("-worker requires -remote URL")
-		}
 		w := campaignd.Worker{
-			URL: cf.remote, Parallelism: cf.par, Logger: slog.New(slog.NewTextHandler(stderr, nil)),
-			Metrics: reg, Tracer: out.Tracer, Reports: out.Reporter,
+			URL: cf.remote, Parallelism: cf.par, Logger: out.Logger,
+			Metrics: out.Registry, Tracer: out.Tracer, Reports: out.Reporter,
 		}
 		rep, err := w.Run(ctx)
 		if err != nil {
@@ -231,63 +200,39 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err != nil {
 		return err
 	}
-	runner.SetMetrics(reg)
-	runner.SetTracer(out.Tracer)
-	runner.SetReporter(out.Reporter)
-
 	// The persistent tier is either a local directory or a coordinator's
 	// store plane; the runner is oblivious to which.
-	var (
-		store     experiments.ResultStore
-		local     *runstore.Store
-		storeName string
-	)
-	switch {
-	case cf.storeDir != "":
-		if local, err = runstore.Open(cf.storeDir); err != nil {
-			return err
-		}
-		local.SetLogger(slog.New(slog.NewTextHandler(stderr, nil)))
-		store, storeName = local, local.Dir()
-		runner.SetStore(local)
-		local.RegisterMetrics(reg)
-	case cf.remote != "":
+	storeName := cf.out.Store
+	if cf.remote != "" {
 		rs, err := campaignd.NewRemoteStore(ctx, cf.remote)
 		if err != nil {
 			return err
 		}
-		store, storeName = rs, rs.URL()
-		runner.SetStore(rs)
+		out.Store, storeName = rs, rs.URL()
 	}
+	out.Attach(runner)
 	if cf.storeop != "" {
-		if store == nil {
+		if out.Store == nil {
 			return errors.New("-storeop requires -store or -remote")
 		}
-		return storeMaint(ctx, local, cf.remote, cf.storeop, stdout, stderr)
-	}
-	if cf.shard != "" && cf.merge {
-		return errors.New("-shard and -merge are mutually exclusive")
+		return storeMaint(ctx, out.Local, cf.remote, cf.storeop, stdout, stderr)
 	}
 
-	// Auto-refine: calibrate, triage analytically, re-run the selected
-	// frontier on the detailed backend, one merged CSV.
-	if cf.rf.Enabled() {
-		return runRefine(ctx, cf, runner, local, out.Tracer, stdout, stderr)
-	}
-
-	// Declare the full design space up front: per benchmark one private
-	// baseline plus every valid shared point, in CSV emission order.
-	space, err := sf.Space()
+	// Declare the whole campaign up front, in CSV emission order: per
+	// benchmark one private baseline plus every valid shared point, or
+	// with -refine the auto-refine mixed plan (calibration and triage
+	// run here; the frontier's detailed points stream below).
+	c, err := cf.rf.Campaign(ctx, sf, runner, stderr)
 	if err != nil {
 		return err
 	}
-	plan, rows := space.Build(runner)
+	plan, rows := c.Plan, c.Rows
 
 	// Shard mode: simulate this shard's slice of the plan into the
 	// shared store and exit — -merge renders the CSV once all shards
 	// are done.
 	if cf.shard != "" {
-		if store == nil {
+		if out.Store == nil {
 			return errors.New("-shard requires -store or -remote (shards share work through it)")
 		}
 		sh, err := experiments.ParseShard(cf.shard)
@@ -301,18 +246,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if _, err := sub.RunAll(ctx); err != nil {
 			return err
 		}
-		st := store.Stats()
+		st := out.Store.Stats()
 		fmt.Fprintf(stderr, "sweep: shard %s: %d of %d points, %d simulated, %d store hits\n",
 			sh, sub.Len(), plan.Len(), runner.Simulations(), st.Hits)
 		return nil
 	}
 
-	csvw := sweep.NewCSV(stdout, sf.Workers)
-	if sf.Backend != "" {
-		// An explicit backend selection makes the output self-
-		// describing; the default schema stays byte-identical.
-		csvw.IncludeBackendColumn()
-	}
+	csvw := c.Shape.NewCSV(stdout, sf.Workers)
 	if err := csvw.Header(); err != nil {
 		return err
 	}
@@ -321,7 +261,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		// Merge: resolve every point from the store, simulating nothing.
 		// With identical flags the row loop below is the one the
 		// unsharded sweep runs, so the merged CSV is byte-identical.
-		if store == nil {
+		if out.Store == nil {
 			return errors.New("-merge requires -store or -remote")
 		}
 		results := make([]*core.Result, plan.Len())
@@ -356,8 +296,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err := csvw.EmitStream(ch, rows, plan.Len()); err != nil {
 		return err
 	}
-	if store != nil {
-		st := store.Stats()
+	if ref := c.Refine; ref != nil {
+		// The accounting line TestRefineColdWarm pins: every detailed
+		// simulation of the whole campaign must be attributable to
+		// calibration or frontier.
+		by := runner.BackendRuns()
+		fmt.Fprintf(stderr, "sweep: refine: %d detailed simulations (calibration %d + frontier %d), %d analytical\n",
+			by["detailed"], ref.GoldenDetailedSims, by["detailed"]-ref.GoldenDetailedSims, by["analytical"])
+	}
+	if out.Store != nil {
+		st := out.Store.Stats()
 		fmt.Fprintf(stderr, "sweep: %d simulated, %d store hits, %d store writes\n",
 			runner.Simulations(), st.Hits, st.Writes)
 	}
@@ -368,58 +316,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		by := runner.BackendRuns()
 		fmt.Fprintf(stderr, "sweep: backend %s: %d simulated (detailed %d)\n",
 			sf.Backend, runner.Simulations(), by["detailed"])
-	}
-	return nil
-}
-
-// runRefine executes the two-phase auto-refine campaign locally and
-// emits the merged CSV (phase + backend columns, calibration applied
-// to triage rows).
-func runRefine(ctx context.Context, cf *cliFlags, runner *experiments.Runner, local *runstore.Store,
-	tracer *tracing.Tracer, stdout, stderr io.Writer) error {
-	sel, err := cf.rf.Selector()
-	if err != nil {
-		return err
-	}
-	space, err := cf.sf.Space()
-	if err != nil {
-		return err
-	}
-	res, err := refine.Prepare(ctx, refine.Config{
-		Space:     space,
-		Runner:    runner,
-		Selector:  sel,
-		GoldenMax: cf.rf.Golden,
-		Log:       stderr,
-		Tracer:    tracer,
-	})
-	if err != nil {
-		return err
-	}
-	csvw := sweep.NewCSV(stdout, cf.sf.Workers)
-	csvw.IncludePhaseColumn()
-	csvw.IncludeBackendColumn()
-	csvw.SetAdjust(res.Adjust)
-	if err := csvw.Header(); err != nil {
-		return err
-	}
-	ch, err := res.Plan.RunAllStream(ctx)
-	if err != nil {
-		return err
-	}
-	if err := csvw.EmitStream(ch, res.Rows, res.Plan.Len()); err != nil {
-		return err
-	}
-	// The accounting line TestRefineColdWarm pins: every detailed
-	// simulation of the whole campaign must be attributable to
-	// calibration or frontier.
-	by := runner.BackendRuns()
-	fmt.Fprintf(stderr, "sweep: refine: %d detailed simulations (calibration %d + frontier %d), %d analytical\n",
-		by["detailed"], res.GoldenDetailedSims, by["detailed"]-res.GoldenDetailedSims, by["analytical"])
-	if local != nil {
-		st := local.Stats()
-		fmt.Fprintf(stderr, "sweep: %d simulated, %d store hits, %d store writes\n",
-			runner.Simulations(), st.Hits, st.Writes)
 	}
 	return nil
 }

@@ -4,12 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"sharedicache/internal/campaignd"
 	"sharedicache/internal/clitest"
+	"sharedicache/internal/experiments"
+	"sharedicache/internal/runstore"
+	"sharedicache/internal/sweep"
+	"sharedicache/internal/synth"
 )
 
 func TestUsageGolden(t *testing.T) {
@@ -165,5 +174,153 @@ func TestRefineColdWarm(t *testing.T) {
 		"sweep: refine: 0 detailed simulations (calibration 0 + frontier 0), 0 analytical")
 	if warm != cold {
 		t.Fatalf("warm CSV differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+}
+
+// remoteServer stands up an in-process coordinator whose campaign
+// options are those the sweep flags in args describe, with no
+// campaign of its own, as campaignd -serve runs it.
+func remoteServer(t *testing.T, args ...string) (*campaignd.Server, string) {
+	t.Helper()
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	sf := sweep.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	opts, err := sf.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := experiments.NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.SetStore(store)
+	srv, err := campaignd.New(campaignd.ServerConfig{Runner: runner, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	return srv, hs.URL
+}
+
+// TestRemoteCampaigns drives this driver's three coordinator clients
+// against one serving coordinator: -submit enqueues one space closed-
+// loop, -replay releases another from a burst arrival trace (the one
+// `tracegen -arrivals burst` writes) open-loop, and one -worker drains
+// both. Each merged CSV is byte-identical to the local sweep of its
+// space, neither client simulates anything, the worker's points sum
+// to both plans, and the coordinator booked one write per point, no
+// duplicate or expired lease, and one arrival-lag observation per
+// replayed arrival.
+func TestRemoteCampaigns(t *testing.T) {
+	ua := []string{"-bench", "UA", "-cpc", "2,8", "-size", "16", "-lb", "4", "-buses", "1", "-n", "20000"}
+	ft := []string{"-bench", "FT", "-cpc", "2,8", "-size", "16", "-lb", "4", "-buses", "1", "-n", "20000"}
+	localUA, _ := sweepRun(t, ua...)
+	localFT, _ := sweepRun(t, ft...)
+
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	sf := sweep.RegisterFlags(fs)
+	if err := fs.Parse(ft); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sf.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := make([]synth.ArrivalPoint, len(rows))
+	for i, r := range rows {
+		points[i] = synth.ArrivalPoint{Bench: r.Bench, CPC: r.CPC, KB: r.KB, LB: r.LB, Bus: r.Bus}
+	}
+	arrivals, err := synth.SynthesizeArrivals(synth.ArrivalSpec{
+		Mode: synth.ArrivalBurst, StartRPS: 50, BurstFactor: 4, BurstEvery: 3, Slot: 100 * time.Millisecond,
+	}, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(t.TempDir(), "arrivals.csv")
+	f, err := os.Create(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := synth.WriteArrivals(f, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, url := remoteServer(t, "-n", "20000")
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	type result struct {
+		stdout, stderr string
+		err            error
+	}
+	start := func(args ...string) <-chan result {
+		done := make(chan result, 1)
+		go func() {
+			var out, errb bytes.Buffer
+			err := run(ctx, append([]string{"-remote", url}, args...), &out, &errb)
+			done <- result{out.String(), errb.String(), err}
+		}()
+		return done
+	}
+	submit := start(append([]string{"-submit"}, ua...)...)
+	replay := start("-replay", tracePath)
+	// Both campaigns are enqueued before the worker starts, so it
+	// cannot finish the first and exit before the second exists.
+	for deadline := time.Now().Add(time.Minute); srv.Stats().Dispatch.Campaigns < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the two campaigns were never enqueued")
+		}
+	}
+	_, workerErr := sweepRun(t, "-remote", url, "-worker")
+	wantLines(t, workerErr, "sweep: worker done: 6 points")
+
+	for _, c := range []struct {
+		name string
+		res  <-chan result
+		want string
+	}{{"-submit", submit, localUA}, {"-replay", replay, localFT}} {
+		r := <-c.res
+		if r.err != nil {
+			t.Fatalf("%s: %v\n%s", c.name, r.err, r.stderr)
+		}
+		if r.stdout != c.want {
+			t.Errorf("%s CSV differs from the local sweep:\ngot:\n%s\nwant:\n%s", c.name, r.stdout, c.want)
+		}
+		wantLines(t, r.stderr, "0 simulated locally")
+	}
+
+	st := srv.Stats()
+	if d := st.Dispatch; d.Campaigns != 2 || d.Points != 6 || d.Done != 6 || d.ExpiredLeases != 0 || st.Store.Writes != 6 {
+		t.Errorf("coordinator: %d campaigns, %d/%d points done, %d writes, %d expired leases; want 2, 6/6, 6, 0",
+			d.Campaigns, d.Done, d.Points, st.Store.Writes, d.ExpiredLeases)
+	}
+	if got, _ := srv.Metrics().Value("campaignd_arrival_lag_seconds"); got != float64(len(arrivals)) {
+		t.Errorf("campaignd_arrival_lag_seconds has %v observations, want %d", got, len(arrivals))
+	}
+}
+
+// TestWorkerRejectsLocalModes: a worker runs the coordinator's
+// campaign, so -shard, -merge and -storeop are usage errors, raised
+// before the worker contacts the coordinator.
+func TestWorkerRejectsLocalModes(t *testing.T) {
+	for _, extra := range [][]string{{"-shard", "1/2"}, {"-merge"}, {"-storeop", "index"}} {
+		args := append([]string{"-remote", "http://127.0.0.1:1", "-worker"}, extra...)
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-worker runs the coordinator's campaign") {
+			t.Errorf("sweep %v: err = %v, want the -worker rejection", extra, err)
+		}
+		if stdout.Len() != 0 || stderr.Len() != 0 {
+			t.Errorf("sweep %v wrote output:\n%s%s", extra, stdout.Bytes(), stderr.Bytes())
+		}
 	}
 }

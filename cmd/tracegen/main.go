@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"time"
@@ -83,12 +82,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	return f
 }
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	stop()
-	os.Exit(sweep.ExitCode("tracegen", err, os.Stderr))
-}
+func main() { sweep.Main("tracegen", run) }
 
 // run is the whole driver: it parses args and writes either the
 // per-thread trace files (listing each on stdout) or, with -arrivals,

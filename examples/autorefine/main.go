@@ -84,10 +84,7 @@ func main() {
 		// Execute the mixed plan. The analytical triage already ran
 		// inside PrepareRefine, so only the frontier's detailed points
 		// (and their baselines) simulate here.
-		csvw := sharedicache.NewSweepCSV(os.Stdout, opts.Workers)
-		csvw.IncludePhaseColumn()
-		csvw.IncludeBackendColumn()
-		csvw.SetAdjust(res.Adjust)
+		csvw := res.Shape().NewCSV(os.Stdout, opts.Workers)
 		if pass == 1 {
 			if err := csvw.Header(); err != nil {
 				log.Fatal(err)

@@ -99,25 +99,11 @@ type arriveRequest struct {
 	OffsetMillis int64
 }
 
-// CSVShape is a campaign's merged-CSV layout, decided once at enqueue
-// so every campaign renders through the same WriteCSV path.
-type CSVShape struct {
-	// Backend adds the backend column: set exactly when the campaign
-	// named a backend, mirroring `sweep -backend`.
-	Backend bool
-	// Phase adds the phase column of auto-refine output.
-	Phase bool
-	// Adjust, when non-nil, rewrites each row's metrics before
-	// rendering — the auto-refine calibration of triage rows
-	// (refine.Result.Adjust).
-	Adjust func(sweep.Row, *sweep.Metrics)
-}
-
 // campaign is the server-side record of one enqueued campaign.
 type campaign struct {
 	id   int
 	name string
-	csv  CSVShape
+	csv  sweep.Shape
 	// points is the campaign-local plan; rows carries the CSV metadata
 	// with campaign-local indexes.
 	points   []experiments.Point
@@ -182,13 +168,13 @@ func (s *Server) buildCampaign(spec CampaignSpec) (points []experiments.Point, r
 // dispatch plane never matches, silently wedging the merge. Points
 // already in the store complete at once, so a campaign enqueued over
 // a warm store resumes instead of re-dispatching finished work.
-func (s *Server) Enqueue(name string, points []experiments.Point, rows []sweep.Row, shape CSVShape) (int, error) {
+func (s *Server) Enqueue(name string, points []experiments.Point, rows []sweep.Row, shape sweep.Shape) (int, error) {
 	return s.enqueue(name, points, rows, shape, nil)
 }
 
 // enqueue is Enqueue plus the held states of an open campaign's
 // points (nil: every point leasable at once).
-func (s *Server) enqueue(name string, points []experiments.Point, rows []sweep.Row, shape CSVShape, held []bool) (int, error) {
+func (s *Server) enqueue(name string, points []experiments.Point, rows []sweep.Row, shape sweep.Shape, held []bool) (int, error) {
 	if len(rows) == 0 {
 		return 0, errors.New("campaignd: campaign has no rows")
 	}
@@ -240,14 +226,7 @@ func (s *Server) WriteCSV(ctx context.Context, w io.Writer, id int) error {
 	if !ok {
 		return fmt.Errorf("campaignd: unknown campaign %d", id)
 	}
-	out := sweep.NewCSV(w, s.runner.Options().Workers)
-	if c.csv.Phase {
-		out.IncludePhaseColumn()
-	}
-	if c.csv.Backend {
-		out.IncludeBackendColumn()
-	}
-	out.SetAdjust(c.csv.Adjust)
+	out := c.csv.NewCSV(w, s.runner.Options().Workers)
 	if err := out.Header(); err != nil {
 		return err
 	}
@@ -271,7 +250,7 @@ func (s *Server) handleEnqueueCampaign(w http.ResponseWriter, r *http.Request) {
 	points, rows, held, err := s.buildCampaign(spec)
 	var id int
 	if err == nil {
-		id, err = s.enqueue(spec.Name, points, rows, CSVShape{Backend: spec.Backend != ""}, held)
+		id, err = s.enqueue(spec.Name, points, rows, sweep.Shape{Backend: spec.Backend != ""}, held)
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad campaign spec: %v", err), http.StatusBadRequest)

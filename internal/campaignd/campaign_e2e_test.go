@@ -10,8 +10,10 @@ package campaignd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -145,10 +147,7 @@ func localSweepCSV(t *testing.T, sp sweep.Space) ([]byte, []PointSpec) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	out := sweep.NewCSV(&buf, r.Options().Workers)
-	if sp.Backend != "" {
-		out.IncludeBackendColumn()
-	}
+	out := sweep.Shape{Backend: sp.Backend != ""}.NewCSV(&buf, r.Options().Workers)
 	if err := out.Header(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,4 +473,56 @@ func TestCampaignSpecValidation(t *testing.T) {
 	if err := client.Arrive(ctx, rep.ID, []int{1}, 0); err == nil {
 		t.Fatal("out-of-range arrival accepted")
 	}
+}
+
+// FuzzCampaignSpec throws arbitrary bodies at the unauthenticated
+// POST /v1/campaign. The handler must never panic; every body gets a
+// 400, or a reply whose Points is the expanded plan: one point per
+// row plus one private baseline per distinct benchmark.
+func FuzzCampaignSpec(f *testing.F) {
+	for _, spec := range []CampaignSpec{
+		{Name: "ft", Rows: []PointSpec{{Bench: "FT", CPC: 2, KB: 16, LB: 4, Bus: 1}, {Bench: "FT", CPC: 8, KB: 16, LB: 4, Bus: 2}}},
+		{Backend: "analytical", Open: true, Rows: []PointSpec{{Bench: "UA", CPC: 4, KB: 32, LB: 4, Bus: 1}, {Bench: "FT", CPC: 2, KB: 16, LB: 4, Bus: 1, Backend: "detailed"}}},
+		{Rows: []PointSpec{{Bench: "FT", CPC: 3, KB: 16, LB: 4, Bus: 1}}},
+		{Backend: "ghost-sim", Rows: []PointSpec{{Bench: "FT", CPC: 2, KB: 16, LB: 4, Bus: 1}}},
+	} {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"Rows":[{"CPC":2,"KB":16,"LB":4,"Bus":1}]}`))
+	f.Add([]byte(`{"Rows":[{"Bench":"FT","CPC":-8,"KB":-1,"LB":0,"Bus":9}]}`))
+	f.Add([]byte(`{"Rows":[]}`))
+	f.Add([]byte(`{`))
+
+	srv, _, _ := testServer(f, nil, nil)
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaign", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+		var spec CampaignSpec
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
+			t.Fatalf("accepted a body that does not decode (%v): %q", err, body)
+		}
+		var reply EnqueueReply
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("reply %q: %v", rec.Body.Bytes(), err)
+		}
+		benches := map[string]bool{}
+		for _, r := range spec.Rows {
+			benches[r.Bench] = true
+		}
+		if want := len(spec.Rows) + len(benches); reply.Points != want {
+			t.Fatalf("reply Points = %d, want %d rows + %d benchmarks for body %q", reply.Points, len(spec.Rows), len(benches), body)
+		}
+	})
 }

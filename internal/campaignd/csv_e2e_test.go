@@ -48,10 +48,7 @@ func TestDistributedRefineCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	out := sweep.NewCSV(&want, testOptions().Workers)
-	out.IncludePhaseColumn()
-	out.IncludeBackendColumn()
-	out.SetAdjust(local.Adjust)
+	out := local.Shape().NewCSV(&want, testOptions().Workers)
 	if err := out.Header(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +58,7 @@ func TestDistributedRefineCSV(t *testing.T) {
 
 	srv, hs, _ := testServer(t, nil, nil)
 	dist := prepare(refine.Config{Runner: srv.runner})
-	id, err := srv.Enqueue("refine", dist.Plan.Points(), dist.Rows,
-		CSVShape{Backend: true, Phase: true, Adjust: dist.Adjust})
+	id, err := srv.Enqueue("refine", dist.Plan.Points(), dist.Rows, dist.Shape())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
+	"sharedicache/internal/sweep"
 )
 
 // collectStream drains a merge stream, failing on any terminal error,
@@ -203,7 +204,7 @@ func TestWorkerJoinsBeforeFirstCampaign(t *testing.T) {
 	}
 
 	pts := testPoints()
-	if _, err := srv.Enqueue("late", pts, testRows(pts), CSVShape{}); err != nil {
+	if _, err := srv.Enqueue("late", pts, testRows(pts), sweep.Shape{}); err != nil {
 		t.Fatal(err)
 	}
 	o := <-ran

@@ -53,7 +53,7 @@ func testServer(t testing.TB, points []experiments.Point, mutate func(*ServerCon
 		t.Fatal(err)
 	}
 	if points != nil {
-		if _, err := srv.Enqueue("test", points, testRows(points), CSVShape{}); err != nil {
+		if _, err := srv.Enqueue("test", points, testRows(points), sweep.Shape{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,7 +287,7 @@ func TestServerResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Enqueue("resume", pts, testRows(pts), CSVShape{}); err != nil {
+	if _, err := srv.Enqueue("resume", pts, testRows(pts), sweep.Shape{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Stats(); st.Dispatch.Done != 2 || st.Dispatch.Pending != len(pts)-2 {

@@ -109,3 +109,28 @@ func CheckOutputs(t testing.TB, dir string) {
 		}
 	}
 }
+
+// CorruptStore overwrites every entry of the run store in dir with
+// bytes no decoder trusts, so the next read of each is a bad entry,
+// and returns how many it overwrote.
+func CorruptStore(t testing.TB, dir string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		if e.Type().IsRegular() {
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), []byte("not an entry"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// UntrustedEntryLogged is the runstore's warning for an entry it
+// cannot trust, which every driver's -store logs on stderr.
+const UntrustedEntryLogged = "runstore: untrusted entry treated as miss"

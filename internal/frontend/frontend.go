@@ -107,10 +107,11 @@ type FrontEnd struct {
 	// buffer deliver marked in use. It keys the headBuffer cache.
 	gen uint64
 	// wake is bumped by the subset of gen's mutations that can let a
-	// failed allocation succeed: every one but a head line-cross, a
-	// fill latch of a buffer the blocked walk could not take, and a pop
-	// that leaves the blocked entry behind the head. A blocked cycle
-	// then costs O(1): see docs/PERFORMANCE.md, "Fetch-blocked cycles".
+	// failed allocation succeed: a rewind, a flush, a push into an
+	// empty FTQ, a mark change and a fill latch of a buffer the blocked
+	// walk could take. A walk's own mutations need no bump, as a walk
+	// runs only while not blocked. A blocked cycle then costs O(1): see
+	// docs/PERFORMANCE.md, "Fetch-blocked cycles".
 	wake uint64
 	// blockedWake is the wake count at which issue's last allocation
 	// failed, and blockedAt the FTQ index of the entry it failed for;
@@ -372,7 +373,10 @@ func (f *FrontEnd) walk(now uint64) int {
 			if j := f.findBuffer(line); j >= 0 {
 				f.bufs[j].lastUse = now
 				e.needIssued = f.advanceToNextLine(e, e.needIssued, line)
-				f.bump()
+				// A walk runs only while not blocked, and a failure
+				// later in it records the wake count then: the walk's
+				// own mutations need not bump wake.
+				f.gen++
 				continue
 			}
 			j := f.allocBuffer(i)
@@ -389,7 +393,7 @@ func (f *FrontEnd) walk(now uint64) int {
 			b.valid = false
 			b.lastUse = now
 			b.pending = f.port.Request(now, line)
-			f.bump()
+			f.gen++
 			f.stats.CacheFetches++
 			e.needIssued = f.advanceToNextLine(e, e.needIssued, line)
 			return -1 // one request per cycle
@@ -456,13 +460,10 @@ func (f *FrontEnd) deliver(now uint64, be *backend.Backend) {
 		copy(f.ftq, f.ftq[1:])
 		f.ftq = f.ftq[:len(f.ftq)-1]
 		f.gen++
-		// Only a blocked entry that is now the head gains a way to
-		// allocate (the last resort); the old head's line leaves the
-		// live set, but its buffer stays marked until a mark change
-		// bumps wake.
-		if f.blockedAt <= 1 {
-			f.wake++
-		}
+		// A pop never lets a blocked walk succeed: the old head's line
+		// leaves the live set, but its buffer stays marked until a mark
+		// change bumps wake, and an entry that becomes the head only
+		// now owns every live line, so it has no last resort.
 		f.blockedAt--
 	} else if (e.addr+uint64(e.consumed))&f.lineMask != line {
 		// The head moved on to its next line. The old line may leave

@@ -1,11 +1,15 @@
 package refine
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
+	"sharedicache/internal/experiments"
 	"sharedicache/internal/sweep"
 )
 
@@ -91,6 +95,47 @@ func (f *Flags) Selector() (Selector, error) {
 	default:
 		return Pareto{}, nil
 	}
+}
+
+// Campaign is the campaign a driver's flags describe, declared on one
+// runner: the plan, its CSV rows and the shape they render in.
+type Campaign struct {
+	Plan  *experiments.Plan
+	Rows  []sweep.Row
+	Shape sweep.Shape
+	// Refine is the prepared auto-refine campaign; nil for a plain
+	// sweep.
+	Refine *Result
+}
+
+// Campaign declares on r the campaign sf and f describe: the plain
+// design-space sweep, or with -refine the auto-refine mixed plan,
+// whose calibration and triage phases it runs through Prepare (log
+// receives their accounting lines). cmd/sweep executes the result
+// locally and cmd/campaignd enqueues it, so a single-process sweep and
+// a coordinator given the same flags build the same plan, rows and CSV
+// shape.
+func (f *Flags) Campaign(ctx context.Context, sf *sweep.Flags, r *experiments.Runner, log io.Writer) (Campaign, error) {
+	space, err := sf.Space()
+	if err != nil {
+		return Campaign{}, err
+	}
+	if !f.Enabled() {
+		plan, rows := space.Build(r)
+		return Campaign{Plan: plan, Rows: rows, Shape: sweep.Shape{Backend: sf.Backend != ""}}, nil
+	}
+	if sf.Backend != "" {
+		return Campaign{}, errors.New("-refine assigns backends per phase; drop -backend")
+	}
+	sel, err := f.Selector()
+	if err != nil {
+		return Campaign{}, err
+	}
+	res, err := Prepare(ctx, Config{Space: space, Runner: r, Selector: sel, GoldenMax: f.Golden, Log: log})
+	if err != nil {
+		return Campaign{}, err
+	}
+	return Campaign{Plan: res.Plan, Rows: res.Rows, Shape: res.Shape(), Refine: res}, nil
 }
 
 // parseBand parses the "lo:hi" band form.

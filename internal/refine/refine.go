@@ -24,10 +24,11 @@
 //     CSV row's phase ("triage" or "refine").
 //
 // The caller — cmd/sweep's -refine mode, cmd/campaignd serving a
-// refine plan to remote workers, or examples/autorefine — executes the
-// returned plan like any other and emits one merged CSV through the
-// shared sweep emitter, with phase and backend columns and the
-// calibration applied to triage rows via Result.Adjust. Because the
+// refine plan to remote workers (both through Flags.Campaign), or
+// examples/autorefine — executes the returned plan like any other and
+// emits one merged CSV through the shared sweep emitter in
+// Result.Shape: phase and backend columns, with the calibration
+// applied to triage rows. Because the
 // analytical phase already ran inside Prepare, executing the mixed
 // plan re-simulates nothing analytical; only the frontier's detailed
 // points (plus their baselines, usually warm from the golden pass)
@@ -86,11 +87,6 @@ type Config struct {
 	// Log, when non-nil, receives the pipeline's accounting lines
 	// (calibration fit, triage size, frontier size).
 	Log io.Writer
-	// Tracer, when non-nil, wraps the pipeline's phases in spans
-	// ("refine.calibrate", "refine.triage", "refine.select") under
-	// which the Runner's per-point spans parent, so a trace shows where
-	// a refine campaign's wall-clock goes. Nil traces nothing.
-	Tracer *tracing.Tracer
 }
 
 // Result is a prepared auto-refine campaign: the mixed plan, the
@@ -123,11 +119,17 @@ type Result struct {
 
 // Adjust is the metric hook for the merged CSV: it applies the
 // calibration to triage-phase rows and leaves refine-phase (detailed)
-// rows untouched. Install it with sweep.CSV.SetAdjust.
+// rows untouched.
 func (r *Result) Adjust(m sweep.Row, v *sweep.Metrics) {
 	if m.Phase == PhaseTriage {
 		r.Calibration.Apply(v)
 	}
+}
+
+// Shape is the merged CSV's layout: phase and backend columns, with
+// Adjust applied.
+func (r *Result) Shape() sweep.Shape {
+	return sweep.Shape{Backend: true, Phase: true, Adjust: r.Adjust}
 }
 
 // Prepare runs the calibration and triage phases and returns the
@@ -135,7 +137,10 @@ func (r *Result) Adjust(m sweep.Row, v *sweep.Metrics) {
 // both backends and the full space analytically (each only where the
 // Runner's caches miss), and nothing else — the frontier's detailed
 // points are only planned, so the caller controls where and when they
-// run (locally, or leased to distributed workers).
+// run (locally, or leased to distributed workers). With a tracer on
+// the Runner, the phases are spans ("refine.calibrate",
+// "refine.triage", "refine.select") under which the Runner's per-point
+// spans parent, so a trace shows where the wall-clock goes.
 func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Runner == nil {
 		return nil, errors.New("refine: Config.Runner is required")
@@ -159,6 +164,7 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	r := cfg.Runner
 	workers := r.Options().Workers
+	tracer := r.Tracer()
 
 	// The triage plan covers the full space analytically; its rows are
 	// the merged CSV's triage prefix.
@@ -182,7 +188,7 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 		SelectorName: cfg.Selector.Name(),
 	}
 	detBefore := r.BackendRuns()[backendDetailed]
-	calCtx, calSpan := cfg.Tracer.Start(ctx, "refine.calibrate", tracing.AInt("golden_rows", len(golden)))
+	calCtx, calSpan := tracer.Start(ctx, "refine.calibrate", tracing.AInt("golden_rows", len(golden)))
 	cal, err := calibrate(calCtx, r, gplan, grefs, rows)
 	calSpan.End()
 	if err != nil {
@@ -196,13 +202,13 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 		cal.EnergyRatio.A, cal.EnergyRatio.B, cal.EnergyRatio.RMSE)
 
 	// --- phase 2: triage + frontier selection -------------------------
-	triCtx, triSpan := cfg.Tracer.Start(ctx, "refine.triage", tracing.AInt("rows", len(rows)))
+	triCtx, triSpan := tracer.Start(ctx, "refine.triage", tracing.AInt("rows", len(rows)))
 	results, err := plan.RunAll(triCtx)
 	triSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("refine: triage pass: %w", err)
 	}
-	_, selSpan := cfg.Tracer.Start(ctx, "refine.select", tracing.A("selector", cfg.Selector.Name()))
+	_, selSpan := tracer.Start(ctx, "refine.select", tracing.A("selector", cfg.Selector.Name()))
 	eval := sweep.NewEvaluator(workers)
 	cands := make([]Candidate, len(rows))
 	for i, row := range rows {

@@ -9,6 +9,7 @@ import (
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
+	"sharedicache/internal/tracing"
 )
 
 // testSpace is a small but non-trivial space: 3 shared points + 1
@@ -44,10 +45,7 @@ func prepare(t *testing.T, st *runstore.Store, seed uint64, sel Selector, golden
 func emitAll(t *testing.T, res *Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	csvw := sweep.NewCSV(&buf, 8)
-	csvw.IncludePhaseColumn()
-	csvw.IncludeBackendColumn()
-	csvw.SetAdjust(res.Adjust)
+	csvw := res.Shape().NewCSV(&buf, 8)
 	if err := csvw.Header(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,5 +249,46 @@ func TestGoldenSample(t *testing.T) {
 		if got := goldenSample(tc.n, tc.max); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("goldenSample(%d, %d) = %v, want %v", tc.n, tc.max, got, tc.want)
 		}
+	}
+}
+
+// TestPrepareTracesPhases: Prepare traces through the runner's own
+// tracer. Each phase is one span, and every point span the runner
+// records parents under a phase.
+func TestPrepareTracesPhases(t *testing.T) {
+	r := newTestRunner(t, 1)
+	tr := tracing.New(tracing.Config{Process: "test"})
+	r.SetTracer(tr)
+	if _, err := Prepare(context.Background(), Config{
+		Space: testSpace(), Runner: r, Selector: TopK{K: 1, Metric: "time_ratio"}, GoldenMax: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	phases := map[string]string{}
+	points := 0
+	spans := tr.Spans()
+	for _, sp := range spans {
+		switch sp.Name {
+		case "refine.calibrate", "refine.triage", "refine.select":
+			if _, dup := phases[sp.SpanID]; dup {
+				t.Fatalf("span ID %s recorded twice", sp.SpanID)
+			}
+			phases[sp.SpanID] = sp.Name
+		}
+	}
+	if len(phases) != 3 {
+		t.Fatalf("recorded phases %v, want refine.calibrate, refine.triage and refine.select once each", phases)
+	}
+	for _, sp := range spans {
+		if sp.Name != "point" {
+			continue
+		}
+		points++
+		if _, ok := phases[sp.ParentID]; !ok {
+			t.Errorf("point span %s parents under %q, not a refine phase", sp.SpanID, sp.ParentID)
+		}
+	}
+	if points == 0 {
+		t.Fatal("Prepare recorded no point spans")
 	}
 }

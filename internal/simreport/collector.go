@@ -171,8 +171,9 @@ type BackendSummary struct {
 // Summary is the campaign-wide aggregate: GET /v1/simstatsz serves it,
 // and the drivers' -report files embed it. CoreCycles and StackCycles
 // are campaign totals over every report; for an all-detailed campaign
-// they are equal (cycle conservation), which the CI smoke pins with
-// jq. Groups and Backends are deterministically ordered.
+// they are equal (cycle conservation), which cmd/campaignd's
+// TestOneShotCampaign pins. Groups and Backends are deterministically
+// ordered.
 type Summary struct {
 	Reports     int
 	CoreCycles  uint64

@@ -80,55 +80,56 @@ func (e *Evaluator) Metrics(m Row, base, res *core.Result) (Metrics, error) {
 	}, nil
 }
 
+// Shape is a sweep CSV's layout, decided once per campaign: the
+// optional backend and phase columns and the metric rewrite of
+// auto-refine rows. The zero Shape is the historical schema, which the
+// byte-identity guarantees of the run store and the coordinator diff
+// against, so the columns appear only when a backend was named or the
+// campaign refines.
+type Shape struct {
+	// Backend inserts a backend column after the benchmark name:
+	// set exactly when a -backend flag was given.
+	Backend bool
+	// Phase inserts the auto-refine phase column before it.
+	Phase bool
+	// Adjust, when non-nil, rewrites each row's metrics between
+	// computation and rendering: the auto-refine calibration of triage
+	// rows (refine.Result.Adjust). Rows it leaves untouched render
+	// exactly as without it.
+	Adjust func(Row, *Metrics)
+}
+
+// NewCSV builds an emitter in this shape for a sweep over the given
+// worker count.
+func (s Shape) NewCSV(out io.Writer, workers int) *CSV {
+	return &CSV{w: csv.NewWriter(out), eval: NewEvaluator(workers), shape: s}
+}
+
 // CSV renders sweep rows: each design point against its per-benchmark
 // private baseline, with the power model's area/energy ratios. It
 // wraps a csv.Writer whose sticky error is surfaced by Flush, so a
 // full disk or closed pipe exits non-zero instead of silently
 // truncating the output.
 type CSV struct {
-	w    *csv.Writer
-	eval *Evaluator
-	// backendCol inserts a backend column after the benchmark name;
-	// phaseCol inserts a phase column before it (auto-refine output).
-	// Both are off by default so the historical CSV schema — which the
-	// byte-identity guarantees of the store and coordinator smoke
-	// tests diff against — is unchanged unless a backend was named.
-	backendCol, phaseCol bool
-	// adjust, when set, rewrites a row's metrics between computation
-	// and rendering — the seam the auto-refine pipeline uses to apply
-	// its calibration fit to triage-phase rows.
-	adjust func(Row, *Metrics)
+	w     *csv.Writer
+	eval  *Evaluator
+	shape Shape
 }
 
-// NewCSV builds an emitter for a sweep over the given worker count.
-func NewCSV(out io.Writer, workers int) *CSV {
-	return &CSV{w: csv.NewWriter(out), eval: NewEvaluator(workers)}
-}
+// NewCSV builds an emitter in the historical schema (the zero Shape).
+func NewCSV(out io.Writer, workers int) *CSV { return Shape{}.NewCSV(out, workers) }
 
 // IncludeBackendColumn adds a backend column to the output (call
-// before Header). Drivers enable it exactly when a -backend flag was
-// given, so default output stays byte-identical to older releases.
-func (c *CSV) IncludeBackendColumn() { c.backendCol = true }
-
-// IncludePhaseColumn adds a phase column to the output (call before
-// Header), rendering each Row's Phase label. The auto-refine drivers
-// enable it so triage and refine rows are distinguishable in one
-// merged CSV.
-func (c *CSV) IncludePhaseColumn() { c.phaseCol = true }
-
-// SetAdjust installs a metric rewrite applied to every row between
-// computing its metrics and rendering them. The auto-refine pipeline
-// uses it to apply the calibration fit to triage-phase rows; rows the
-// function leaves untouched render exactly as without it.
-func (c *CSV) SetAdjust(f func(Row, *Metrics)) { c.adjust = f }
+// before Header), as Shape.Backend does.
+func (c *CSV) IncludeBackendColumn() { c.shape.Backend = true }
 
 // Header writes the column header row.
 func (c *CSV) Header() error {
 	cols := []string{"benchmark"}
-	if c.phaseCol {
+	if c.shape.Phase {
 		cols = append(cols, "phase")
 	}
-	if c.backendCol {
+	if c.shape.Backend {
 		cols = append(cols, "backend")
 	}
 	cols = append(cols, "cpc", "size_kb", "line_buffers", "buses",
@@ -138,14 +139,14 @@ func (c *CSV) Header() error {
 }
 
 // Row computes one design point's metrics against its baseline and
-// renders them, honouring the installed adjust hook.
+// renders them, honouring the shape's Adjust.
 func (c *CSV) Row(m Row, base, res *core.Result) error {
 	v, err := c.eval.Metrics(m, base, res)
 	if err != nil {
 		return err
 	}
-	if c.adjust != nil {
-		c.adjust(m, &v)
+	if c.shape.Adjust != nil {
+		c.shape.Adjust(m, &v)
 	}
 	return c.WriteRow(m, v)
 }
@@ -153,10 +154,10 @@ func (c *CSV) Row(m Row, base, res *core.Result) error {
 // WriteRow renders one row from already-computed metrics.
 func (c *CSV) WriteRow(m Row, v Metrics) error {
 	cells := []string{m.Bench}
-	if c.phaseCol {
+	if c.shape.Phase {
 		cells = append(cells, m.Phase)
 	}
-	if c.backendCol {
+	if c.shape.Backend {
 		backend := m.Backend
 		if backend == "" {
 			backend = experiments.DefaultBackend

@@ -7,21 +7,37 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 
+	"sharedicache/internal/experiments"
+	"sharedicache/internal/metrics"
+	"sharedicache/internal/runstore"
 	"sharedicache/internal/simreport"
 	"sharedicache/internal/tracing"
 )
 
-// OutputConfig names the exit-time files a driver's flags asked for.
-// An empty path starts nothing.
+// OutputConfig names what a driver's flags ask of its runtime: the
+// exit-time files, the run store and the metrics listener. An empty
+// field starts nothing.
 type OutputConfig struct {
 	Trace, Report, CPUProfile, MemProfile string
 	// Process names the tracer's process in the timeline; empty means
 	// the driver's name.
 	Process string
+	// Store is the -store run-store directory.
+	Store string
+	// Metrics is the -metrics address serving GET /metrics for the
+	// run's duration.
+	Metrics string
+	// Pprof mounts net/http/pprof under /debug/pprof/: on the Metrics
+	// listener, or on a driver's own through Handler.
+	Pprof bool
 }
 
 // RegisterTraceFlag declares -trace on fs.
@@ -39,7 +55,9 @@ func (c *OutputConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 }
 
-// Outputs is the exit-time output lifecycle every driver shares: the
+// Outputs is the runtime every driver shares. It owns the process's
+// metrics registry (runtime gauges on it), a structured logger on
+// stderr, the run store behind -store, the -metrics listener, the
 // span tracer behind -trace, the simulation-report collector behind
 // -report, and the whole-run -cpuprofile/-memprofile captures.
 // StartOutputs starts only what the config asks for; one deferred
@@ -51,18 +69,44 @@ type Outputs struct {
 	// them; both are nil-safe, so drivers pass them on unconditionally.
 	Tracer   *tracing.Tracer
 	Reporter *simreport.Collector
+	// Registry is the process's one metrics registry.
+	Registry *metrics.Registry
+	// Logger writes structured records to the driver's stderr.
+	Logger *slog.Logger
+	// Local is the run store opened from -store, nil without one.
+	Local *runstore.Store
+	// Store is the persistent tier Attach hands a runner: Local, or
+	// what the driver assigns before Attach (cmd/sweep's -remote store
+	// plane). Nil attaches none.
+	Store experiments.ResultStore
 
 	driver string
 	cfg    OutputConfig
 	cpu    *os.File
+	ln     net.Listener
 	stderr io.Writer
 }
 
-// StartOutputs starts the CPU profile and creates the tracer and
-// collector that cfg requests; driver prefixes the stderr lines
-// ("sweep: trace: ..."). The caller must Close the result.
+// StartOutputs opens the store, starts the CPU profile, creates the
+// tracer and collector and serves the metrics listener that cfg
+// requests; driver prefixes the stderr lines ("sweep: trace: ...").
+// The caller must Close the result.
 func StartOutputs(driver string, cfg OutputConfig, stderr io.Writer) (*Outputs, error) {
-	o := &Outputs{driver: driver, cfg: cfg, stderr: stderr}
+	o := &Outputs{
+		Registry: metrics.NewRegistry(),
+		Logger:   slog.New(slog.NewTextHandler(stderr, nil)),
+		driver:   driver, cfg: cfg, stderr: stderr,
+	}
+	metrics.RegisterRuntime(o.Registry)
+	if cfg.Store != "" {
+		st, err := runstore.Open(cfg.Store)
+		if err != nil {
+			return nil, err
+		}
+		st.SetLogger(o.Logger)
+		st.RegisterMetrics(o.Registry)
+		o.Local, o.Store = st, st
+	}
 	if cfg.CPUProfile != "" {
 		f, err := os.Create(cfg.CPUProfile)
 		if err != nil {
@@ -80,12 +124,49 @@ func StartOutputs(driver string, cfg OutputConfig, stderr io.Writer) (*Outputs, 
 	if cfg.Report != "" {
 		o.Reporter = simreport.NewCollector()
 	}
+	if cfg.Metrics != "" {
+		ln, err := net.Listen("tcp", cfg.Metrics)
+		if err != nil {
+			return nil, errors.Join(err, o.Close())
+		}
+		mux := http.NewServeMux()
+		mux.Handle("GET /metrics", o.Registry.Handler())
+		go http.Serve(ln, o.Handler(mux))
+		o.ln = ln
+		fmt.Fprintf(stderr, "%s: serving metrics on http://%s/metrics\n", driver, ln.Addr())
+	}
 	return o, nil
 }
 
-// Close stops the CPU profile and writes every requested file, noting
-// each on stderr. It returns the write failures joined.
+// Attach gives r the runtime's store, registry, tracer and collector.
+func (o *Outputs) Attach(r *experiments.Runner) {
+	if o.Store != nil {
+		r.SetStore(o.Store)
+	}
+	r.SetMetrics(o.Registry)
+	r.SetTracer(o.Tracer)
+	r.SetReporter(o.Reporter)
+}
+
+// Handler returns h, with net/http/pprof mounted under /debug/pprof/
+// in front of it when the config asks for -pprof.
+func (o *Outputs) Handler(h http.Handler) http.Handler {
+	if !o.cfg.Pprof {
+		return h
+	}
+	mux := http.NewServeMux()
+	metrics.RegisterPprof(mux)
+	mux.Handle("/", h)
+	return mux
+}
+
+// Close shuts the metrics listener, stops the CPU profile and writes
+// every requested file, noting each on stderr. It returns the write
+// failures joined.
 func (o *Outputs) Close() error {
+	if o.ln != nil {
+		o.ln.Close()
+	}
 	var errs []error
 	done := func(what string, err error, format string, args ...any) {
 		if err != nil {
@@ -140,6 +221,15 @@ func ParseFlags(fs *flag.FlagSet, args []string) error {
 		return &UsageError{Err: err}
 	}
 	return nil
+}
+
+// Main runs a driver's run function as the process: over os.Args,
+// stdout and stderr, cancelled by an interrupt, exiting with ExitCode.
+func Main(driver string, run func(ctx context.Context, args []string, stdout, stderr io.Writer) error) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(ExitCode(driver, err, os.Stderr))
 }
 
 // ExitCode maps a driver's run error to its process exit status,

@@ -12,15 +12,16 @@
 //   - Evaluator derives each row's Metrics (normalised time, MPKI,
 //     area/energy ratios) from raw simulation results;
 //   - CSV renders rows — batch (Row/WriteRow) or streaming
-//     (EmitStream), with optional backend and phase columns and a
-//     metric-adjust hook the auto-refine pipeline (internal/refine)
-//     uses to apply its calibration fit.
+//     (EmitStream) — in a Shape: optional backend and phase columns
+//     and a metric-adjust hook the auto-refine pipeline
+//     (internal/refine) uses to apply its calibration fit.
 //
 // Flags (RegisterFlags) keeps the two drivers' design-space flag sets
 // identical, and Maint is their shared -storeop maintenance path.
-// Outputs is the exit-time output lifecycle (-trace, -report,
-// -cpuprofile, -memprofile) and ExitCode the exit-status mapping that
-// every cmd/ driver shares.
+// Outputs is the runtime every cmd/ driver shares (run store, metrics
+// registry and listener, pprof, -trace, -report, -cpuprofile,
+// -memprofile), and Main and ExitCode their process entry and
+// exit-status mapping.
 package sweep
 
 import (

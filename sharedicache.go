@@ -231,7 +231,7 @@ type CampaignServerConfig = campaignd.ServerConfig
 // CampaignCSVShape is the merged-CSV layout a campaign is enqueued
 // with: the optional backend and phase columns and refine's metric
 // adjustment.
-type CampaignCSVShape = campaignd.CSVShape
+type CampaignCSVShape = sweep.Shape
 
 // NewCampaignServer builds a coordinator over its store, with no
 // campaign enqueued yet: add campaigns with CampaignServer.Enqueue.
