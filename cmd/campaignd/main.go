@@ -31,7 +31,10 @@
 //
 // With -serve, the same server enqueues no campaign from its flags:
 // campaigns arrive over POST /v1/campaign (`sweep -remote URL -submit`
-// or `-replay`) until the process is interrupted.
+// or `-replay`) until the process is interrupted, and its workers keep
+// polling for the next one until they are interrupted too. A plain
+// coordinator seals after enqueueing its one campaign, so its workers
+// exit once that campaign is done.
 //
 // While serving, the coordinator exposes its status at /v1/statsz
 // (JSON, or an HTML page for browsers) and the same counters in
@@ -145,8 +148,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	// sweep, or with -refine the mixed plan whose calibration and
 	// triage ran here (the cheap phases, whose results land in the
 	// store, so workers lease only the frontier's detailed points).
-	// Under -serve no campaign exists yet; workers that join then keep
-	// polling until one is submitted.
+	// Under -serve no campaign exists yet and the server never seals;
+	// workers that join keep polling for submissions until interrupted.
 	var (
 		id      int
 		refined bool
@@ -163,6 +166,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if id, err = srv.Enqueue(name, c.Plan.Points(), c.Rows, c.Shape); err != nil {
 			return err
 		}
+		// One-shot: no campaign follows, so workers may exit once
+		// this one is done.
+		srv.Seal()
 	}
 	// Snapshot before serving: points already done (a warm store, or the
 	// refine prep's local phases) and writes already booked, so the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"net"
@@ -286,7 +287,8 @@ func TestOneShotCampaign(t *testing.T) {
 // TestServeCampaigns drives campaignd -serve: it enqueues no campaign
 // of its own, two arrive over the campaign API (one closed, one open
 // whose rows are released one /arrive call each), and one in-process
-// worker drains both. Each merged CSV is byte-identical to the
+// worker drains both, polling on until it is interrupted, since a
+// serving coordinator never seals. Each merged CSV is byte-identical to the
 // single-process sweep of its space, /metrics shows one arrival-lag
 // observation per arrival and nothing held or active, and the
 // interrupted service reports its whole lifetime's accounting.
@@ -326,9 +328,33 @@ func TestServeCampaigns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w := campaignd.Worker{URL: base, ID: "w1", Parallelism: 2}
-	if _, err := w.Run(ctx); err != nil {
-		t.Fatal(err)
+	workerCtx, stopWorker := context.WithCancel(ctx)
+	defer stopWorker()
+	worked := make(chan error, 1)
+	go func() {
+		w := campaignd.Worker{URL: base, ID: "w1", Parallelism: 2}
+		_, err := w.Run(workerCtx)
+		worked <- err
+	}()
+	for _, id := range []int{closed.ID, open.ID} {
+		for {
+			st, err := client.CampaignStatus(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Complete {
+				break
+			}
+			select {
+			case err := <-worked:
+				t.Fatalf("worker exited with campaign %d incomplete: %v", id, err)
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}
+	stopWorker()
+	if err := <-worked; !errors.Is(err, context.Canceled) {
+		t.Fatalf("worker: err = %v, want its interruption", err)
 	}
 	for id, want := range map[int][]byte{closed.ID: wantUA, open.ID: wantFT} {
 		got, err := client.CampaignCSV(ctx, id)

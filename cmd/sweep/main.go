@@ -46,8 +46,10 @@
 // store plane instead of a local directory — no shared filesystem
 // needed — and -worker turns this process into a lease-based campaign
 // worker: it fetches the campaign from the coordinator, simulates
-// leased batches, and publishes results back, so the sweep's own
-// design-space flags are ignored:
+// leased batches on the backends this binary registers, and publishes
+// results back, so the sweep's own design-space flags are ignored. A
+// worker exits once a one-shot coordinator's campaign is done; on a
+// `campaignd -serve` coordinator it runs until interrupted:
 //
 //	sweep -remote http://coordinator:8417 -worker
 //
@@ -182,13 +184,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			URL: cf.remote, Parallelism: cf.par, Logger: out.Logger,
 			Metrics: out.Registry, Tracer: out.Tracer, Reports: out.Reporter,
 		}
+		// A serving coordinator's worker runs until interrupted; it
+		// still reports its share before exiting 130.
 		rep, err := w.Run(ctx)
-		if err != nil {
+		if err != nil && !errors.Is(err, context.Canceled) {
 			return err
 		}
-		fmt.Fprintf(stderr, "sweep: worker done: %d points over %d leases (%d lost, %d forfeited), %d simulated, %d store hits\n",
-			rep.Points, rep.Leases, rep.LostLeases, rep.Forfeited, rep.Simulations, rep.Store.Hits)
-		return nil
+		fmt.Fprintf(stderr, "sweep: worker done: %d points over %d leases (%d lost), %d simulated, %d store hits\n",
+			rep.Points, rep.Leases, rep.LostLeases, rep.Simulations, rep.Store.Hits)
+		return err
 	}
 
 	opts, err := sf.Options()

@@ -210,14 +210,15 @@ func remoteServer(t *testing.T, args ...string) (*campaignd.Server, string) {
 }
 
 // TestRemoteCampaigns drives this driver's three coordinator clients
-// against one serving coordinator: -submit enqueues one space closed-
-// loop, -replay releases another from a burst arrival trace (the one
-// `tracegen -arrivals burst` writes) open-loop, and one -worker drains
-// both. Each merged CSV is byte-identical to the local sweep of its
-// space, neither client simulates anything, the worker's points sum
-// to both plans, and the coordinator booked one write per point, no
-// duplicate or expired lease, and one arrival-lag observation per
-// replayed arrival.
+// against one serving coordinator: a -worker joins first, -submit
+// enqueues one space closed-loop, -replay releases another from a
+// burst arrival trace (the one `tracegen -arrivals burst` writes)
+// open-loop, and the worker drains both, outliving the first to
+// finish, until it is interrupted. Each merged CSV is byte-identical
+// to the local sweep of its space, neither client simulates anything,
+// the worker's points sum to both plans, and the coordinator booked
+// one write per point, no duplicate or expired lease, and one
+// arrival-lag observation per replayed arrival.
 func TestRemoteCampaigns(t *testing.T) {
 	ua := []string{"-bench", "UA", "-cpc", "2,8", "-size", "16", "-lb", "4", "-buses", "1", "-n", "20000"}
 	ft := []string{"-bench", "FT", "-cpc", "2,8", "-size", "16", "-lb", "4", "-buses", "1", "-n", "20000"}
@@ -262,7 +263,7 @@ func TestRemoteCampaigns(t *testing.T) {
 		stdout, stderr string
 		err            error
 	}
-	start := func(args ...string) <-chan result {
+	start := func(ctx context.Context, args ...string) <-chan result {
 		done := make(chan result, 1)
 		go func() {
 			var out, errb bytes.Buffer
@@ -271,17 +272,11 @@ func TestRemoteCampaigns(t *testing.T) {
 		}()
 		return done
 	}
-	submit := start(append([]string{"-submit"}, ua...)...)
-	replay := start("-replay", tracePath)
-	// Both campaigns are enqueued before the worker starts, so it
-	// cannot finish the first and exit before the second exists.
-	for deadline := time.Now().Add(time.Minute); srv.Stats().Dispatch.Campaigns < 2; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the two campaigns were never enqueued")
-		}
-	}
-	_, workerErr := sweepRun(t, "-remote", url, "-worker")
-	wantLines(t, workerErr, "sweep: worker done: 6 points")
+	workerCtx, stopWorker := context.WithCancel(ctx)
+	defer stopWorker()
+	worker := start(workerCtx, "-worker")
+	submit := start(ctx, append([]string{"-submit"}, ua...)...)
+	replay := start(ctx, "-replay", tracePath)
 
 	for _, c := range []struct {
 		name string
@@ -297,6 +292,14 @@ func TestRemoteCampaigns(t *testing.T) {
 		}
 		wantLines(t, r.stderr, "0 simulated locally")
 	}
+	// A serving coordinator never seals, so its worker runs until
+	// interrupted, then reports its share.
+	stopWorker()
+	w := <-worker
+	if !errors.Is(w.err, context.Canceled) {
+		t.Fatalf("-worker: err = %v, want the interruption\n%s", w.err, w.stderr)
+	}
+	wantLines(t, w.stderr, "sweep: worker done: 6 points")
 
 	st := srv.Stats()
 	if d := st.Dispatch; d.Campaigns != 2 || d.Points != 6 || d.Done != 6 || d.ExpiredLeases != 0 || st.Store.Writes != 6 {

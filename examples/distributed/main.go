@@ -70,11 +70,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Enqueue before listening, so a worker never finds the server idle.
+	// Enqueue before listening, so a worker never finds the server idle,
+	// and seal: no campaign follows, so the workers exit once it is done.
 	id, err := srv.Enqueue("distributed-example", plan.Points(), rows, sharedicache.CampaignCSVShape{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv.Seal()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -3,10 +3,14 @@ package campaignd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -126,10 +130,10 @@ func TestMixedBackendCampaign(t *testing.T) {
 }
 
 // registerQuantumStub registers the "quantum-sim" stub backend used by
-// the forfeit tests exactly once for the test binary. The coordinator
-// must know a backend to coordinate it (Server.Enqueue validates the
-// plan); the *worker-side* gap is simulated per Worker via its
-// backendRegistered hook, since a process-wide registry cannot
+// the backend-filtering tests exactly once for the test binary. The
+// coordinator must know a backend to coordinate it (Server.Enqueue
+// validates the plan); the *worker-side* gap is simulated per Worker
+// via its backends override, since a process-wide registry cannot
 // unregister.
 var registerQuantumStub = sync.OnceFunc(func() {
 	experiments.RegisterBackend("quantum-sim", func(opts experiments.Options) (experiments.Backend, error) {
@@ -146,53 +150,16 @@ func (quantumStub) Execute(ctx context.Context, bench string, cfg core.Config, p
 		Cores: make([]core.CoreResult, cfg.Workers+1)}, nil
 }
 
-// lacksQuantum is the worker-side availability check of a binary built
-// without the quantum-sim backend.
-func lacksQuantum(name string) bool {
-	return name != "quantum-sim" && experiments.BackendRegistered(name)
-}
+// withoutQuantum is the backend list of a binary built without the
+// quantum-sim backend.
+var withoutQuantum = []string{"analytical", "detailed"}
 
-// TestWorkerForfeitsUnknownBackend pins the wire contract for backend
-// dispatch: a worker leased points naming only a backend it does not
-// register must forfeit the lease untouched — no simulation, no
-// completion, no guessed substitute — leaving the points for a
-// capable worker.
-func TestWorkerForfeitsUnknownBackend(t *testing.T) {
-	registerQuantumStub()
-	pts := []experiments.Point{
-		{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "quantum-sim"},
-		{Bench: "FT", Cfg: sharedCfg(8, 16, 2), Backend: "quantum-sim"},
-	}
-	// The worker stops after its third forfeit has landed.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	srv, hs := wrapCoordinator(t, pts, func(cfg *ServerConfig) {
-		cfg.TTL = 200 * time.Millisecond
-	}, cancelAfterCompletes(3, cancel))
-
-	w := Worker{URL: hs.URL, ID: "limited", Parallelism: 1, backendRegistered: lacksQuantum,
-		poll: time.Millisecond}
-	rep, err := w.Run(ctx)
-	if err == nil {
-		t.Fatal("worker claimed the campaign completed without the backend")
-	}
-	if rep.Forfeited == 0 {
-		t.Fatalf("report = %+v, want forfeited leases", rep)
-	}
-	if rep.Points != 0 || rep.Simulations != 0 {
-		t.Fatalf("worker executed a point it cannot run faithfully: %+v", rep)
-	}
-	st := srv.Stats()
-	if st.Dispatch.Done != 0 || st.Store.Writes != 0 {
-		t.Fatalf("forfeited point completed anyway: %+v", st.Dispatch)
-	}
-}
-
-// TestWorkerPartialBatchRelease pins the mixed-batch path: a worker
-// leased executable points alongside unknown-backend ones runs what it
-// can and releases the rest back to the queue, where a capable worker
-// picks them up — the campaign completes with no points starved.
-func TestWorkerPartialBatchRelease(t *testing.T) {
+// TestWorkerLeasedOnlyRunnableBackends pins the wire contract for
+// backend dispatch: a worker lacking a point's backend is never leased
+// that point — it runs the two points it can, the quantum-sim point
+// stays pending with no lease on it, and a capable worker drains it,
+// so the campaign completes with no point starved or handed back.
+func TestWorkerLeasedOnlyRunnableBackends(t *testing.T) {
 	registerQuantumStub()
 	pts := []experiments.Point{
 		{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "quantum-sim"},
@@ -201,39 +168,106 @@ func TestWorkerPartialBatchRelease(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	// The limited worker stops once its forfeit of the released point
-	// (its second Complete, after the batch's) has landed.
-	limitedCtx, stopLimited := context.WithTimeout(ctx, 4*time.Second)
+	// The limited worker stops once its one batch has completed: after
+	// that it could only poll for a point it must never be leased.
+	limitedCtx, stopLimited := context.WithCancel(ctx)
 	defer stopLimited()
 	srv, hs := wrapCoordinator(t, pts, func(cfg *ServerConfig) {
-		cfg.Batch = 3 // one lease spans the mixed plan
-		cfg.TTL = 500 * time.Millisecond
-	}, cancelAfterCompletes(2, stopLimited))
+		cfg.Batch = 3 // one lease could span the mixed plan
+	}, cancelAfterCompletes(1, stopLimited))
 
-	// The limited worker runs first: it must complete the two detailed
-	// points and release the quantum one.
-	limited := Worker{URL: hs.URL, ID: "limited", Parallelism: 2, backendRegistered: lacksQuantum}
+	limited := Worker{URL: hs.URL, ID: "limited", Parallelism: 2, backends: withoutQuantum}
 	lrep, lerr := limited.Run(limitedCtx)
-	if lrep.Points != 2 {
-		t.Fatalf("limited worker completed %d points (err %v), want its 2 executable ones", lrep.Points, lerr)
+	if lrep.Points != 2 || lrep.Leases != 1 || lrep.Simulations != 2 {
+		t.Fatalf("limited worker report = %+v (err %v), want its 2 runnable points in 1 lease", lrep, lerr)
 	}
-	if st := srv.Stats(); st.Dispatch.Done != 2 {
-		t.Fatalf("dispatch done = %d after partial batch, want 2", st.Dispatch.Done)
+	if st := srv.Stats().Dispatch; st.Done != 2 || st.Pending != 1 || st.Leased != 0 {
+		t.Fatalf("dispatch = %+v after the limited worker, want 2 done and the quantum point pending", st)
 	}
 
-	// A capable worker drains the released point and the campaign ends.
 	capable := Worker{URL: hs.URL, ID: "capable", Parallelism: 1}
 	crep, err := capable.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if crep.Points != 1 {
-		t.Fatalf("capable worker completed %d points, want the released quantum point", crep.Points)
+		t.Fatalf("capable worker completed %d points, want the quantum point", crep.Points)
 	}
 	merged := collectStream(t, srv.Stream(ctx, 0), len(pts))
 	if merged[0].Cycles != 42 {
 		t.Fatalf("quantum point cycles = %d, want the stub's 42", merged[0].Cycles)
 	}
+}
+
+// FuzzLeaseBody throws arbitrary bodies at the unauthenticated
+// POST /v1/renew and POST /v1/lease of a coordinator over a small
+// mixed-backend campaign. Neither may panic or answer 5xx, and a lease
+// answer is a 400 or a grant whose every point resolves to a backend
+// the decoded body names.
+func FuzzLeaseBody(f *testing.F) {
+	registerQuantumStub()
+	for _, req := range []leaseRequest{
+		{Worker: "w", Backends: []string{"analytical", "detailed"}},
+		{Worker: "w", Max: 1, Backends: []string{"analytical"}},
+		{Worker: "w"},
+		{Worker: "w", Backends: []string{}},
+		{Worker: "w", Backends: []string{"ghost-sim", "quantum-sim", ""}},
+		{Worker: "w", Max: math.MaxInt, Backends: []string{"detailed", "quantum-sim"}},
+		{Max: -1, Backends: []string{"detailed"}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"Lease":"lease-1"}`))
+	f.Add([]byte(`{"Backends":"detailed"}`))
+	f.Add([]byte(`{"Backends":[null,7]}`))
+	f.Add([]byte(`{`))
+
+	clk := newFakeClock()
+	pts, _ := mixedCampaign()
+	pts = append(pts, experiments.Point{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "quantum-sim"})
+	srv, _, _ := testServer(f, pts, func(cfg *ServerConfig) {
+		cfg.Batch = 2
+		cfg.now = clk.now
+	})
+	opts := srv.runner.Options()
+	h := srv.Handler()
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// Expire every earlier lease, so points keep flowing back.
+		clk.advance(time.Hour)
+		if rec := post("/v1/renew", body); rec.Code >= 500 {
+			t.Fatalf("renew status %d for body %q", rec.Code, body)
+		}
+		rec := post("/v1/lease", body)
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("lease status %d for body %q", rec.Code, body)
+		}
+		var req leaseRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("granted a body that does not decode (%v): %q", err, body)
+		}
+		var g LeaseGrant
+		if err := json.Unmarshal(rec.Body.Bytes(), &g); err != nil {
+			t.Fatalf("grant %q: %v", rec.Body.Bytes(), err)
+		}
+		for _, lp := range g.Points {
+			if b := opts.PointBackend(lp.Point); !slices.Contains(req.Backends, b) {
+				t.Fatalf("point %d on backend %q granted to a worker naming %q", lp.Index, b, req.Backends)
+			}
+		}
+	})
 }
 
 // TestStatszHTML pins the human-readable status page: text/html on

@@ -5,7 +5,8 @@ package campaignd
 // endpoints that wrap them.
 //
 //	POST /v1/campaign              enqueue a campaign (CampaignSpec ->
-//	                               EnqueueReply); accepted while serving
+//	                               EnqueueReply); accepted until the
+//	                               server is sealed, 409 after
 //	GET  /v1/campaign/{id}         per-campaign progress (CampaignStatus)
 //	GET  /v1/campaign/{id}/csv     the campaign's merged CSV — 409 until
 //	                               every point is done
@@ -160,7 +161,8 @@ func (s *Server) buildCampaign(spec CampaignSpec) (points []experiments.Point, r
 // rows indexing them, and the shape those rows render in. It is the
 // Go twin of POST /v1/campaign and returns the campaign ID.
 //
-// A campaign with no rows is refused, and so is one naming a backend
+// A campaign with no rows is refused, so is any campaign once the
+// server is sealed (ErrSealed), and so is one naming a backend
 // this process does not register: the coordinator's store keys embed
 // the backend's versioned fingerprint, so a backend it cannot resolve
 // would hash differently here than on the capable worker that
@@ -191,7 +193,10 @@ func (s *Server) enqueue(name string, points []experiments.Point, rows []sweep.R
 		backendOf[i] = b
 		hashes[i] = s.runner.PointKey(pt).Hex()
 	}
-	id, base := s.d.addCampaign(points, hashes, backendOf, held)
+	id, base, err := s.d.addCampaign(points, hashes, backendOf, held)
+	if err != nil {
+		return 0, err
+	}
 	c := &campaign{
 		id: id, name: name, csv: shape,
 		points: points, rows: rows, base: base, accepted: s.now(),
@@ -252,7 +257,11 @@ func (s *Server) handleEnqueueCampaign(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		id, err = s.enqueue(spec.Name, points, rows, sweep.Shape{Backend: spec.Backend != ""}, held)
 	}
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrSealed):
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	case err != nil:
 		http.Error(w, fmt.Sprintf("bad campaign spec: %v", err), http.StatusBadRequest)
 		return
 	}

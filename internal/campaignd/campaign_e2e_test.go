@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"sharedicache/internal/experiments"
+	"sharedicache/internal/metrics"
 	"sharedicache/internal/sweep"
 )
 
@@ -42,16 +44,19 @@ func fakeCampaign(n int, prefix string) (pts []experiments.Point, hashes, backen
 func TestDispatchMultiCampaignFairness(t *testing.T) {
 	ptsA, hA, bA := fakeCampaign(4, "a")
 	d := newDispatch(time.Minute, 1, time.Now)
-	d.addCampaign(ptsA, hA, bA, nil)
+	d.registerMetrics(metrics.NewRegistry())
+	if _, _, err := d.addCampaign(ptsA, hA, bA, nil); err != nil {
+		t.Fatal(err)
+	}
 	ptsB, hB, bB := fakeCampaign(2, "b")
-	camp, base := d.addCampaign(ptsB, hB, bB, nil)
-	if camp != 1 || base != 4 {
-		t.Fatalf("addCampaign = (%d, %d), want campaign 1 at base 4", camp, base)
+	camp, base, err := d.addCampaign(ptsB, hB, bB, nil)
+	if err != nil || camp != 1 || base != 4 {
+		t.Fatalf("addCampaign = (%d, %d, %v), want campaign 1 at base 4", camp, base, err)
 	}
 
 	var order []int
 	for i := 0; i < 6; i++ {
-		_, idx, _, done := d.Lease("w", 0)
+		_, idx, _, done := d.Lease("w", 0, detailed)
 		if done || len(idx) != 1 {
 			t.Fatalf("lease %d: indexes %v done=%v, want one point", i, idx, done)
 		}
@@ -64,10 +69,10 @@ func TestDispatchMultiCampaignFairness(t *testing.T) {
 	}
 
 	// Everything leased: no grant, but not done either.
-	if _, idx, _, done := d.Lease("w", 0); len(idx) != 0 || done {
+	if _, idx, _, done := d.Lease("w", 0, detailed); len(idx) != 0 || done {
 		t.Fatalf("exhausted queue leased %v done=%v, want empty and not done", idx, done)
 	}
-	st := d.Stats()
+	st := d.stats()
 	if st.Campaigns != 2 || st.ActiveCampaigns != 2 || st.Leased != 6 {
 		t.Fatalf("stats = %+v, want 2 campaigns (both active), 6 leased", st)
 	}
@@ -76,21 +81,30 @@ func TestDispatchMultiCampaignFairness(t *testing.T) {
 // TestDispatchHeldLifecycle pins the open-loop point states: held
 // points are declared but unleasable, markArrived releases them, a
 // point completed by another campaign's store write stays done through
-// a late arrival, and held points keep allDone false.
+// a late arrival, and held points keep allDone false. The queue is
+// sealed: only then does a drained queue report done, and it refuses
+// any further campaign.
 func TestDispatchHeldLifecycle(t *testing.T) {
 	d := newDispatch(time.Minute, 8, time.Now)
 	pts, h, b := fakeCampaign(3, "a")
-	camp, base := d.addCampaign(pts, h, b, []bool{false, true, true})
+	camp, base, err := d.addCampaign(pts, h, b, []bool{false, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.seal()
+	if _, _, err := d.addCampaign(pts, h, b, nil); !errors.Is(err, ErrSealed) {
+		t.Fatalf("sealed queue admitted a campaign: err = %v", err)
+	}
 
 	// Only the unheld point is leasable.
-	_, idx, _, done := d.Lease("w", 0)
+	_, idx, _, done := d.Lease("w", 0, detailed)
 	if done || !reflect.DeepEqual(idx, []int{base}) {
 		t.Fatalf("lease granted %v done=%v, want just the unheld point %d", idx, done, base)
 	}
 	d.completeHash(h[0])
 
 	// Held points park the campaign: nothing leasable, but not done.
-	if _, idx, _, done := d.Lease("w", 0); len(idx) != 0 || done {
+	if _, idx, _, done := d.Lease("w", 0, detailed); len(idx) != 0 || done {
 		t.Fatalf("held campaign leased %v done=%v, want empty and not done", idx, done)
 	}
 	if p := d.campaignProgress(camp); p.Points != 3 || p.Done != 1 || p.Held != 2 {
@@ -101,7 +115,7 @@ func TestDispatchHeldLifecycle(t *testing.T) {
 	if err := d.markArrived([]int{base + 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, idx, _, _ := d.Lease("w", 0); !reflect.DeepEqual(idx, []int{base + 1}) {
+	if _, idx, _, _ := d.Lease("w", 0, detailed); !reflect.DeepEqual(idx, []int{base + 1}) {
 		t.Fatalf("post-arrival lease granted %v, want the arrived point", idx)
 	}
 	d.completeHash(h[1])
@@ -112,7 +126,7 @@ func TestDispatchHeldLifecycle(t *testing.T) {
 	if err := d.markArrived([]int{base + 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, idx, _, done := d.Lease("w", 0); len(idx) != 0 || !done {
+	if _, idx, _, done := d.Lease("w", 0, detailed); len(idx) != 0 || !done {
 		t.Fatalf("completed campaign leased %v done=%v, want empty and done", idx, done)
 	}
 	if p := d.campaignProgress(camp); p.Done != 3 || p.Held != 0 {
@@ -185,6 +199,119 @@ func awaitComplete(t *testing.T, client *Client, id int) {
 	}
 }
 
+// serveWorker runs w against a serving coordinator, which never tells
+// its workers the work is over. The returned stop ends the run through
+// its context and returns the worker's report; any error but that
+// cancellation fails the test.
+func serveWorker(t *testing.T, ctx context.Context, w *Worker) (stop func() WorkerReport) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(ctx)
+	type outcome struct {
+		rep WorkerReport
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		rep, err := w.Run(ctx)
+		ran <- outcome{rep, err}
+	}()
+	return func() WorkerReport {
+		t.Helper()
+		cancel()
+		o := <-ran
+		if o.err != nil && !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("worker %s: %v", w.ID, o.err)
+		}
+		return o.rep
+	}
+}
+
+// TestServeWorkerOutlivesCampaigns pins the serve-mode worker
+// lifetime: on a coordinator that is not sealed, a worker that has
+// finished every campaign enqueued so far keeps polling instead of
+// exiting, and runs a campaign submitted afterwards.
+func TestServeWorkerOutlivesCampaigns(t *testing.T) {
+	// idlePolls is signalled by every lease answer granting nothing
+	// while the work is not over. With one worker, enqueued campaigns
+	// and nothing held, that happens only once every point is done.
+	idlePolls := make(chan struct{}, 1)
+	_, hs := wrapCoordinator(t, nil, func(cfg *ServerConfig) {
+		cfg.TTL = 250 * time.Millisecond // 50 ms lease polls
+	}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/lease" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var g LeaseGrant
+			if json.Unmarshal(rec.Body.Bytes(), &g) == nil && len(g.Points) == 0 && !g.Done {
+				select {
+				case idlePolls <- struct{}{}:
+				default:
+				}
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+		})
+	})
+	client, err := NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	_, rowsFT := localSweepCSV(t, campaignSpace("FT"))
+	wantUA, rowsUA := localSweepCSV(t, campaignSpace("UA"))
+	first, err := client.Enqueue(ctx, CampaignSpec{Name: "first", Rows: rowsFT})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		rep WorkerReport
+		err error
+	}
+	wctx, stopWorker := context.WithCancel(ctx)
+	defer stopWorker()
+	ran := make(chan outcome, 1)
+	go func() {
+		w := Worker{URL: hs.URL, ID: "server", Parallelism: 2}
+		rep, err := w.Run(wctx)
+		ran <- outcome{rep, err}
+	}()
+	awaitComplete(t, client, first.ID)
+	// The first campaign is done: the worker must poll on, not exit.
+	select {
+	case <-idlePolls:
+	case o := <-ran:
+		t.Fatalf("worker exited once the first campaign was done: %+v, err %v", o.rep, o.err)
+	}
+	second, err := client.Enqueue(ctx, CampaignSpec{Name: "second", Rows: rowsUA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitComplete(t, client, second.ID)
+	got, err := client.CampaignCSV(ctx, second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantUA) {
+		t.Fatalf("second campaign CSV differs from the single-process sweep:\ngot:\n%s\nwant:\n%s", got, wantUA)
+	}
+	stopWorker()
+	o := <-ran
+	if !errors.Is(o.err, context.Canceled) || o.rep.Points != first.Points+second.Points {
+		t.Fatalf("worker report = %+v, err %v; want both campaigns' %d points, stopped by its context",
+			o.rep, o.err, first.Points+second.Points)
+	}
+}
+
 // TestMultiCampaignService is the service acceptance pin: a serve-mode
 // coordinator (started with no campaign) accepts two campaigns over
 // the API, one worker fleet completes both interleaved, and each
@@ -219,11 +346,10 @@ func TestMultiCampaignService(t *testing.T) {
 		t.Fatalf("both campaigns got id %d", ft.ID)
 	}
 
-	w := Worker{URL: hs.URL, ID: "w1", Parallelism: 2}
-	rep, err := w.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stop := serveWorker(t, ctx, &Worker{URL: hs.URL, ID: "w1", Parallelism: 2})
+	awaitComplete(t, client, ft.ID)
+	awaitComplete(t, client, ua.ID)
+	rep := stop()
 
 	for id, want := range map[int][]byte{ft.ID: wantFT, ua.ID: wantUA} {
 		st, err := client.CampaignStatus(ctx, id)
@@ -290,15 +416,7 @@ func TestOpenLoopCampaignArrivals(t *testing.T) {
 		t.Fatalf("incomplete campaign CSV err = %v, want 409 incomplete", err)
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var wrep WorkerReport
-	var werr error
-	go func() {
-		defer wg.Done()
-		w := Worker{URL: hs.URL, ID: "w1", Parallelism: 2}
-		wrep, werr = w.Run(ctx)
-	}()
+	stop := serveWorker(t, ctx, &Worker{URL: hs.URL, ID: "w1", Parallelism: 2})
 
 	// Replay the two rows one arrival at a time, as `sweep -replay`
 	// would; offset 0 makes every observed lag the (positive) gap since
@@ -309,11 +427,7 @@ func TestOpenLoopCampaignArrivals(t *testing.T) {
 		}
 	}
 	awaitComplete(t, client, rep.ID)
-	wg.Wait()
-	if werr != nil {
-		t.Fatal(werr)
-	}
-	if wrep.Simulations != 3 {
+	if wrep := stop(); wrep.Simulations != 3 {
 		t.Fatalf("worker simulated %d points, want 3", wrep.Simulations)
 	}
 
@@ -389,7 +503,7 @@ func TestMultiCampaignFaultInjection(t *testing.T) {
 
 	// The crashed worker: leases a point and disappears — no heartbeat,
 	// no result.
-	grant, err := client.Lease(ctx, "crasher", 0)
+	grant, err := client.Lease(ctx, "crasher", 0, detailed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,14 +511,12 @@ func TestMultiCampaignFaultInjection(t *testing.T) {
 		t.Fatalf("crasher leased %d points, want 1", len(grant.Points))
 	}
 
-	w := Worker{URL: hs.URL, ID: "survivor", Parallelism: 2, putBackoff: time.Millisecond}
-	rep, err := w.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stop := serveWorker(t, ctx, &Worker{URL: hs.URL, ID: "survivor", Parallelism: 2, putBackoff: time.Millisecond})
+	awaitComplete(t, client, ft.ID)
+	awaitComplete(t, client, ua.ID)
+	rep := stop()
 
 	for id, want := range map[int][]byte{ft.ID: wantFT, ua.ID: wantUA} {
-		awaitComplete(t, client, id)
 		got, err := client.CampaignCSV(ctx, id)
 		if err != nil {
 			t.Fatal(err)
@@ -436,7 +548,7 @@ func TestMultiCampaignFaultInjection(t *testing.T) {
 // empty specs, rows a local sweep would skip, unknown ids and bad
 // arrivals are all client errors, never silent drops.
 func TestCampaignSpecValidation(t *testing.T) {
-	_, hs, _ := testServer(t, nil, nil)
+	srv, hs, _ := testServer(t, nil, nil)
 	client, err := NewClient(hs.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -472,6 +584,16 @@ func TestCampaignSpecValidation(t *testing.T) {
 	}
 	if err := client.Arrive(ctx, rep.ID, []int{1}, 0); err == nil {
 		t.Fatal("out-of-range arrival accepted")
+	}
+
+	// A sealed coordinator refuses every campaign with 409, over the
+	// API and through Server.Enqueue alike.
+	srv.Seal()
+	if _, err := client.Enqueue(ctx, ok); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("campaign offered to a sealed coordinator: err = %v, want 409", err)
+	}
+	if _, err := srv.Enqueue("late", nil, []sweep.Row{{}}, sweep.Shape{}); !errors.Is(err, ErrSealed) {
+		t.Fatalf("Server.Enqueue on a sealed coordinator: err = %v, want ErrSealed", err)
 	}
 }
 

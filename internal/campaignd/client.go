@@ -284,12 +284,14 @@ func (c *Client) CampaignCSV(ctx context.Context, id int) ([]byte, error) {
 }
 
 // Lease claims up to max plan points (0 = coordinator's default
-// batch). When the coordinator traces, the grant's TraceContext
-// carries the lease span's X-Trace-Context value for the worker to
-// parent its batch under.
-func (c *Client) Lease(ctx context.Context, worker string, max int) (LeaseGrant, error) {
+// batch) on the named simulation backends; no names, no points. When
+// the coordinator traces, the grant's TraceContext carries the lease
+// span's X-Trace-Context value for the worker to parent its batch
+// under.
+func (c *Client) Lease(ctx context.Context, worker string, max int, backends []string) (LeaseGrant, error) {
 	var resp LeaseGrant
-	hdr, err := c.callHeader(ctx, http.MethodPost, "/v1/lease", leaseRequest{Worker: worker, Max: max}, &resp)
+	hdr, err := c.callHeader(ctx, http.MethodPost, "/v1/lease",
+		leaseRequest{Worker: worker, Max: max, Backends: backends}, &resp)
 	if err == nil && hdr != nil {
 		resp.TraceContext = hdr.Get(tracing.Header)
 	}
@@ -315,13 +317,6 @@ func (c *Client) Renew(ctx context.Context, lease string) error {
 func (c *Client) Complete(ctx context.Context, lease string, indexes []int, spans []tracing.Span) error {
 	return c.call(ctx, http.MethodPost, "/v1/complete",
 		completeRequest{Lease: lease, Indexes: indexes, Spans: spans}, nil)
-}
-
-// Release returns part of a live lease to the queue unrun, keeping
-// the lease for the rest; a worker that cannot execute some leased
-// points hands them back before simulating the others.
-func (c *Client) Release(ctx context.Context, lease string, indexes []int) error {
-	return c.call(ctx, http.MethodPost, "/v1/release", releaseRequest{Lease: lease, Indexes: indexes}, nil)
 }
 
 // Statsz fetches the coordinator's counters.

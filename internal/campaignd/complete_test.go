@@ -94,7 +94,7 @@ func TestCompleteExpiredLeaseDeliversTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	lr, err := client.Lease(ctx, "late", 1)
+	lr, err := client.Lease(ctx, "late", 1, detailed)
 	if err != nil || len(lr.Points) != 1 {
 		t.Fatalf("lease: %+v, %v", lr, err)
 	}
@@ -114,7 +114,7 @@ func TestCompleteExpiredLeaseDeliversTelemetry(t *testing.T) {
 	if !found {
 		t.Fatal("the late span was not ingested")
 	}
-	if done := srv.d.Stats().Done; done != 0 {
+	if done := srv.d.stats().Done; done != 0 {
 		t.Fatalf("an expired lease's Complete marked %d points done", done)
 	}
 }
@@ -154,7 +154,7 @@ func FuzzCompleteBody(f *testing.F) {
 		if rec.Code != http.StatusNoContent && rec.Code != http.StatusBadRequest {
 			t.Fatalf("status %d for body %q", rec.Code, body)
 		}
-		if done := srv.d.Stats().Done; done != 0 {
+		if done := srv.d.stats().Done; done != 0 {
 			t.Fatalf("a body naming an unknown lease marked %d points done: %q", done, body)
 		}
 		if n := col.Len(); n != 0 {
@@ -184,7 +184,7 @@ func TestCompleteIgnoresForgedReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, err := client.Lease(ctx, "forger", 1)
+	lr, err := client.Lease(ctx, "forger", 1, detailed)
 	if err != nil || len(lr.Points) != 1 {
 		t.Fatalf("lease: %+v, %v", lr, err)
 	}

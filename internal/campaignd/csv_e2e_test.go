@@ -62,6 +62,7 @@ func TestDistributedRefineCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Seal()
 	ran := make(chan error, 1)
 	go func() {
 		w := Worker{URL: hs.URL, ID: "w1", Parallelism: 2}
@@ -113,6 +114,7 @@ func TestCampaignCSVLostResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Seal()
 	w := Worker{URL: hs.URL, ID: "w1", Parallelism: 1}
 	if _, err := w.Run(ctx); err != nil {
 		t.Fatal(err)

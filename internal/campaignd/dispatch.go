@@ -2,6 +2,7 @@ package campaignd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -36,7 +37,7 @@ type lease struct {
 	// span is the lease's trace span (nil when tracing is off): opened
 	// at grant, its context rides the X-Trace-Context response header
 	// so the worker's batch spans parent under it, and it ends with an
-	// outcome attribute when the lease completes, forfeits or expires.
+	// outcome attribute when the lease completes or expires.
 	span *tracing.ActiveSpan
 }
 
@@ -52,14 +53,16 @@ type lease struct {
 // batch from a single campaign chosen round-robin, so one giant
 // campaign cannot starve a later small one. Open-loop campaigns park
 // points in the held state until markArrived releases them, which is
-// how `sweep -replay` submits work at trace-dictated times.
+// how `sweep -replay` submits work at trace-dictated times. Once
+// sealed, the queue admits no further campaign, and only then can a
+// drained queue tell workers the work is over.
 //
 // batch == 0 selects adaptive batch sizing: the queue tracks an EWMA
 // of the observed per-point completion latency (lease grant to lease
 // completion, divided by the batch size) and hands out enough points
 // to keep a worker busy for about a third of the lease TTL — long
 // enough to amortise the lease round trip, short enough that a crash
-// forfeits little work and heartbeats comfortably outpace the TTL.
+// loses little work and heartbeats comfortably outpace the TTL.
 type dispatch struct {
 	ttl   time.Duration
 	batch int
@@ -75,12 +78,11 @@ type dispatch struct {
 	leases  map[string]*lease
 	seq     int
 	nDone   int
+	sealed  bool  // no campaign may join; a drained queue is final
 	expired int64 // leases expired so far (observability)
 	// Lease-lifecycle counters (observability): granted counts Lease
-	// grants; completed counts Completes that reported work; forfeited
-	// counts Completes with no indexes (a worker giving a whole batch
-	// back); releasedPts counts points returned to the queue by Release.
-	granted, completed, forfeited, releasedPts int64
+	// grants, completed counts Completes of live leases.
+	granted, completed int64
 	// pointSec is the EWMA of observed seconds per completed point;
 	// zero until the first lease completes.
 	pointSec float64
@@ -134,8 +136,12 @@ func newDispatch(ttl time.Duration, batch int, now func() time.Time) *dispatch {
 	}
 }
 
+// ErrSealed refuses a campaign offered to a sealed coordinator.
+var ErrSealed = errors.New("campaignd: coordinator is sealed against new campaigns")
+
 // addCampaign appends one campaign's points to the queue and returns
-// the campaign's index and the global index of its first point.
+// the campaign's index and the global index of its first point; a
+// sealed queue refuses with ErrSealed.
 // hashes[i] is point i's content address, which lets store-plane
 // writes complete it, and backendOf[i] the backend name feeding the
 // per-backend gauges. held[i] parks point i in the held state —
@@ -144,9 +150,12 @@ func newDispatch(ttl time.Duration, batch int, now func() time.Time) *dispatch {
 // leasable immediately. Content addresses are global: a point whose hash
 // another campaign already published completes on that campaign's
 // store write, so overlapping campaigns never duplicate simulations.
-func (d *dispatch) addCampaign(points []experiments.Point, hashes, backendOf []string, held []bool) (camp, base int) {
+func (d *dispatch) addCampaign(points []experiments.Point, hashes, backendOf []string, held []bool) (camp, base int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.sealed {
+		return 0, 0, ErrSealed
+	}
 	camp = d.nCamps
 	d.nCamps++
 	base = len(d.points)
@@ -167,7 +176,14 @@ func (d *dispatch) addCampaign(points []experiments.Point, hashes, backendOf []s
 			d.registerBackendLocked(backendOf[i])
 		}
 	}
-	return camp, base
+	return camp, base, nil
+}
+
+// seal closes the queue to new campaigns.
+func (d *dispatch) seal() {
+	d.mu.Lock()
+	d.sealed = true
+	d.mu.Unlock()
 }
 
 // markArrived releases held points to the queue (held -> pending, as
@@ -245,14 +261,6 @@ func (d *dispatch) activeCampaignsLocked() int {
 	return len(active)
 }
 
-// endLeaseSpanLocked finishes a lease's span with its outcome
-// ("completed", "forfeited", "expired"). Caller holds d.mu; safe when
-// tracing is off (nil span).
-func endLeaseSpanLocked(l *lease, outcome string) {
-	l.span.SetAttr("outcome", outcome)
-	l.span.End()
-}
-
 // expireLocked returns every overdue lease's unfinished points to the
 // queue. Caller holds d.mu.
 func (d *dispatch) expireLocked() {
@@ -267,7 +275,8 @@ func (d *dispatch) expireLocked() {
 				d.enqueued[i] = now
 			}
 		}
-		endLeaseSpanLocked(l, "expired")
+		l.span.SetAttr("outcome", "expired") // nil-safe when tracing is off
+		l.span.End()
 		delete(d.leases, id)
 		d.expired++
 	}
@@ -337,18 +346,21 @@ func (d *dispatch) observeLocked(l *lease, completed int) {
 	}
 }
 
-// Lease hands out up to max pending points (at most the configured or
-// adaptive batch; max <= 0 means the full batch). Each batch is drawn
-// from a single campaign, chosen round-robin from the fairness cursor
-// — FIFO within a campaign (plan order, so early rows stream out of
-// the merge first), fair across live campaigns so one giant plan
-// cannot starve a later small one; with one campaign this is exactly
-// plan-order dispatch. It returns no points when everything is
-// leased, held or done; allDone then distinguishes "poll again" from
-// "every enqueued campaign is complete". Before the first campaign is
-// enqueued the answer is "poll again", so a worker may join a serving
-// coordinator ahead of any submission.
-func (d *dispatch) Lease(worker string, max int) (id string, indexes []int, deadline time.Time, allDone bool) {
+// Lease hands out up to max pending points whose backend is among
+// backends, the names the worker registers (at most the configured or
+// adaptive batch; max <= 0 means the full batch). A worker is never
+// granted a point it cannot run, so none is ever handed back, and an
+// empty list gets nothing. Each batch is drawn from a single campaign,
+// chosen round-robin from the fairness cursor — FIFO within a campaign
+// (plan order, so early rows stream out of the merge first), fair
+// across live campaigns so one giant plan cannot starve a later small
+// one; with one campaign this is exactly plan-order dispatch. It
+// returns no points when nothing runnable is pending; allDone then
+// distinguishes "poll again" from "the queue is sealed and every
+// point is complete". An unsealed queue always answers "poll again",
+// so a worker may join a serving coordinator ahead of any submission
+// and outlive the campaigns enqueued so far.
+func (d *dispatch) Lease(worker string, max int, backends []string) (id string, indexes []int, deadline time.Time, allDone bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	batch := d.effectiveBatchLocked()
@@ -356,10 +368,14 @@ func (d *dispatch) Lease(worker string, max int) (id string, indexes []int, dead
 		max = batch
 	}
 	d.expireLocked()
+	runs := make(map[string]bool, len(backends))
+	for _, b := range backends {
+		runs[b] = true
+	}
 	for off := 0; off < d.nCamps && len(indexes) == 0; off++ {
 		camp := (d.rr + off) % d.nCamps
 		for i := range d.state {
-			if d.campOf[i] == camp && d.state[i] == pointPending {
+			if d.campOf[i] == camp && d.state[i] == pointPending && runs[d.backendOf[i]] {
 				indexes = append(indexes, i)
 				if len(indexes) == max {
 					break
@@ -371,7 +387,7 @@ func (d *dispatch) Lease(worker string, max int) (id string, indexes []int, dead
 		}
 	}
 	if len(indexes) == 0 {
-		return "", nil, time.Time{}, d.nCamps > 0 && d.nDone == len(d.points)
+		return "", nil, time.Time{}, d.sealed && d.nDone == len(d.points)
 	}
 	d.seq++
 	d.granted++
@@ -438,11 +454,10 @@ func (d *dispatch) Renew(id string) bool {
 // and an unauthenticated body naming no live lease must not mark
 // points done without results. Out-of-range indexes report an error.
 //
-// A PARTIAL completion — indexes covering only some of the lease's
-// points (or none) — returns the rest to the queue as of this call: a
-// worker that could execute only part of its batch (e.g. the
-// remainder names a backend it lacks) hands the leftovers back for a
-// capable worker without waiting out the TTL.
+// The body is untrusted input, so a lease's points it does not list
+// return to the queue as of this call rather than staying leased to a
+// lease that no longer exists; an empty Complete ends the lease with
+// nothing done.
 func (d *dispatch) Complete(id string, indexes []int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -464,50 +479,14 @@ func (d *dispatch) Complete(id string, indexes []int) error {
 				d.enqueued[i] = now
 			}
 		}
-		if len(indexes) == 0 {
-			d.forfeited++
-			endLeaseSpanLocked(l, "forfeited")
-		} else {
-			d.completed++
-			l.span.SetAttr("completed", strconv.Itoa(len(indexes)))
-			endLeaseSpanLocked(l, "completed")
-		}
+		d.completed++
+		l.span.SetAttr("completed", strconv.Itoa(len(indexes)))
+		l.span.SetAttr("outcome", "completed")
+		l.span.End()
 	}
 	delete(d.leases, id)
 	d.expireLocked()
 	return nil
-}
-
-// Release returns the given points of a live lease to the queue
-// without marking them done, keeping the lease (and its heartbeat)
-// alive for the rest — a worker that can execute only part of its
-// batch hands the remainder back BEFORE simulating, so capable
-// workers can claim it while the batch runs. Unknown or expired
-// leases are a no-op: expiry has already released everything.
-func (d *dispatch) Release(id string, indexes []int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.expireLocked()
-	l, ok := d.leases[id]
-	if !ok {
-		return
-	}
-	drop := make(map[int]bool, len(indexes))
-	for _, i := range indexes {
-		drop[i] = true
-	}
-	now := d.now()
-	kept := l.indexes[:0]
-	for _, i := range l.indexes {
-		if drop[i] && d.state[i] == pointLeased {
-			d.state[i] = pointPending
-			d.enqueued[i] = now
-			d.releasedPts++
-			continue
-		}
-		kept = append(kept, i)
-	}
-	l.indexes = kept
 }
 
 // Done exposes point i's completion latch. The lock is for the slice
@@ -542,12 +521,9 @@ type DispatchStats struct {
 	Campaigns, ActiveCampaigns int
 	Leases                     int
 	ExpiredLeases              int64
-	// GrantedLeases counts Lease grants; CompletedLeases counts
-	// Completes that reported work; ForfeitedLeases counts Completes
-	// with no indexes (a worker handing a whole batch back);
-	// ReleasedPoints counts points returned to the queue by Release.
-	GrantedLeases, CompletedLeases  int64
-	ForfeitedLeases, ReleasedPoints int64
+	// GrantedLeases counts Lease grants, CompletedLeases Completes of
+	// live leases.
+	GrantedLeases, CompletedLeases int64
 	// EffectiveBatch is the size the next lease would be granted at;
 	// MeanPointMillis is the observed per-point latency EWMA feeding
 	// adaptive batch sizing (0 until a lease completes).
@@ -556,49 +532,37 @@ type DispatchStats struct {
 	ActiveLeases    []LeaseInfo
 }
 
-// Stats snapshots the queue (and sweeps expired leases while at it, so
-// even an otherwise idle coordinator reports crashed workers' leases
-// as expired and their points as pending again).
-func (d *dispatch) Stats() DispatchStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.expireLocked()
-	st := DispatchStats{
-		Points:          len(d.points),
-		Campaigns:       d.nCamps,
-		ActiveCampaigns: d.activeCampaignsLocked(),
-		Leases:          len(d.leases),
-		ExpiredLeases:   d.expired,
-		GrantedLeases:   d.granted,
-		CompletedLeases: d.completed,
-		ForfeitedLeases: d.forfeited,
-		ReleasedPoints:  d.releasedPts,
-		EffectiveBatch:  d.effectiveBatchLocked(),
-		MeanPointMillis: int64(d.pointSec * 1000),
+// stats reads the queue's snapshot off the registry registerMetrics
+// filled — the samples GET /metrics exposes, so /v1/statsz cannot
+// drift from them. Only the per-lease identity list, which a counter
+// cannot carry, is read straight off the queue.
+func (d *dispatch) stats() DispatchStats {
+	snap := d.reg.Snapshot()
+	intOf := func(name string) int64 {
+		v, _ := snap.Value(name)
+		return int64(v)
 	}
-	for _, s := range d.state {
-		switch s {
-		case pointDone:
-			st.Done++
-		case pointLeased:
-			st.Leased++
-		case pointHeld:
-			st.Held++
-		default:
-			st.Pending++
-		}
+	sumOf := func(name string) int {
+		v, _ := snap.Sum(name)
+		return int(v)
 	}
-	now := d.now()
-	for _, l := range d.leases {
-		st.ActiveLeases = append(st.ActiveLeases, LeaseInfo{
-			Lease: l.id, Worker: l.worker, Points: len(l.indexes),
-			ExpiresInMillis: l.deadline.Sub(now).Milliseconds(),
-		})
+	ewma, _ := snap.Value("campaignd_point_seconds_ewma")
+	return DispatchStats{
+		Points:          sumOf("campaignd_points"),
+		Done:            sumOf("campaignd_points_done"),
+		Leased:          int(intOf("campaignd_points_leased")),
+		Pending:         int(intOf("campaignd_queue_pending")),
+		Held:            int(intOf("campaignd_points_held")),
+		Campaigns:       int(intOf("campaignd_campaigns_total")),
+		ActiveCampaigns: int(intOf("campaignd_campaigns_active")),
+		Leases:          int(intOf("campaignd_leases_live")),
+		ExpiredLeases:   intOf("campaignd_leases_expired_total"),
+		GrantedLeases:   intOf("campaignd_leases_granted_total"),
+		CompletedLeases: intOf("campaignd_leases_completed_total"),
+		EffectiveBatch:  int(intOf("campaignd_lease_batch")),
+		MeanPointMillis: int64(ewma * 1000),
+		ActiveLeases:    d.activeLeases(),
 	}
-	sort.Slice(st.ActiveLeases, func(i, j int) bool {
-		return st.ActiveLeases[i].Lease < st.ActiveLeases[j].Lease
-	})
-	return st
 }
 
 // activeLeases lists the live leases (sweeping expired ones first) —
@@ -708,10 +672,8 @@ func (d *dispatch) registerMetrics(reg *metrics.Registry) {
 		src        *int64
 	}{
 		{"campaignd_leases_granted_total", "leases granted to workers", &d.granted},
-		{"campaignd_leases_completed_total", "leases completed with work reported", &d.completed},
-		{"campaignd_leases_forfeited_total", "leases handed back whole (empty Complete)", &d.forfeited},
+		{"campaignd_leases_completed_total", "leases completed by their worker", &d.completed},
 		{"campaignd_leases_expired_total", "leases expired by TTL (points returned to the queue)", &d.expired},
-		{"campaignd_points_released_total", "points a live lease returned to the queue unrun", &d.releasedPts},
 	} {
 		src := c.src
 		reg.CounterFunc(c.name, c.help, locked(func() float64 { return float64(*src) }))

@@ -2,6 +2,7 @@ package campaignd
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,8 +19,12 @@ func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_000_000, 0)} }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// testDispatch builds a queue over n synthetic points with distinct
-// hashes.
+// detailed is the backend list of a worker that registers only the
+// default backend, which every synthetic point resolves to.
+var detailed = []string{experiments.DefaultBackend}
+
+// testDispatch builds a sealed queue over n synthetic points with
+// distinct hashes, its metrics registered so stats can read them.
 func testDispatch(n int, ttl time.Duration, batch int, clk *fakeClock) *dispatch {
 	points := make([]experiments.Point, n)
 	hashes := make([]string, n)
@@ -27,16 +32,20 @@ func testDispatch(n int, ttl time.Duration, batch int, clk *fakeClock) *dispatch
 	for i := range points {
 		points[i] = experiments.Point{Bench: fmt.Sprintf("B%d", i)}
 		hashes[i] = fmt.Sprintf("hash-%d", i)
-		backends[i] = "detailed"
+		backends[i] = experiments.DefaultBackend
 	}
 	d := newDispatch(ttl, batch, clk.now)
-	d.addCampaign(points, hashes, backends, nil)
+	if _, _, err := d.addCampaign(points, hashes, backends, nil); err != nil {
+		panic(err)
+	}
+	d.registerMetrics(metrics.NewRegistry())
+	d.seal()
 	return d
 }
 
 func mustLease(t *testing.T, d *dispatch, worker string, want []int) string {
 	t.Helper()
-	id, got, _, done := d.Lease(worker, 0)
+	id, got, _, done := d.Lease(worker, 0, detailed)
 	if done {
 		t.Fatalf("%s: campaign reported done", worker)
 	}
@@ -52,7 +61,8 @@ func mustLease(t *testing.T, d *dispatch, worker string, want []int) string {
 }
 
 // TestLeaseLifecycle walks the happy path: plan-order batches, no
-// double-granting, completion, and the terminal all-done signal.
+// double-granting, completion, and the terminal all-done signal of a
+// sealed queue.
 func TestLeaseLifecycle(t *testing.T) {
 	clk := newFakeClock()
 	d := testDispatch(5, time.Minute, 2, clk)
@@ -63,7 +73,7 @@ func TestLeaseLifecycle(t *testing.T) {
 
 	// Everything is leased: a further request gets nothing but must not
 	// claim the campaign is over.
-	if id, pts, _, done := d.Lease("w3", 0); id != "" || len(pts) != 0 || done {
+	if id, pts, _, done := d.Lease("w3", 0, detailed); id != "" || len(pts) != 0 || done {
 		t.Fatalf("over-subscribed lease = (%q, %v, done=%v), want empty and not done", id, pts, done)
 	}
 
@@ -75,10 +85,10 @@ func TestLeaseLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, done := d.Lease("w1", 0); !done {
+	if _, _, _, done := d.Lease("w1", 0, detailed); !done {
 		t.Fatal("campaign not done after all points completed")
 	}
-	st := d.Stats()
+	st := d.stats()
 	if st.Done != 5 || st.Pending != 0 || st.Leased != 0 || st.Leases != 0 {
 		t.Fatalf("final stats = %+v", st)
 	}
@@ -108,7 +118,7 @@ func TestLeaseExpiryStealing(t *testing.T) {
 	// The renewal pushed the deadline out; the lease survives the
 	// original deadline...
 	clk.advance(45 * time.Second)
-	if _, pts, _, _ := d.Lease("thief", 0); len(pts) != 1 || pts[0] != 2 {
+	if _, pts, _, _ := d.Lease("thief", 0, detailed); len(pts) != 1 || pts[0] != 2 {
 		t.Fatalf("leased %v while lease-1 still live, want [2]", pts)
 	}
 	// ...but once the renewed deadline passes, the points are stolen in
@@ -118,7 +128,7 @@ func TestLeaseExpiryStealing(t *testing.T) {
 	if d.Renew(l1) {
 		t.Fatal("expired lease renewed")
 	}
-	if st := d.Stats(); st.ExpiredLeases != 1 {
+	if st := d.stats(); st.ExpiredLeases != 1 {
 		t.Fatalf("ExpiredLeases = %d, want 1", st.ExpiredLeases)
 	}
 
@@ -129,13 +139,13 @@ func TestLeaseExpiryStealing(t *testing.T) {
 	if err := d.Complete(l1, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if st := d.Stats(); st.Done != 0 {
+	if st := d.stats(); st.Done != 0 {
 		t.Fatalf("Done = %d after an expired lease's completion, want 0", st.Done)
 	}
 	if err := d.Complete(l3, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats()
+	st := d.stats()
 	if st.Done != 2 {
 		t.Fatalf("Done = %d after completion, want 2", st.Done)
 	}
@@ -151,7 +161,7 @@ func TestAdaptiveBatch(t *testing.T) {
 	d := testDispatch(200, ttl, 0, clk)
 
 	// No observations yet: the conservative default.
-	id, pts, _, _ := d.Lease("w", 0)
+	id, pts, _, _ := d.Lease("w", 0, detailed)
 	if len(pts) != DefaultBatch {
 		t.Fatalf("first adaptive lease = %d points, want DefaultBatch %d", len(pts), DefaultBatch)
 	}
@@ -164,13 +174,13 @@ func TestAdaptiveBatch(t *testing.T) {
 	if got := d.Batch(); got != 10 {
 		t.Fatalf("adaptive batch after 2s/point = %d, want 10", got)
 	}
-	if _, pts, _, _ = d.Lease("w", 0); len(pts) != 10 {
+	if _, pts, _, _ = d.Lease("w", 0, detailed); len(pts) != 10 {
 		t.Fatalf("second adaptive lease = %d points, want 10", len(pts))
 	}
 
-	// Stats surface the knobs for /v1/statsz (snapshotted while the
+	// stats surfaces the knobs for /v1/statsz (snapshotted while the
 	// lease is live — the fake clock is shared with the cases below).
-	st := d.Stats()
+	st := d.stats()
 	if st.EffectiveBatch != 10 || st.MeanPointMillis == 0 {
 		t.Fatalf("stats = batch %d / mean %dms, want 10 / nonzero", st.EffectiveBatch, st.MeanPointMillis)
 	}
@@ -180,7 +190,7 @@ func TestAdaptiveBatch(t *testing.T) {
 
 	// Very slow points shrink the batch to the floor of 1...
 	slow := testDispatch(50, ttl, 0, clk)
-	id, pts, _, _ = slow.Lease("w", 0)
+	id, pts, _, _ = slow.Lease("w", 0, detailed)
 	clk.advance(time.Duration(len(pts)) * 2 * ttl)
 	if err := slow.Complete(id, pts); err != nil {
 		t.Fatal(err)
@@ -191,7 +201,7 @@ func TestAdaptiveBatch(t *testing.T) {
 
 	// ...and near-instant points saturate at the cap.
 	fast := testDispatch(5000, ttl, 0, clk)
-	id, pts, _, _ = fast.Lease("w", 0)
+	id, pts, _, _ = fast.Lease("w", 0, detailed)
 	clk.advance(time.Millisecond)
 	if err := fast.Complete(id, pts); err != nil {
 		t.Fatal(err)
@@ -202,7 +212,7 @@ func TestAdaptiveBatch(t *testing.T) {
 
 	// A fixed batch ignores observations entirely.
 	fixed := testDispatch(50, ttl, 3, clk)
-	id, pts, _, _ = fixed.Lease("w", 0)
+	id, pts, _, _ = fixed.Lease("w", 0, detailed)
 	clk.advance(time.Hour)
 	fixed.Complete(id, pts)
 	if got := fixed.Batch(); got != 3 {
@@ -211,10 +221,10 @@ func TestAdaptiveBatch(t *testing.T) {
 }
 
 // TestPartialCompleteReleasesRest pins the partial-completion
-// contract: completing a lease with a subset of its indexes marks
-// those done and returns the remainder to the queue immediately, so a
-// worker that could execute only part of its batch does not hold the
-// rest hostage for a full TTL.
+// contract: the Complete body is untrusted, so completing a lease with
+// a subset of its indexes marks those done and returns the remainder
+// to the queue immediately instead of leaving it leased to a lease
+// that is gone until its TTL runs out.
 func TestPartialCompleteReleasesRest(t *testing.T) {
 	clk := newFakeClock()
 	d := testDispatch(4, time.Minute, 3, clk)
@@ -222,7 +232,7 @@ func TestPartialCompleteReleasesRest(t *testing.T) {
 	if err := d.Complete(id, []int{0, 2}); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats()
+	st := d.stats()
 	if st.Done != 2 || st.Pending != 2 || st.Leased != 0 || st.Leases != 0 {
 		t.Fatalf("after partial complete: %+v, want 2 done / 2 pending / no leases", st)
 	}
@@ -230,32 +240,52 @@ func TestPartialCompleteReleasesRest(t *testing.T) {
 	mustLease(t, d, "w2", []int{1, 3})
 }
 
-// TestReleaseKeepsLeaseAlive pins the upfront-release contract: a
-// worker hands back part of a live lease before running the rest, the
-// released points become leasable at once, and the lease (with its
-// renewals and eventual completion) continues to govern the remainder.
-func TestReleaseKeepsLeaseAlive(t *testing.T) {
+// TestLeaseFiltersByBackend pins lease-time backend filtering: a
+// worker is granted only pending points on the backends it names, in
+// plan order, never a point on another backend; an empty list gets
+// nothing, and points no live worker can run stay pending and keep
+// the sealed queue from reporting done.
+func TestLeaseFiltersByBackend(t *testing.T) {
 	clk := newFakeClock()
-	d := testDispatch(4, time.Minute, 3, clk)
-	id := mustLease(t, d, "w1", []int{0, 1, 2})
-
-	d.Release(id, []int{1})
-	st := d.Stats()
-	if st.Pending != 2 || st.Leased != 2 || st.Leases != 1 {
-		t.Fatalf("after release: %+v, want 2 pending / 2 leased / 1 lease", st)
+	points := make([]experiments.Point, 5)
+	hashes := make([]string, 5)
+	backends := []string{"detailed", "analytical", "quantum-sim", "detailed", "analytical"}
+	for i := range points {
+		points[i] = experiments.Point{Bench: fmt.Sprintf("B%d", i)}
+		hashes[i] = fmt.Sprintf("hash-%d", i)
 	}
-	mustLease(t, d, "w2", []int{1, 3})
-	if !d.Renew(id) {
-		t.Fatal("release killed the lease")
-	}
-	if err := d.Complete(id, []int{0, 2}); err != nil {
+	d := newDispatch(time.Minute, 8, clk.now)
+	if _, _, err := d.addCampaign(points, hashes, backends, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := d.Stats(); st.Done != 2 {
-		t.Fatalf("Done = %d after completing the kept points, want 2", st.Done)
+	d.registerMetrics(metrics.NewRegistry())
+	d.seal()
+
+	for _, c := range []struct {
+		worker string
+		names  []string
+		want   []int
+	}{
+		{"none", nil, nil},
+		{"unknown", []string{"ghost-sim"}, nil},
+		{"detailed", []string{"detailed"}, []int{0, 3}},
+		{"both", []string{"analytical", "detailed", "ghost-sim"}, []int{1, 4}},
+		{"again", []string{"detailed", "analytical"}, nil},
+	} {
+		id, got, _, done := d.Lease(c.worker, 0, c.names)
+		if done || !slices.Equal(got, c.want) || (id == "") != (len(c.want) == 0) {
+			t.Fatalf("%s leased %q %v done=%v, want %v", c.worker, id, got, done, c.want)
+		}
+		if err := d.Complete(id, got); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Releasing on an unknown/expired lease is a harmless no-op.
-	d.Release("nope", []int{0})
+	if st := d.stats(); st.Done != 4 || st.Pending != 1 {
+		t.Fatalf("stats = %+v, want 4 done and the quantum-sim point pending", st)
+	}
+	if _, got, _, done := d.Lease("quantum", 0, []string{"quantum-sim"}); !slices.Equal(got, []int{2}) || done {
+		t.Fatalf("quantum worker leased %v done=%v, want [2]", got, done)
+	}
 }
 
 // TestQueueWaitHistogram pins the scrape-plane twin of the "enqueue"
@@ -266,8 +296,7 @@ func TestReleaseKeepsLeaseAlive(t *testing.T) {
 func TestQueueWaitHistogram(t *testing.T) {
 	clk := newFakeClock()
 	d := testDispatch(4, time.Minute, 2, clk)
-	reg := metrics.NewRegistry()
-	d.registerMetrics(reg)
+	reg := d.reg
 
 	waits := func() (count float64, sum float64) {
 		t.Helper()
@@ -290,8 +319,8 @@ func TestQueueWaitHistogram(t *testing.T) {
 		t.Fatalf("after first lease: count %v sum %v, want 2 / 6s", count, sum)
 	}
 
-	// A forfeited batch re-enqueues its points NOW: their next grant
-	// books only the 5s since the forfeit, not the 8s since start.
+	// An empty Complete re-enqueues its points NOW: their next grant
+	// books only the 5s since that Complete, not the 8s since start.
 	if err := d.Complete(id, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +342,12 @@ func TestCompleteValidation(t *testing.T) {
 
 	// A store-plane PUT completes the point without any lease at all.
 	d.completeHash("hash-1")
-	if st := d.Stats(); st.Done != 1 {
+	if st := d.stats(); st.Done != 1 {
 		t.Fatalf("Done = %d after completeHash, want 1", st.Done)
 	}
 	d.completeHash("hash-1") // idempotent
 	d.completeHash("unknown-hash")
-	if st := d.Stats(); st.Done != 1 {
+	if st := d.stats(); st.Done != 1 {
 		t.Fatalf("Done = %d after redundant completeHash, want 1", st.Done)
 	}
 }

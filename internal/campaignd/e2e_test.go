@@ -1,7 +1,9 @@
 package campaignd
 
 import (
+	"bytes"
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
+	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 )
 
@@ -120,7 +123,7 @@ func TestCrashedWorkerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant, err := client.Lease(ctx, "crasher", 0)
+	grant, err := client.Lease(ctx, "crasher", 0, detailed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +168,10 @@ func TestCrashedWorkerRecovery(t *testing.T) {
 }
 
 // TestWorkerJoinsBeforeFirstCampaign: a worker that connects to a
-// serving coordinator before any campaign exists keeps polling instead
-// of taking the empty queue for a finished one, and completes the
-// campaign enqueued after it joined.
+// coordinator before any campaign exists keeps polling instead of
+// taking the empty queue for a finished one, and completes the
+// campaign enqueued after it joined, exiting once the coordinator is
+// sealed behind it.
 func TestWorkerJoinsBeforeFirstCampaign(t *testing.T) {
 	srv, _, _ := testServer(t, nil, func(cfg *ServerConfig) {
 		cfg.TTL = 250 * time.Millisecond // 50 ms lease polls
@@ -207,6 +211,7 @@ func TestWorkerJoinsBeforeFirstCampaign(t *testing.T) {
 	if _, err := srv.Enqueue("late", pts, testRows(pts), sweep.Shape{}); err != nil {
 		t.Fatal(err)
 	}
+	srv.Seal()
 	o := <-ran
 	if o.err != nil {
 		t.Fatal(o.err)
@@ -216,5 +221,144 @@ func TestWorkerJoinsBeforeFirstCampaign(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Dispatch.Done != len(pts) {
 		t.Fatalf("dispatch done = %d, want %d", st.Dispatch.Done, len(pts))
+	}
+}
+
+// putGate is a ResponseWriter that runs first, once, just before the
+// first 2xx answer to a store-plane PUT leaves the coordinator.
+type putGate struct {
+	http.ResponseWriter
+	first func()
+}
+
+func (g putGate) WriteHeader(code int) {
+	if code < 300 {
+		g.first()
+	}
+	g.ResponseWriter.WriteHeader(code)
+}
+
+// TestCoordinatorRestartMidCampaign kills a coordinator mid-campaign
+// with a worker attached and starts a new one on the same store
+// directory and address. The worker, never restarted, rides out the
+// outage on its retries and finishes the campaign on the new
+// coordinator, which resumes from the point already durable: its
+// merged CSV is byte-identical to the single-process sweep, and the
+// two coordinators together wrote at most one batch more than the
+// plan.
+func TestCoordinatorRestartMidCampaign(t *testing.T) {
+	sp := sweep.Space{
+		Benches: []string{"FT", "UA"},
+		CPCs:    []int{2, 8}, SizesKB: []int{16}, LineBuffers: []int{4}, Buses: []int{1},
+	}
+	want, _ := localSweepCSV(t, sp)
+	dir := t.TempDir()
+	const batch = 1
+	// coordinator enqueues the space's campaign on a fresh coordinator
+	// over dir and seals it, as a one-shot campaignd does.
+	coordinator := func() (*Server, int, int) {
+		t.Helper()
+		store, err := runstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner := testRunner(t)
+		runner.SetStore(store)
+		srv, err := New(ServerConfig{Runner: runner, Store: store, Batch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, rows := sp.Build(runner)
+		id, err := srv.Enqueue("restart", plan.Points(), rows, sweep.Shape{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Seal()
+		return srv, id, plan.Len()
+	}
+
+	// Coordinator A goes down the moment its first result is durable:
+	// every later request blocks until A is killed, so A stores
+	// exactly one point and the worker sees only dropped connections.
+	a, _, points := coordinator()
+	durable, killed := make(chan struct{}), make(chan struct{})
+	var down atomic.Bool
+	inner := a.Handler()
+	srvA := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			<-killed
+			http.Error(w, "coordinator killed", http.StatusServiceUnavailable)
+			return
+		}
+		if r.Method == http.MethodPut {
+			w = putGate{w, func() {
+				if down.CompareAndSwap(false, true) {
+					close(durable)
+				}
+			}}
+		}
+		inner.ServeHTTP(w, r)
+	})}
+	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lnA.Addr().String()
+	go srvA.Serve(lnA)
+	kill := sync.OnceFunc(func() {
+		close(killed)
+		srvA.Close()
+	})
+	defer kill()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	type outcome struct {
+		rep WorkerReport
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		w := Worker{URL: "http://" + addr, ID: "survivor", Parallelism: 1,
+			poll: 10 * time.Millisecond, leaseRetry: 20 * time.Millisecond, putBackoff: 20 * time.Millisecond}
+		rep, err := w.Run(ctx)
+		ran <- outcome{rep, err}
+	}()
+
+	select {
+	case <-durable:
+	case o := <-ran:
+		t.Fatalf("worker exited before any result was durable: %+v, err %v", o.rep, o.err)
+	}
+	// Coordinator B re-enqueues the same plan over the same store before
+	// A dies, so the outage is only the close-to-listen gap.
+	b, id, _ := coordinator()
+	if done := b.Stats().Dispatch.Done; done != 1 {
+		t.Fatalf("restarted coordinator resumed %d durable points, want 1", done)
+	}
+	kill()
+	lnB, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvB := &http.Server{Handler: b.Handler()}
+	go srvB.Serve(lnB)
+	defer srvB.Close()
+
+	o := <-ran
+	if o.err != nil {
+		t.Fatalf("worker did not finish on the restarted coordinator: %v", o.err)
+	}
+	var got bytes.Buffer
+	if err := b.WriteCSV(ctx, &got, id); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("CSV after the restart differs from the single-process sweep:\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+	aw, bw := a.Stats().Store.Writes, b.Stats().Store.Writes
+	if aw != 1 || aw+bw < int64(points) || aw+bw > int64(points+batch) {
+		t.Fatalf("store writes: %d before the restart + %d after, want 1 + between %d and %d",
+			aw, bw, points-1, points-1+batch)
 	}
 }

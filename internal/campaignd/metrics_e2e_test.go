@@ -81,83 +81,6 @@ func cancelAfterCompletes(n int64, cancel context.CancelFunc) func(http.Handler)
 	}
 }
 
-// TestReleaseFailureRetriedOnce is the regression pin for the silent
-// Release-failure bug: a worker whose mixed-batch Release is rejected
-// by the coordinator must retry it (once, after a backoff) instead of
-// dropping the error on the floor — pre-fix the call was attempted
-// exactly once and its failure ignored, leaving the points leased
-// until TTL expiry.
-func TestReleaseFailureRetriedOnce(t *testing.T) {
-	registerQuantumStub()
-	pts := []experiments.Point{
-		{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "quantum-sim"},
-		{Bench: "FT", Cfg: core.DefaultConfig()},
-		{Bench: "FT", Cfg: sharedCfg(8, 16, 2)},
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	// The limited worker stops once its forfeit of the quantum point
-	// (its second Complete, after the batch's) has landed.
-	limitedCtx, stopLimited := context.WithTimeout(ctx, 5*time.Second)
-	defer stopLimited()
-	stopAfterForfeit := cancelAfterCompletes(2, stopLimited)
-	var releaseAttempts atomic.Int64
-	srv, hs := wrapCoordinator(t, pts,
-		func(cfg *ServerConfig) {
-			cfg.Batch = 3 // one lease spans the mixed plan
-			// A TTL far beyond the test horizon: if the release does not
-			// actually succeed, expiry cannot quietly paper over it.
-			cfg.TTL = time.Minute
-		},
-		func(inner http.Handler) http.Handler {
-			return stopAfterForfeit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodPost && r.URL.Path == "/v1/release" {
-					if releaseAttempts.Add(1) == 1 {
-						http.Error(w, "injected release failure", http.StatusInternalServerError)
-						return
-					}
-				}
-				inner.ServeHTTP(w, r)
-			}))
-		})
-
-	limReg := metrics.NewRegistry()
-	limited := Worker{URL: hs.URL, ID: "limited", Parallelism: 2,
-		Metrics: limReg, backendRegistered: lacksQuantum,
-		releaseBackoff: time.Millisecond}
-	lrep, lerr := limited.Run(limitedCtx)
-	if lrep.Points != 2 {
-		t.Fatalf("limited worker completed %d points (err %v), want its 2 executable ones", lrep.Points, lerr)
-	}
-
-	// The failed Release was retried — exactly one retry, which
-	// succeeded, so the quantum point is back in the queue well before
-	// the one-minute TTL.
-	if got := releaseAttempts.Load(); got != 2 {
-		t.Fatalf("coordinator saw %d release attempts, want 2 (initial + one retry)", got)
-	}
-	if v, _ := limReg.Value("worker_release_retries_total"); v != 1 {
-		t.Fatalf("worker_release_retries_total = %v, want 1", v)
-	}
-	if v, _ := limReg.Value("worker_release_failures_total"); v != 0 {
-		t.Fatalf("worker_release_failures_total = %v, want 0 (the retry succeeded)", v)
-	}
-	if st := srv.Stats(); st.Dispatch.ReleasedPoints != 1 {
-		t.Fatalf("dispatch released points = %d, want the retried release to have landed", st.Dispatch.ReleasedPoints)
-	}
-
-	// A capable worker drains the released point without waiting out
-	// the TTL.
-	capable := Worker{URL: hs.URL, ID: "capable", Parallelism: 1}
-	crep, err := capable.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crep.Points != 1 {
-		t.Fatalf("capable worker completed %d points, want the released quantum point", crep.Points)
-	}
-}
-
 // registerMolassesStub registers a deliberately slow, cancellable
 // backend: each Execute sleeps well past the heartbeat-abandonment
 // test's lease TTL unless its context dies first.
@@ -254,7 +177,7 @@ func TestIdleStatszSweepsExpiredLeases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant, err := client.Lease(ctx, "crasher", 0)
+	grant, err := client.Lease(ctx, "crasher", 0, detailed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +287,7 @@ func TestLeaseRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &Worker{URL: hs.URL, leaseRetry: time.Millisecond}
-	lr, err := w.lease(context.Background(), client, "w")
+	lr, err := w.lease(context.Background(), client, "w", detailed)
 	if err != nil || lr.Lease != "l1" || !lr.Done {
 		t.Fatalf("lease after two failures = %+v, %v; want the served grant", lr, err)
 	}
@@ -382,7 +305,7 @@ func TestLeaseRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.lease(context.Background(), deadClient, "w"); err == nil ||
+	if _, err := w.lease(context.Background(), deadClient, "w", detailed); err == nil ||
 		!strings.Contains(err.Error(), "campaignd: lease:") || !strings.Contains(err.Error(), "permanently broken") {
 		t.Fatalf("lease against a dead coordinator: err = %v, want the last failure", err)
 	}
@@ -412,7 +335,7 @@ func TestMetricsReconcileWithCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grant, err := crasher.Lease(ctx, "crasher", 0); err != nil || len(grant.Points) == 0 {
+	if grant, err := crasher.Lease(ctx, "crasher", 0, detailed); err != nil || len(grant.Points) == 0 {
 		t.Fatalf("crasher lease: %v (%d points)", err, len(grant.Points))
 	}
 

@@ -32,9 +32,9 @@
 // # Dispatch plane
 //
 //	GET  /v1/campaign    campaign options + lease TTL + batch size
-//	POST /v1/lease       claim a batch of plan points under a TTL lease
+//	POST /v1/lease       claim a batch of plan points under a TTL lease,
+//	                     only points on the backends the worker names
 //	POST /v1/renew       heartbeat: extend a lease's deadline
-//	POST /v1/release     return part of a live lease to the queue unrun
 //	POST /v1/complete    report a batch finished, release the lease;
 //	                     the body also carries the worker's spans
 //	GET  /v1/trace       the campaign's merged span timeline as Chrome
@@ -57,7 +57,11 @@
 // simulated-cycles-per-second — while it runs. Workers ship no reports.
 //
 // Workers lease batches in plan order, heartbeat to keep them, publish
-// each result through the store plane, then complete the lease. A
+// each result through the store plane, then complete the lease. Each
+// lease request lists the simulation backends the worker registers,
+// and the coordinator grants only points on those backends, so a
+// mixed-backend plan splits across heterogeneous workers without any
+// point being handed back. A
 // worker that dies simply stops heartbeating: its lease expires and
 // the unfinished points return to the queue for the surviving workers
 // to steal. A point is *done* exactly when its result is durably in
@@ -68,7 +72,10 @@
 //
 // Every campaign enters through one path, Server.Enqueue (which
 // POST /v1/campaign wraps), and leaves through one path,
-// Server.WriteCSV (which GET /v1/campaign/{id}/csv wraps).
+// Server.WriteCSV (which GET /v1/campaign/{id}/csv wraps). Server.Seal
+// closes the entry: workers are told the work is over only once the
+// coordinator is sealed and every point is done, so a serving
+// coordinator's workers outlive the campaigns submitted so far.
 package campaignd
 
 import (
@@ -182,10 +189,12 @@ type LeasedPoint struct {
 }
 
 // leaseRequest/renewRequest/completeRequest are the dispatch-plane
-// request bodies.
+// request bodies. Backends names the simulation backends the worker
+// registers; only points resolving to one of them are granted.
 type leaseRequest struct {
-	Worker string
-	Max    int
+	Worker   string
+	Max      int
+	Backends []string
 }
 
 // LeaseGrant is the coordinator's answer to a lease request: a batch
@@ -194,8 +203,9 @@ type LeaseGrant struct {
 	Lease     string
 	TTLMillis int64
 	Points    []LeasedPoint
-	// Done reports the whole campaign complete; an empty Points with
-	// Done false means "all remaining work is leased, poll again".
+	// Done reports the coordinator sealed against new campaigns with
+	// every point complete; an empty Points with Done false means
+	// "nothing runnable is pending, poll again".
 	Done bool
 	// TraceContext is the lease span's "traceID/spanID" context when
 	// the coordinator traces, "" otherwise. It travels in the
@@ -205,12 +215,6 @@ type LeaseGrant struct {
 }
 
 type renewRequest struct{ Lease string }
-
-// releaseRequest returns part of a live lease to the queue unrun.
-type releaseRequest struct {
-	Lease   string
-	Indexes []int
-}
 
 // completeRequest also carries the worker's spans since its last
 // delivered Complete.
@@ -276,7 +280,6 @@ func New(cfg ServerConfig) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/campaign/{id}/arrive", s.handleArrive)
 	s.mux.HandleFunc("POST /v1/lease", s.handleLease)
 	s.mux.HandleFunc("POST /v1/renew", s.handleRenew)
-	s.mux.HandleFunc("POST /v1/release", s.handleRelease)
 	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
 	s.mux.HandleFunc("GET /v1/trace", s.handleGetTrace)
 	s.mux.HandleFunc("GET /v1/simstatsz", s.handleSimStatsz)
@@ -298,54 +301,41 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns the registry GET /metrics serves.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
+// Seal closes the coordinator to new campaigns: Enqueue and
+// POST /v1/campaign refuse from then on (ErrSealed, 409), and once
+// every enqueued point is done, lease answers tell workers the work is
+// over. A one-shot coordinator seals right after enqueueing its
+// campaign; a serving one never seals, so its workers keep polling.
+func (s *Server) Seal() { s.d.seal() }
+
 // Stats snapshots both planes from the metrics registry — /v1/statsz
 // renders the same samples GET /metrics exposes, so the two surfaces
-// cannot drift. Only the per-lease identity list (which a counter
-// cannot carry) is read straight off the queue.
+// cannot drift.
 func (s *Server) Stats() Statsz {
 	snap := s.metrics.Snapshot()
-	intOf := func(name string, labels ...metrics.Label) int64 {
-		v, _ := snap.Value(name, labels...)
+	intOf := func(name string) int64 {
+		v, _ := snap.Value(name)
 		return int64(v)
 	}
-	sumOf := func(name string) int64 {
+	sumOf := func(name string) uint64 {
 		v, _ := snap.Sum(name)
-		return int64(v)
+		return uint64(v)
 	}
-	st := Statsz{
+	return Statsz{
 		Store: runstore.Stats{
 			Hits:       intOf("runstore_hits_total"),
 			Misses:     intOf("runstore_misses_total"),
 			Writes:     intOf("runstore_writes_total"),
 			BadEntries: intOf("runstore_bad_entries_total"),
 		},
-		Dispatch: DispatchStats{
-			Points:          int(sumOf("campaignd_points")),
-			Done:            int(sumOf("campaignd_points_done")),
-			Leased:          int(intOf("campaignd_points_leased")),
-			Pending:         int(intOf("campaignd_queue_pending")),
-			Held:            int(intOf("campaignd_points_held")),
-			Campaigns:       int(intOf("campaignd_campaigns_total")),
-			ActiveCampaigns: int(intOf("campaignd_campaigns_active")),
-			Leases:          int(intOf("campaignd_leases_live")),
-			ExpiredLeases:   intOf("campaignd_leases_expired_total"),
-			GrantedLeases:   intOf("campaignd_leases_granted_total"),
-			CompletedLeases: intOf("campaignd_leases_completed_total"),
-			ForfeitedLeases: intOf("campaignd_leases_forfeited_total"),
-			ReleasedPoints:  intOf("campaignd_points_released_total"),
-			EffectiveBatch:  int(intOf("campaignd_lease_batch")),
+		Dispatch: s.d.stats(),
+		Memo: experiments.MemoStats{
+			SynthHits:     sumOf("runner_synth_memo_hits_total"),
+			SynthMisses:   sumOf("runner_synth_memo_misses_total"),
+			PrewarmHits:   sumOf("runner_prewarm_memo_hits_total"),
+			PrewarmMisses: sumOf("runner_prewarm_memo_misses_total"),
 		},
 	}
-	st.Memo = experiments.MemoStats{
-		SynthHits:     uint64(sumOf("runner_synth_memo_hits_total")),
-		SynthMisses:   uint64(sumOf("runner_synth_memo_misses_total")),
-		PrewarmHits:   uint64(sumOf("runner_prewarm_memo_hits_total")),
-		PrewarmMisses: uint64(sumOf("runner_prewarm_memo_misses_total")),
-	}
-	ewma, _ := snap.Value("campaignd_point_seconds_ewma")
-	st.Dispatch.MeanPointMillis = int64(ewma * 1000)
-	st.Dispatch.ActiveLeases = s.d.activeLeases()
-	return st
 }
 
 // --- store plane ---
@@ -474,7 +464,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, maxRequestBytes, &req) {
 		return
 	}
-	id, indexes, _, allDone := s.d.Lease(req.Worker, req.Max)
+	id, indexes, _, allDone := s.d.Lease(req.Worker, req.Max, req.Backends)
 	// Hand the worker the lease span's trace context so its batch and
 	// point spans parent under this grant in the merged timeline.
 	if sc := s.d.LeaseContext(id); sc.Valid() {
@@ -496,15 +486,6 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "lease expired or unknown", http.StatusGone)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req releaseRequest
-	if !readJSON(w, r, maxRequestBytes, &req) {
-		return
-	}
-	s.d.Release(req.Lease, req.Indexes)
 	w.WriteHeader(http.StatusNoContent)
 }
 

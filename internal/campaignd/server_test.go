@@ -35,7 +35,9 @@ func testRunner(t testing.TB) *experiments.Runner {
 }
 
 // testServer stands up a coordinator over a fresh store. A non-nil
-// plan is enqueued as campaign 0, with the rows testRows derives.
+// plan is enqueued as campaign 0, with the rows testRows derives, and
+// the server is sealed after it, as a one-shot coordinator is; with a
+// nil plan it stays open for campaigns, as a serving one does.
 func testServer(t testing.TB, points []experiments.Point, mutate func(*ServerConfig)) (*Server, *httptest.Server, *runstore.Store) {
 	t.Helper()
 	store, err := runstore.Open(t.TempDir())
@@ -56,6 +58,7 @@ func testServer(t testing.TB, points []experiments.Point, mutate func(*ServerCon
 		if _, err := srv.Enqueue("test", points, testRows(points), sweep.Shape{}); err != nil {
 			t.Fatal(err)
 		}
+		srv.Seal()
 	}
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)

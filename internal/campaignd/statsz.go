@@ -42,9 +42,8 @@ var statszTmpl = template.Must(template.New("statsz").Parse(`<!DOCTYPE html>
     <td>{{if .Dispatch.MeanPointMillis}}{{.Dispatch.MeanPointMillis}} ms{{else}}<span class="muted">n/a</span>{{end}}</td></tr>
 </table>
 <table>
-<tr><th>leases granted</th><th>completed</th><th>forfeited</th><th>points released</th></tr>
-<tr><td>{{.Dispatch.GrantedLeases}}</td><td>{{.Dispatch.CompletedLeases}}</td>
-    <td>{{.Dispatch.ForfeitedLeases}}</td><td>{{.Dispatch.ReleasedPoints}}</td></tr>
+<tr><th>leases granted</th><th>completed</th></tr>
+<tr><td>{{.Dispatch.GrantedLeases}}</td><td>{{.Dispatch.CompletedLeases}}</td></tr>
 </table>
 <p class="muted">machine-readable form: <a href="/metrics">/metrics</a> (Prometheus text exposition)</p>
 

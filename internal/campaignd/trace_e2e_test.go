@@ -196,7 +196,7 @@ func TestTraceEndpointsDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, err := client.Lease(context.Background(), "w", 1)
+	lr, err := client.Lease(context.Background(), "w", 1, detailed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,10 @@ import (
 
 // Worker leases batches of design points from a coordinator, simulates
 // them with a local Runner whose second cache tier is the
-// coordinator's store plane, and completes the leases. cmd/sweep
-// -remote -worker runs exactly this loop.
+// coordinator's store plane, and completes the leases. Every lease
+// request names the simulation backends this process registers, so the
+// coordinator grants only points the worker can run faithfully.
+// cmd/sweep -remote -worker runs exactly this loop.
 type Worker struct {
 	// URL is the coordinator base URL.
 	URL string
@@ -32,8 +34,8 @@ type Worker struct {
 	Parallelism int
 	// Max bounds points per lease (0 = the coordinator's batch size).
 	Max int
-	// Logger receives structured progress records (lease grants,
-	// forfeits, heartbeat trouble) with consistent worker/lease fields.
+	// Logger receives structured progress records (lease grants, lost
+	// leases, heartbeat trouble) with consistent worker/lease fields.
 	// Nil means silent.
 	Logger *slog.Logger
 	// Metrics receives the worker's lease-plane counters (worker_*) and
@@ -60,22 +62,21 @@ type Worker struct {
 	// from the entry it stores.
 	Reports *simreport.Collector
 
-	// backendRegistered overrides the backend-availability check in
+	// backends overrides the backend names lease requests carry in
 	// tests (which cannot unregister a backend from the process-wide
-	// registry); nil means experiments.BackendRegistered.
-	backendRegistered func(string) bool
+	// registry); nil means experiments.BackendNames().
+	backends []string
 
 	// The lease plane's waits, each defaulting when zero; tests shorten
-	// them. poll is the pause before leasing again when every point is
-	// leased elsewhere, doubled after a forfeit (default a fifth of the
-	// lease TTL, within [10 ms, 1 s]); releaseBackoff precedes the one
-	// retry of a failed give-back; leaseRetry separates lease attempts;
+	// them. poll is the pause before leasing again when nothing
+	// runnable is pending (default a fifth of the lease TTL, within
+	// [10 ms, 1 s]); leaseRetry separates lease attempts;
 	// handshakeDelay is the handshake's first backoff window (it
 	// doubles up to a fifth of handshakeBudget, the handshake's total
 	// retry time); putBackoff is the RemoteStore's publish retry step.
-	poll, releaseBackoff, leaseRetry time.Duration
-	handshakeDelay, handshakeBudget  time.Duration
-	putBackoff                       time.Duration
+	poll, leaseRetry                time.Duration
+	handshakeDelay, handshakeBudget time.Duration
+	putBackoff                      time.Duration
 
 	// log, id and tr are the per-Run resolved logger, worker identity
 	// and tracer.
@@ -94,40 +95,28 @@ type WorkerReport struct {
 	// Leases counts granted leases; LostLeases counts batches abandoned
 	// because the lease expired under us (the work was stolen).
 	Leases, LostLeases int
-	// Forfeited counts leases this worker gave back untouched because
-	// every point named a simulation backend this binary does not
-	// register — executing them with a different backend would poison
-	// the campaign, so the points are released back to the queue at
-	// once (lease expiry is the fallback if the release fails) for a
-	// capable worker to claim. A lease that merely contains some such
-	// points is not counted here: the unrunnable points are released
-	// up front and the executable remainder runs normally.
-	Forfeited int
 	// Store is the remote tier's traffic as seen from this worker.
 	Store runstore.Stats
 }
 
 // workerMetrics bundles the worker's lease-plane counters.
 type workerMetrics struct {
-	leases, lostLeases, forfeits    *metrics.Counter
-	renewFailures                   *metrics.Counter
-	releaseRetries, releaseFailures *metrics.Counter
+	leases, lostLeases, renewFailures *metrics.Counter
 }
 
 func newWorkerMetrics(reg *metrics.Registry) *workerMetrics {
 	return &workerMetrics{
-		leases:          reg.Counter("worker_leases_total", "lease batches this worker started executing"),
-		lostLeases:      reg.Counter("worker_lost_leases_total", "batches abandoned because the lease expired under us"),
-		forfeits:        reg.Counter("worker_forfeits_total", "leases handed back whole for lack of the named backend"),
-		renewFailures:   reg.Counter("worker_renew_failures_total", "heartbeat renewals that failed without a Gone verdict"),
-		releaseRetries:  reg.Counter("worker_release_retries_total", "failed queue-returning calls (Release or forfeit Complete) retried"),
-		releaseFailures: reg.Counter("worker_release_failures_total", "queue-returning calls that still failed after the retry (lease expiry is the fallback)"),
+		leases:        reg.Counter("worker_leases_total", "lease batches this worker started executing"),
+		lostLeases:    reg.Counter("worker_lost_leases_total", "batches abandoned because the lease expired under us"),
+		renewFailures: reg.Counter("worker_renew_failures_total", "heartbeat renewals that failed without a Gone verdict"),
 	}
 }
 
-// Run executes the worker loop until the campaign completes, the
-// context dies, or a simulation fails. Joining a coordinator that is
-// still starting up is tolerated with a short handshake retry.
+// Run executes the worker loop until the coordinator is sealed with
+// every point complete, the context dies, or a simulation fails; on a
+// serving coordinator, which never seals, that means until ctx ends.
+// Joining a coordinator that is still starting up is tolerated with a
+// short handshake retry.
 func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 	client, err := NewClient(w.URL)
 	if err != nil {
@@ -172,13 +161,17 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 
 	ttl := time.Duration(info.TTLMillis) * time.Millisecond
 	poll := orDefault(w.poll, clamp(ttl/5, 10*time.Millisecond, time.Second))
+	backends := w.backends
+	if backends == nil {
+		backends = experiments.BackendNames()
+	}
 	defer func() {
 		rep.Simulations = runner.Simulations()
 		rep.Store = store.Stats()
 	}()
 
 	for {
-		lr, err := w.lease(ctx, client, id)
+		lr, err := w.lease(ctx, client, id, backends)
 		if err != nil {
 			return rep, err
 		}
@@ -186,65 +179,15 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 			return rep, nil
 		}
 		if len(lr.Points) == 0 {
-			// Everything left is leased to someone else; poll again —
-			// each poll also drives the coordinator's expiry sweep, which
-			// is what lets us steal a crashed worker's points.
+			// Nothing runnable is pending; poll again — each poll also
+			// drives the coordinator's expiry sweep, which is what lets
+			// us steal a crashed worker's points.
 			select {
 			case <-time.After(poll):
 				continue
 			case <-ctx.Done():
 				return rep, ctx.Err()
 			}
-		}
-		runnable, missing := w.splitByBackend(opts, lr)
-		if len(runnable) == 0 {
-			// Every point names a backend this binary does not have.
-			// Forfeit the lease — never guess with a different backend.
-			// An empty Complete returns the points to the queue at once
-			// (lease expiry is the fallback if the call fails), and a
-			// doubled poll delay handicaps us in the race for them so
-			// capable workers claim them first.
-			rep.Forfeited++
-			m.forfeits.Inc()
-			w.log.Warn("worker: forfeiting lease — backend not registered in this worker",
-				"worker", id, "lease", lr.Lease, "backend", missing)
-			if err := w.giveBack(ctx, m, "forfeit", lr.Lease, func(ctx context.Context) error {
-				return client.Complete(ctx, lr.Lease, nil, nil)
-			}); err != nil {
-				return rep, err
-			}
-			select {
-			case <-time.After(2 * poll):
-				continue
-			case <-ctx.Done():
-				return rep, ctx.Err()
-			}
-		}
-		if len(runnable) < len(lr.Points) {
-			// Mixed batch: hand the unrunnable points back BEFORE
-			// simulating the rest, so a capable worker can claim them
-			// while this batch runs (an adaptive batch can take many
-			// TTLs; holding them hostage would stall the campaign).
-			// Should the release fail, the final partial Complete
-			// still returns them to the queue at batch end.
-			var drop []int
-			have := make(map[int]bool, len(runnable))
-			for _, lp := range runnable {
-				have[lp.Index] = true
-			}
-			for _, lp := range lr.Points {
-				if !have[lp.Index] {
-					drop = append(drop, lp.Index)
-				}
-			}
-			w.log.Info("worker: releasing points needing unavailable backend",
-				"worker", id, "lease", lr.Lease, "points", len(drop), "backend", missing)
-			if err := w.giveBack(ctx, m, "release", lr.Lease, func(ctx context.Context) error {
-				return client.Release(ctx, lr.Lease, drop)
-			}); err != nil {
-				return rep, err
-			}
-			lr.Points = runnable
 		}
 		rep.Leases++
 		m.leases.Inc()
@@ -269,65 +212,6 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 			w.log.Warn("worker: lease expired under us; re-leasing", "worker", id, "lease", lr.Lease)
 		}
 	}
-}
-
-// releaseBackoff is the pause before the single retry of a failed
-// queue-returning call.
-const releaseBackoff = 100 * time.Millisecond
-
-// giveBack runs one queue-returning call (a Release of part of a lease
-// or a forfeiting empty Complete), retrying once after a short backoff.
-// A call that still fails is logged and counted, not fatal: the TTL
-// eventually returns the points anyway, it just stalls the campaign by
-// up to a lease lifetime. The returned error is non-nil only when ctx
-// died.
-func (w *Worker) giveBack(ctx context.Context, m *workerMetrics, what, lease string, call func(context.Context) error) error {
-	err := call(ctx)
-	if err == nil {
-		return nil
-	}
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	m.releaseRetries.Inc()
-	w.log.Warn("worker: queue-returning call failed; retrying once",
-		"worker", w.id, "lease", lease, "call", what, "error", err)
-	select {
-	case <-time.After(orDefault(w.releaseBackoff, releaseBackoff)):
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	if err := call(ctx); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		m.releaseFailures.Inc()
-		w.log.Warn("worker: queue-returning call failed after retry — the points return to the queue at TTL expiry",
-			"worker", w.id, "lease", lease, "call", what, "error", err)
-	}
-	return nil
-}
-
-// splitByBackend partitions the leased points into those this process
-// can execute faithfully and reports the first backend name it lacks
-// ("" when every point is executable). Resolution follows
-// Options.PointBackend — the same rule the runner dispatches with.
-func (w *Worker) splitByBackend(opts experiments.Options, lr LeaseGrant) (runnable []LeasedPoint, missing string) {
-	registered := w.backendRegistered
-	if registered == nil {
-		registered = experiments.BackendRegistered
-	}
-	for _, lp := range lr.Points {
-		name := opts.PointBackend(lp.Point)
-		if !registered(name) {
-			if missing == "" {
-				missing = name
-			}
-			continue
-		}
-		runnable = append(runnable, lp)
-	}
-	return runnable, missing
 }
 
 // runBatch simulates one leased batch under a heartbeat. It reports
@@ -497,7 +381,7 @@ func (w *Worker) handshake(ctx context.Context, client *Client) (CampaignInfo, e
 // lease claims work, retrying transient transport errors so a worker
 // survives a coordinator hiccup (or its graceful-shutdown window)
 // without aborting the whole campaign.
-func (w *Worker) lease(ctx context.Context, client *Client, id string) (LeaseGrant, error) {
+func (w *Worker) lease(ctx context.Context, client *Client, id string, backends []string) (LeaseGrant, error) {
 	var last error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
@@ -507,7 +391,7 @@ func (w *Worker) lease(ctx context.Context, client *Client, id string) (LeaseGra
 				return LeaseGrant{}, ctx.Err()
 			}
 		}
-		lr, err := client.Lease(ctx, id, w.Max)
+		lr, err := client.Lease(ctx, id, w.Max, backends)
 		if err == nil {
 			return lr, nil
 		}

@@ -37,7 +37,8 @@ type Options struct {
 	Workers int
 	// Instructions is the master-thread instruction budget per
 	// benchmark. The paper traces >=20 G instructions; the default here
-	// is laptop-scale and EXPERIMENTS.md documents the effect.
+	// is laptop-scale. ROADMAP.md records the effect until its planned
+	// EXPERIMENTS.md ledger lands.
 	Instructions uint64
 	// Seed drives workload synthesis.
 	Seed uint64
@@ -267,8 +268,9 @@ func registerMemoCounters(reg *metrics.Registry, name string, b Backend) {
 // options: the point's own override if set, the campaign backend
 // otherwise, DefaultBackend if neither names one. It is THE resolution
 // rule — the engine dispatches with it, and the distributed
-// coordinator and workers consult it so their validation and forfeit
-// decisions cannot drift from what a runner would actually execute.
+// coordinator resolves each point's backend with it for validation
+// and for granting leases only to workers registering that backend,
+// so neither can drift from what a runner would actually execute.
 func (o Options) PointBackend(pt Point) string {
 	if pt.Backend != "" {
 		return pt.Backend

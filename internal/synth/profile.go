@@ -88,8 +88,8 @@ type Profile struct {
 
 // Profiles returns the 24 benchmark profiles in the paper's plotting
 // order (NPB, SPEC OMP 2012, ExMatEx). Values are tuned to the
-// published Figures 2, 3, 4, 11 and 13; see EXPERIMENTS.md for the
-// target-vs-measured record.
+// published Figures 2, 3, 4, 11 and 13. The target-vs-measured record
+// is in ROADMAP.md until its planned EXPERIMENTS.md ledger lands.
 func Profiles() []Profile {
 	return []Profile{
 		// suite NPB -------------------------------------------------

@@ -31,7 +31,8 @@ type Config struct {
 	// across all phases. Workers execute ≈ MasterInstructions ×
 	// (1 − SerialFrac) each. The paper traces ≥20 G instructions;
 	// scaled-down runs keep every behavioural shape but inflate
-	// cold-miss MPKI proportionally (documented in EXPERIMENTS.md).
+	// cold-miss MPKI proportionally (recorded in ROADMAP.md until its
+	// planned EXPERIMENTS.md ledger lands).
 	MasterInstructions uint64
 	// Seed makes the whole workload deterministic.
 	Seed uint64

@@ -222,7 +222,8 @@ func OpenRunStore(dir string) (*RunStore, error) { return runstore.Open(dir) }
 // store over HTTP and leases plan points to remote workers with
 // TTL-based work stealing, streaming merged results in plan order.
 // Every campaign enters through Enqueue (or POST /v1/campaign) and is
-// merged by Stream or WriteCSV.
+// merged by Stream or WriteCSV; Seal ends admission, after which
+// workers exit once every point is done.
 type CampaignServer = campaignd.Server
 
 // CampaignServerConfig assembles a CampaignServer.
