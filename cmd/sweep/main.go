@@ -326,10 +326,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 
 // runSubmit enqueues this process's design space as a closed campaign
 // on a serving coordinator and prints the merged CSV once the service
-// (and its workers) complete it. The rows are expanded by the same
-// Space.Build the local sweep runs, and the coordinator renders them
-// through the same CSV emitter, so the fetched bytes are identical to
-// the single-process run's.
+// (and its workers) complete it. The rows and the coordinator's plan
+// are laid out by the same sweep.Expand the local sweep's Space.Build
+// runs, and the coordinator renders them through the same CSV emitter,
+// so the fetched bytes are identical to the single-process run's.
 func runSubmit(ctx context.Context, cf *cliFlags, stdout, stderr io.Writer) error {
 	client, err := campaignd.NewClient(cf.remote)
 	if err != nil {

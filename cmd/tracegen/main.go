@@ -147,7 +147,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 }
 
 // runArrivals expands the design space exactly as cmd/sweep does
-// (sweep.Space.Build over the same flag semantics), schedules the
+// (sweep.Flags.Rows, Space.Build's layout), schedules the
 // resulting rows onto the requested RPS curve and writes the arrival
 // trace CSV to stdout. Rows carry the raw -backend flag value — not
 // the resolved backend name — so a replayed campaign adds the CSV

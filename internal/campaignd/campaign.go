@@ -18,10 +18,11 @@ package campaignd
 // instruction budget, seed and worker count are the server's, exactly
 // as they are for workers, so every submitter computes the same store
 // keys and overlapping campaigns deduplicate instead of diverging.
-// The server expands each spec the way sweep.Space.Build would (one
-// private baseline per benchmark, then the swept rows in submitted
-// order), which is what makes GET /v1/campaign/{id}/csv byte-identical
-// to the single-process `cmd/sweep` run over the same space.
+// The server lays each spec out through sweep.Expand, the one layout
+// a local sweep's Space.Build uses too (one private baseline per
+// benchmark at its first row, then the swept rows in submitted order),
+// which is what makes GET /v1/campaign/{id}/csv byte-identical to the
+// single-process `cmd/sweep` run over the same space.
 //
 // Open campaigns (Open: true) park their swept rows in the dispatch
 // queue's held state; `sweep -replay` then releases them at
@@ -47,12 +48,7 @@ import (
 
 // PointSpec is one submitted campaign row: a benchmark and the
 // shared-I-cache axes, with an optional per-row backend override.
-type PointSpec struct {
-	Bench            string
-	CPC, KB, LB, Bus int
-	// Backend overrides the campaign backend for this row ("" keeps it).
-	Backend string `json:",omitempty"`
-}
+type PointSpec = sweep.Coord
 
 // CampaignSpec is the POST /v1/campaign body.
 type CampaignSpec struct {
@@ -113,46 +109,23 @@ type campaign struct {
 	accepted time.Time
 }
 
-// buildCampaign expands a spec into its plan the way sweep.Space.Build
-// would: per benchmark one private baseline at first appearance, then
-// every swept row in submitted order. Rows a local sweep would skip
-// (cpc < 2, worker count not divisible by cpc, configurations the
-// simulator rejects) are errors here — a submitter naming them got the
-// space wrong, and silently dropping rows would break the
-// byte-identity of the merged CSV.
+// buildCampaign lays a spec out through sweep.Expand, the layout a
+// local sweep's Space.Build uses. Rows a local sweep would skip (an
+// empty benchmark, or rows Expand finds invalid) are errors here — a
+// submitter naming them got the space wrong, and silently dropping rows
+// would break the byte-identity of the merged CSV.
 func (s *Server) buildCampaign(spec CampaignSpec) (points []experiments.Point, rows []sweep.Row, held []bool, err error) {
-	opts := s.runner.Options()
-	workers := opts.Workers
-	baseIdx := map[string]int{}
 	for k, r := range spec.Rows {
 		if r.Bench == "" {
 			return nil, nil, nil, fmt.Errorf("row %d: empty benchmark", k)
 		}
-		if _, ok := baseIdx[r.Bench]; !ok {
-			baseIdx[r.Bench] = len(points)
-			points = append(points, experiments.Point{
-				Bench: r.Bench, Cfg: sweep.BaseConfig(workers), Backend: spec.Backend,
-			})
-			held = append(held, false)
-		}
-		if r.CPC < 2 || workers%r.CPC != 0 {
-			return nil, nil, nil, fmt.Errorf("row %d: cpc %d invalid for %d workers", k, r.CPC, workers)
-		}
-		cfg := sweep.PointConfig(workers, r.CPC, r.KB, r.LB, r.Bus)
-		if err := cfg.Validate(); err != nil {
-			return nil, nil, nil, fmt.Errorf("row %d: %w", k, err)
-		}
-		backend := r.Backend
-		if backend == "" {
-			backend = spec.Backend
-		}
-		rows = append(rows, sweep.Row{
-			Bench: r.Bench, CPC: r.CPC, KB: r.KB, LB: r.LB, Bus: r.Bus,
-			BaseIdx: baseIdx[r.Bench], PointIdx: len(points),
-			Backend: opts.PointBackend(experiments.Point{Backend: backend}),
-		})
-		points = append(points, experiments.Point{Bench: r.Bench, Cfg: cfg, Backend: backend})
-		held = append(held, spec.Open)
+	}
+	if points, rows, err = sweep.Expand(nil, s.runner.Options(), spec.Backend, spec.Rows); err != nil {
+		return nil, nil, nil, err
+	}
+	held = make([]bool, len(points))
+	for _, m := range rows {
+		held[m.PointIdx] = spec.Open
 	}
 	return points, rows, held, nil
 }

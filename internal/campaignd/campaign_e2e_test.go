@@ -597,6 +597,42 @@ func TestCampaignSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecExpandsLikeSpaceBuild pins the one campaign layout: a spec
+// listing a Space's rows expands to exactly Space.Build's points and
+// rows, and a further row with a backend override lands after them,
+// on its override, against its benchmark's existing baseline.
+func TestSpecExpandsLikeSpaceBuild(t *testing.T) {
+	srv, _, _ := testServer(t, nil, nil)
+	sp := sweep.Space{
+		Benches: []string{"FT", "UA"},
+		CPCs:    []int{2, 8}, SizesKB: []int{16, 32}, LineBuffers: []int{4}, Buses: []int{1, 2},
+		Backend: "analytical",
+	}
+	plan, rows := sp.Build(srv.runner)
+	spec := CampaignSpec{Backend: sp.Backend}
+	for _, m := range rows {
+		spec.Rows = append(spec.Rows, PointSpec{Bench: m.Bench, CPC: m.CPC, KB: m.KB, LB: m.LB, Bus: m.Bus})
+	}
+	spec.Rows = append(spec.Rows, PointSpec{Bench: "FT", CPC: 4, KB: 16, LB: 4, Bus: 1, Backend: "detailed"})
+
+	points, got, _, err := srv.buildCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPts := plan.Points()
+	wantRows := append(rows, sweep.Row{
+		Bench: "FT", CPC: 4, KB: 16, LB: 4, Bus: 1,
+		BaseIdx: rows[0].BaseIdx, PointIdx: len(wantPts), Backend: "detailed",
+	})
+	wantPts = append(wantPts, experiments.Point{Bench: "FT", Cfg: sweep.PointConfig(8, 4, 16, 4, 1), Backend: "detailed"})
+	if !reflect.DeepEqual(points, wantPts) {
+		t.Fatalf("spec expanded to %d points, want Space.Build's %d plus the override's", len(points), len(wantPts)-1)
+	}
+	if !reflect.DeepEqual(got, wantRows) {
+		t.Fatalf("spec rows = %+v\nwant Space.Build's plus the override's: %+v", got, wantRows)
+	}
+}
+
 // FuzzCampaignSpec throws arbitrary bodies at the unauthenticated
 // POST /v1/campaign. The handler must never panic; every body gets a
 // 400, or a reply whose Points is the expanded plan: one point per

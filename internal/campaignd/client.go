@@ -311,12 +311,12 @@ func (c *Client) Renew(ctx context.Context, lease string) error {
 	return c.call(ctx, http.MethodPost, "/v1/renew", renewRequest{Lease: lease}, nil)
 }
 
-// Complete reports a leased batch finished (results already published
-// through the store plane) and delivers the worker's finished spans,
-// if any, with it.
-func (c *Client) Complete(ctx context.Context, lease string, indexes []int, spans []tracing.Span) error {
+// Complete ends a lease (its results already published through the
+// store plane) and delivers the worker's finished spans, if any, with
+// it.
+func (c *Client) Complete(ctx context.Context, lease string, spans []tracing.Span) error {
 	return c.call(ctx, http.MethodPost, "/v1/complete",
-		completeRequest{Lease: lease, Indexes: indexes, Spans: spans}, nil)
+		completeRequest{Lease: lease, Spans: spans}, nil)
 }
 
 // Statsz fetches the coordinator's counters.

@@ -104,7 +104,7 @@ func TestCompleteExpiredLeaseDeliversTelemetry(t *testing.T) {
 	}
 
 	span := tracing.Span{TraceID: tr.TraceID(), SpanID: "late-span", Name: "point", Proc: "worker-late"}
-	if err := client.Complete(ctx, lr.Lease, []int{lr.Points[0].Index}, []tracing.Span{span}); err != nil {
+	if err := client.Complete(ctx, lr.Lease, []tracing.Span{span}); err != nil {
 		t.Fatalf("complete on an expired lease: %v", err)
 	}
 	var found bool
@@ -121,15 +121,13 @@ func TestCompleteExpiredLeaseDeliversTelemetry(t *testing.T) {
 
 // FuzzCompleteBody throws arbitrary bodies at the unauthenticated
 // POST /v1/complete. The handler must never panic and must answer 204
-// or 400. The fuzz server grants no lease, so every body names an
-// unknown one and must never change the dispatch Done count, and no
-// body — not even one carrying a Reports array, as workers once sent —
-// may add a simulation report.
+// or 400. No Complete marks a point done, so no body — not even one
+// listing Indexes or carrying a Reports array, as workers once sent —
+// may change the dispatch Done count or add a simulation report.
 func FuzzCompleteBody(f *testing.F) {
 	valid, err := json.Marshal(completeRequest{
-		Lease:   "lease-1",
-		Indexes: []int{0},
-		Spans:   []tracing.Span{{TraceID: "t", SpanID: "s", Name: "point", Start: 1, Dur: 2}},
+		Lease: "lease-1",
+		Spans: []tracing.Span{{TraceID: "t", SpanID: "s", Name: "point", Start: 1, Dur: 2}},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -204,5 +202,102 @@ func TestCompleteIgnoresForgedReports(t *testing.T) {
 		if !reflect.DeepEqual(after, before) {
 			t.Fatalf("Complete under lease %q changed /v1/simstatsz: %+v, was %+v", lease, after, before)
 		}
+	}
+}
+
+// TestCompleteMarksOnlyStoredPoints is the regression pin for a
+// Complete that marked every in-range index its body listed done: a
+// body naming a live lease that holds point 0 and listing point 3
+// must leave point 3 pending (it was never leased nor stored) and mark
+// nothing done; the lease's own point returns to the queue.
+func TestCompleteMarksOnlyStoredPoints(t *testing.T) {
+	srv, hs, _ := testServer(t, testPoints(), nil)
+	client, err := NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := client.Lease(context.Background(), "w", 1, detailed)
+	if err != nil || len(lr.Points) != 1 || lr.Points[0].Index != 0 {
+		t.Fatalf("lease: %+v, %v; want point 0", lr, err)
+	}
+	body := fmt.Sprintf(`{"Lease":%q,"Indexes":[3]}`, lr.Lease)
+	resp, err := http.Post(hs.URL+"/v1/complete", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("complete: status %d", resp.StatusCode)
+	}
+	st := srv.d.stats()
+	if st.Done != 0 || st.Pending != len(testPoints()) || st.Leases != 0 {
+		t.Fatalf("after completing a lease on [0] listing [3]: %+v, want 0 done, every point pending, no lease", st)
+	}
+	select {
+	case <-srv.d.Done(3):
+		t.Fatal("point 3's done latch closed without a stored result")
+	default:
+	}
+}
+
+// TestGetHitCompletesPoint pins the store plane's second completion
+// path: a result that reached the store directory without a PUT is
+// done once a GET for its hash hits.
+func TestGetHitCompletesPoint(t *testing.T) {
+	pts := testPoints()
+	srv, hs, store := testServer(t, pts, nil)
+	key := srv.runner.PointKey(pts[1])
+	if err := store.Put(key, fakeResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	if done := srv.d.stats().Done; done != 0 {
+		t.Fatalf("Done = %d before any store-plane traffic, want 0", done)
+	}
+	resp, err := http.Get(hs.URL + "/v1/run/" + key.Hex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET status %d, want a hit", resp.StatusCode)
+	}
+	select {
+	case <-srv.d.Done(1):
+	default:
+		t.Fatal("a GET hit did not mark its point done")
+	}
+	if done := srv.d.stats().Done; done != 1 {
+		t.Fatalf("Done = %d after one GET hit, want 1", done)
+	}
+}
+
+// TestLeaseIDsUniquePerCoordinator pins that two coordinators' first
+// lease IDs differ, so a worker's stale ID from a restarted
+// coordinator cannot renew the new one's live lease: the renewal gets
+// Gone.
+func TestLeaseIDsUniquePerCoordinator(t *testing.T) {
+	ctx := context.Background()
+	var ids []string
+	var clients []*Client
+	for range 2 {
+		_, hs, _ := testServer(t, testPoints(), nil)
+		client, err := NewClient(hs.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr, err := client.Lease(ctx, "w", 1, detailed)
+		if err != nil || len(lr.Points) != 1 {
+			t.Fatalf("lease: %+v, %v", lr, err)
+		}
+		ids, clients = append(ids, lr.Lease), append(clients, client)
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("both coordinators' first lease is %q", ids[0])
+	}
+	if err := clients[1].Renew(ctx, ids[0]); err != ErrLeaseGone {
+		t.Fatalf("renewing the other coordinator's lease %q: %v, want ErrLeaseGone", ids[0], err)
+	}
+	if err := clients[1].Renew(ctx, ids[1]); err != nil {
+		t.Fatalf("renewing its own lease: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"strconv"
 	"sync"
@@ -76,6 +77,7 @@ type dispatch struct {
 	done    []chan struct{} // done[i] closed when point i completes
 	byHash  map[string][]int
 	leases  map[string]*lease
+	token   string // random lease-ID prefix: no stale ID from another coordinator names a lease here
 	seq     int
 	nDone   int
 	sealed  bool  // no campaign may join; a drained queue is final
@@ -133,6 +135,7 @@ func newDispatch(ttl time.Duration, batch int, now func() time.Time) *dispatch {
 		now:    now,
 		byHash: map[string][]int{},
 		leases: map[string]*lease{},
+		token:  strconv.FormatUint(rand.Uint64(), 36),
 	}
 }
 
@@ -295,10 +298,10 @@ func (d *dispatch) markDoneLocked(i int) {
 // completeHash marks every plan point stored under the given content
 // address as done and returns the backend those points resolve to; ok
 // is false when the hash names no plan point. The store plane calls it
-// after each successful PUT: a point is complete exactly when its
-// result is durably in the store, which also lets a coordinator
-// restarted over a warm store resume instead of re-dispatching finished
-// work.
+// after each accepted PUT and each GET hit: a point is complete exactly
+// when its result is durably in the store, which also lets a
+// coordinator restarted over a warm store resume instead of
+// re-dispatching finished work.
 func (d *dispatch) completeHash(hash string) (backend string, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -391,7 +394,7 @@ func (d *dispatch) Lease(worker string, max int, backends []string) (id string, 
 	}
 	d.seq++
 	d.granted++
-	id = fmt.Sprintf("lease-%d", d.seq)
+	id = fmt.Sprintf("%s-lease-%d", d.token, d.seq)
 	now := d.now()
 	deadline = now.Add(d.ttl)
 	l := &lease{id: id, worker: worker, deadline: deadline, granted: now, indexes: indexes}
@@ -448,45 +451,36 @@ func (d *dispatch) Renew(id string) bool {
 	return true
 }
 
-// Complete marks the given points done and releases the lease. An
-// unknown (expired) lease completes nothing: its worker's results
-// already marked their points done when the store plane accepted them,
-// and an unauthenticated body naming no live lease must not mark
-// points done without results. Out-of-range indexes report an error.
-//
-// The body is untrusted input, so a lease's points it does not list
-// return to the queue as of this call rather than staying leased to a
-// lease that no longer exists; an empty Complete ends the lease with
-// nothing done.
-func (d *dispatch) Complete(id string, indexes []int) error {
+// Complete ends a live lease and returns its unfinished points to the
+// queue as of this call. It marks nothing done: only the store plane
+// does, when it accepts a point's PUT or answers a GET for it with a
+// hit, so an unauthenticated Complete cannot mark a point done that
+// has no result. Completing an unknown (expired) lease is a no-op.
+// The adaptive batch's latency average counts the lease's points that
+// are done by the time the Complete arrives.
+func (d *dispatch) Complete(id string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, i := range indexes {
-		if i < 0 || i >= len(d.points) {
-			return fmt.Errorf("campaignd: point index %d out of range", i)
-		}
-	}
-	l := d.leases[id]
-	d.observeLocked(l, len(indexes))
-	if l != nil {
-		for _, i := range indexes {
-			d.markDoneLocked(i)
-		}
+	if l := d.leases[id]; l != nil {
+		done := 0
 		now := d.now()
 		for _, i := range l.indexes {
-			if d.state[i] == pointLeased {
+			switch d.state[i] {
+			case pointDone:
+				done++
+			case pointLeased:
 				d.state[i] = pointPending
 				d.enqueued[i] = now
 			}
 		}
+		d.observeLocked(l, done)
 		d.completed++
-		l.span.SetAttr("completed", strconv.Itoa(len(indexes)))
+		l.span.SetAttr("completed", strconv.Itoa(done))
 		l.span.SetAttr("outcome", "completed")
 		l.span.End()
+		delete(d.leases, id)
 	}
-	delete(d.leases, id)
 	d.expireLocked()
-	return nil
 }
 
 // Done exposes point i's completion latch. The lock is for the slice

@@ -43,6 +43,14 @@ func testDispatch(n int, ttl time.Duration, batch int, clk *fakeClock) *dispatch
 	return d
 }
 
+// stored stands in for the store plane accepting the results of the
+// given points of a testDispatch queue, which is what marks them done.
+func stored(d *dispatch, indexes ...int) {
+	for _, i := range indexes {
+		d.completeHash(fmt.Sprintf("hash-%d", i))
+	}
+}
+
 func mustLease(t *testing.T, d *dispatch, worker string, want []int) string {
 	t.Helper()
 	id, got, _, done := d.Lease(worker, 0, detailed)
@@ -61,8 +69,8 @@ func mustLease(t *testing.T, d *dispatch, worker string, want []int) string {
 }
 
 // TestLeaseLifecycle walks the happy path: plan-order batches, no
-// double-granting, completion, and the terminal all-done signal of a
-// sealed queue.
+// double-granting, stored results and completion, and the terminal
+// all-done signal of a sealed queue.
 func TestLeaseLifecycle(t *testing.T) {
 	clk := newFakeClock()
 	d := testDispatch(5, time.Minute, 2, clk)
@@ -81,9 +89,8 @@ func TestLeaseLifecycle(t *testing.T) {
 		id      string
 		indexes []int
 	}{{l1, []int{0, 1}}, {l2, []int{2, 3}}, {l3, []int{4}}} {
-		if err := d.Complete(c.id, c.indexes); err != nil {
-			t.Fatal(err)
-		}
+		stored(d, c.indexes...)
+		d.Complete(c.id)
 	}
 	if _, _, _, done := d.Lease("w1", 0, detailed); !done {
 		t.Fatal("campaign not done after all points completed")
@@ -119,7 +126,7 @@ func TestLeaseExpiryStealing(t *testing.T) {
 	// original deadline...
 	clk.advance(45 * time.Second)
 	if _, pts, _, _ := d.Lease("thief", 0, detailed); len(pts) != 1 || pts[0] != 2 {
-		t.Fatalf("leased %v while lease-1 still live, want [2]", pts)
+		t.Fatalf("leased %v while the first lease is still live, want [2]", pts)
 	}
 	// ...but once the renewed deadline passes, the points are stolen in
 	// plan order by the next lease request.
@@ -133,18 +140,14 @@ func TestLeaseExpiryStealing(t *testing.T) {
 	}
 
 	// The crashed worker limps back and completes anyway. The call is
-	// accepted but marks nothing: an expired lease vouches for no
-	// result (a real worker's store-plane PUTs already did). The
-	// thief's completion then marks its points done.
-	if err := d.Complete(l1, []int{0, 1}); err != nil {
-		t.Fatal(err)
+	// accepted but marks nothing, and leaves the thief's leases alone.
+	// The thief's stored results then mark its points done.
+	d.Complete(l1)
+	if st := d.stats(); st.Done != 0 || st.Leased != 3 {
+		t.Fatalf("after an expired lease's completion: %+v, want 0 done / 3 leased", st)
 	}
-	if st := d.stats(); st.Done != 0 {
-		t.Fatalf("Done = %d after an expired lease's completion, want 0", st.Done)
-	}
-	if err := d.Complete(l3, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
+	stored(d, 0, 1)
+	d.Complete(l3)
 	st := d.stats()
 	if st.Done != 2 {
 		t.Fatalf("Done = %d after completion, want 2", st.Done)
@@ -168,9 +171,8 @@ func TestAdaptiveBatch(t *testing.T) {
 	// The batch takes 2s/point; the EWMA should settle near that and
 	// size the next lease at ~20s / 2s = 10 points.
 	clk.advance(time.Duration(len(pts)) * 2 * time.Second)
-	if err := d.Complete(id, pts); err != nil {
-		t.Fatal(err)
-	}
+	stored(d, pts...)
+	d.Complete(id)
 	if got := d.Batch(); got != 10 {
 		t.Fatalf("adaptive batch after 2s/point = %d, want 10", got)
 	}
@@ -192,9 +194,8 @@ func TestAdaptiveBatch(t *testing.T) {
 	slow := testDispatch(50, ttl, 0, clk)
 	id, pts, _, _ = slow.Lease("w", 0, detailed)
 	clk.advance(time.Duration(len(pts)) * 2 * ttl)
-	if err := slow.Complete(id, pts); err != nil {
-		t.Fatal(err)
-	}
+	stored(slow, pts...)
+	slow.Complete(id)
 	if got := slow.Batch(); got != 1 {
 		t.Fatalf("adaptive batch for slow points = %d, want 1", got)
 	}
@@ -203,9 +204,8 @@ func TestAdaptiveBatch(t *testing.T) {
 	fast := testDispatch(5000, ttl, 0, clk)
 	id, pts, _, _ = fast.Lease("w", 0, detailed)
 	clk.advance(time.Millisecond)
-	if err := fast.Complete(id, pts); err != nil {
-		t.Fatal(err)
-	}
+	stored(fast, pts...)
+	fast.Complete(id)
 	if got := fast.Batch(); got != maxAdaptiveBatch {
 		t.Fatalf("adaptive batch for fast points = %d, want cap %d", got, maxAdaptiveBatch)
 	}
@@ -214,23 +214,27 @@ func TestAdaptiveBatch(t *testing.T) {
 	fixed := testDispatch(50, ttl, 3, clk)
 	id, pts, _, _ = fixed.Lease("w", 0, detailed)
 	clk.advance(time.Hour)
-	fixed.Complete(id, pts)
+	stored(fixed, pts...)
+	fixed.Complete(id)
 	if got := fixed.Batch(); got != 3 {
 		t.Fatalf("fixed batch drifted to %d", got)
 	}
 }
 
 // TestPartialCompleteReleasesRest pins the partial-completion
-// contract: the Complete body is untrusted, so completing a lease with
-// a subset of its indexes marks those done and returns the remainder
-// to the queue immediately instead of leaving it leased to a lease
-// that is gone until its TTL runs out.
+// contract: completing a lease whose results are only partly stored
+// returns the rest to the queue immediately instead of leaving it
+// leased to a lease that is gone until its TTL runs out, and the
+// latency average counts only the stored points.
 func TestPartialCompleteReleasesRest(t *testing.T) {
 	clk := newFakeClock()
 	d := testDispatch(4, time.Minute, 3, clk)
 	id := mustLease(t, d, "w1", []int{0, 1, 2})
-	if err := d.Complete(id, []int{0, 2}); err != nil {
-		t.Fatal(err)
+	stored(d, 0, 2)
+	clk.advance(4 * time.Second)
+	d.Complete(id)
+	if d.pointSec != 2 {
+		t.Fatalf("per-point latency = %vs, want 4s over the 2 stored points", d.pointSec)
 	}
 	st := d.stats()
 	if st.Done != 2 || st.Pending != 2 || st.Leased != 0 || st.Leases != 0 {
@@ -276,9 +280,8 @@ func TestLeaseFiltersByBackend(t *testing.T) {
 		if done || !slices.Equal(got, c.want) || (id == "") != (len(c.want) == 0) {
 			t.Fatalf("%s leased %q %v done=%v, want %v", c.worker, id, got, done, c.want)
 		}
-		if err := d.Complete(id, got); err != nil {
-			t.Fatal(err)
-		}
+		stored(d, got...)
+		d.Complete(id)
 	}
 	if st := d.stats(); st.Done != 4 || st.Pending != 1 {
 		t.Fatalf("stats = %+v, want 4 done and the quantum-sim point pending", st)
@@ -319,11 +322,10 @@ func TestQueueWaitHistogram(t *testing.T) {
 		t.Fatalf("after first lease: count %v sum %v, want 2 / 6s", count, sum)
 	}
 
-	// An empty Complete re-enqueues its points NOW: their next grant
-	// books only the 5s since that Complete, not the 8s since start.
-	if err := d.Complete(id, nil); err != nil {
-		t.Fatal(err)
-	}
+	// A Complete with nothing stored re-enqueues its points NOW: their
+	// next grant books only the 5s since that Complete, not the 8s
+	// since start.
+	d.Complete(id)
 	clk.advance(5 * time.Second)
 	mustLease(t, d, "w2", []int{0, 1})
 	if count, sum := waits(); count != 4 || sum != 16 {
@@ -331,13 +333,14 @@ func TestQueueWaitHistogram(t *testing.T) {
 	}
 }
 
-// TestCompleteValidation pins index validation and the store-plane
-// completion path.
+// TestCompleteValidation pins that a Complete naming no live lease is
+// a no-op, and the store-plane completion path.
 func TestCompleteValidation(t *testing.T) {
 	clk := newFakeClock()
 	d := testDispatch(2, time.Minute, 8, clk)
-	if err := d.Complete("nope", []int{5}); err == nil {
-		t.Fatal("out-of-range completion accepted")
+	d.Complete("nope")
+	if st := d.stats(); st.Done != 0 || st.Pending != 2 {
+		t.Fatalf("an unknown lease's Complete changed the queue: %+v", st)
 	}
 
 	// A store-plane PUT completes the point without any lease at all.

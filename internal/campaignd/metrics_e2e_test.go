@@ -3,6 +3,7 @@ package campaignd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -117,15 +118,25 @@ func TestHeartbeatAbandonsBlackholedRenew(t *testing.T) {
 	// One shared point and no baseline: testRows normalises the lone
 	// row against itself, and this test never renders the CSV.
 	pts := []experiments.Point{{Bench: "FT", Cfg: sharedCfg(8, 16, 2), Backend: "molasses-sim"}}
+	var mu sync.Mutex
+	var first string // the lease the first renewal names
 	_, hs := wrapCoordinator(t, pts,
 		func(cfg *ServerConfig) { cfg.TTL = 250 * time.Millisecond },
 		func(inner http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.Method == http.MethodPost && r.URL.Path == "/v1/renew" {
 					body, _ := io.ReadAll(r.Body)
+					var req renewRequest
+					json.Unmarshal(body, &req)
+					mu.Lock()
+					if first == "" {
+						first = req.Lease
+					}
+					blackholed := req.Lease == first
+					mu.Unlock()
 					// Blackhole every renewal of the first lease only: the
 					// re-leased batch must heartbeat normally and finish.
-					if strings.Contains(string(body), `"lease-1"`) {
+					if blackholed {
 						http.Error(w, "injected renew outage", http.StatusServiceUnavailable)
 						return
 					}

@@ -7,7 +7,8 @@
 // # Store plane
 //
 //	GET /v1/run/{hash}   entry bytes, 404 on miss (Content-Encoding:
-//	                     gzip for clients that accept it)
+//	                     gzip for clients that accept it); a hit
+//	                     completes the campaign points stored under it
 //	PUT /v1/run/{hash}   publish an entry (validated, atomic), 204;
 //	                     gzip or plain-JSON bodies both verify; an
 //	                     X-Wall-Seconds header carries the point's
@@ -35,8 +36,9 @@
 //	POST /v1/lease       claim a batch of plan points under a TTL lease,
 //	                     only points on the backends the worker names
 //	POST /v1/renew       heartbeat: extend a lease's deadline
-//	POST /v1/complete    report a batch finished, release the lease;
-//	                     the body also carries the worker's spans
+//	POST /v1/complete    end a lease, returning its unfinished points
+//	                     to the queue; the body also carries the
+//	                     worker's spans
 //	GET  /v1/trace       the campaign's merged span timeline as Chrome
 //	                     trace-event JSON (404 unless tracing is on)
 //	GET  /v1/simstatsz   campaign-wide simulation-telemetry aggregate
@@ -65,7 +67,8 @@
 // worker that dies simply stops heartbeating: its lease expires and
 // the unfinished points return to the queue for the surviving workers
 // to steal. A point is *done* exactly when its result is durably in
-// the store — the store plane marks points complete on PUT — so a
+// the store — the store plane marks points complete when it accepts a
+// PUT or answers a GET with a hit, and nothing else does — so a
 // campaign enqueued over a warm store resumes where it left off, and
 // Server.Stream can merge results in plan order while the campaign is
 // still running.
@@ -219,9 +222,8 @@ type renewRequest struct{ Lease string }
 // completeRequest also carries the worker's spans since its last
 // delivered Complete.
 type completeRequest struct {
-	Lease   string
-	Indexes []int
-	Spans   []tracing.Span `json:",omitempty"`
+	Lease string
+	Spans []tracing.Span `json:",omitempty"`
 }
 
 // Statsz is the /v1/statsz body.
@@ -351,6 +353,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
+	s.d.completeHash(hash) // a durable result, PUT or not
 	w.Header().Set("Content-Type", "application/json")
 	// Entries sit on disk gzip-compressed; ship them as-is to clients
 	// that accept the encoding and unwrap server-side for the rest.
@@ -489,7 +492,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleComplete releases a lease and ingests the spans riding with it
+// handleComplete ends a lease and ingests the spans riding with it
 // whenever the body decodes — even for an expired lease, whose results
 // are already durable — dropping them when this coordinator does not
 // trace (the tracer is nil-safe).
@@ -499,10 +502,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.tracer.Ingest(req.Spans)
-	if err := s.d.Complete(req.Lease, req.Indexes); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	s.d.Complete(req.Lease)
 	w.WriteHeader(http.StatusNoContent)
 }
 

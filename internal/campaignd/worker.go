@@ -269,10 +269,8 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 	}()
 
 	points := make([]experiments.Point, len(lr.Points))
-	indexes := make([]int, len(lr.Points))
 	for i, lp := range lr.Points {
 		points[i] = lp.Point
-		indexes[i] = lp.Index
 	}
 	// Adopt the coordinator's lease span as the remote parent, so this
 	// batch — and every point span the runner records under it — lands
@@ -297,12 +295,12 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 	if err != nil {
 		select {
 		case <-leaseLost:
-			// Abandoned, not failed. An empty Complete still delivers the
+			// Abandoned, not failed. The Complete still delivers the
 			// batch's spans (an expired lease completes nothing). The
 			// writes delta is exactly this batch's published (hence
 			// completed) points: the runner is ours alone and idle
 			// between batches.
-			w.complete(ctx, client, lr.Lease, nil)
+			w.complete(ctx, client, lr.Lease)
 			return int(store.Stats().Writes - writesBefore), true, nil
 		default:
 		}
@@ -311,7 +309,7 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 		}
 		return 0, false, err
 	}
-	w.complete(ctx, client, lr.Lease, indexes)
+	w.complete(ctx, client, lr.Lease)
 	return len(points), false, nil
 }
 
@@ -320,13 +318,13 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 // re-buffered for the next Complete only when the call got no HTTP
 // response: any response means the coordinator read the body, so
 // nothing is ingested twice. A failed Complete only delays the lease's
-// release: the store-plane writes already marked the points done.
-func (w *Worker) complete(ctx context.Context, client *Client, lease string, indexes []int) {
+// release: the store plane already marked the points done.
+func (w *Worker) complete(ctx context.Context, client *Client, lease string) {
 	var spans []tracing.Span
 	if w.Tracer == nil {
 		spans = w.tr.Drain()
 	}
-	err := client.Complete(ctx, lease, indexes, spans)
+	err := client.Complete(ctx, lease, spans)
 	if err == nil {
 		return
 	}

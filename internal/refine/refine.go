@@ -236,30 +236,21 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 	sort.Ints(frontier)
 
 	// --- the mixed plan: frontier re-planned detailed -----------------
-	// The frontier rows are appended to the SAME plan the triage ran
-	// on, so executing it re-delivers the analytical results from the
-	// runner's cache and only the detailed points simulate.
-	baseDet := map[string]int{}
-	for _, fi := range frontier {
+	// The frontier (valid triage rows, so Expand skips none) is laid
+	// out after the triage points, so executing the mixed plan
+	// re-delivers the analytical results from the runner's cache and
+	// only the detailed points simulate.
+	coords := make([]sweep.Coord, len(frontier))
+	for k, fi := range frontier {
 		row := rows[fi]
-		bi, ok := baseDet[row.Bench]
-		if !ok {
-			bi = plan.AddPoint(experiments.Point{
-				Bench: row.Bench, Cfg: sweep.BaseConfig(workers), Backend: backendDetailed,
-			})
-			baseDet[row.Bench] = bi
-		}
-		pi := plan.AddPoint(experiments.Point{
-			Bench:   row.Bench,
-			Cfg:     sweep.PointConfig(workers, row.CPC, row.KB, row.LB, row.Bus),
-			Backend: backendDetailed,
-		})
-		rows = append(rows, sweep.Row{
-			Bench: row.Bench, CPC: row.CPC, KB: row.KB, LB: row.LB, Bus: row.Bus,
-			BaseIdx: bi, PointIdx: pi,
-			Backend: backendDetailed, Phase: PhaseRefine,
-		})
+		coords[k] = sweep.Coord{Bench: row.Bench, CPC: row.CPC, KB: row.KB, LB: row.LB, Bus: row.Bus}
 	}
+	points, frows, _ := sweep.Expand(plan.Points(), r.Options(), backendDetailed, coords)
+	for _, row := range frows {
+		row.Phase = PhaseRefine
+		rows = append(rows, row)
+	}
+	plan = r.Plan(points...)
 	out.Plan, out.Rows, out.FrontierRows = plan, rows, len(frontier)
 	fmt.Fprintf(log, "refine: triage %d rows analytical, frontier %d rows re-planned detailed (selector %s)\n",
 		out.TriageRows, out.FrontierRows, out.SelectorName)

@@ -94,23 +94,22 @@ func (f *Flags) Space() (Space, error) {
 	return sp, nil
 }
 
-// Rows expands the flags' design space into its CSV rows without
-// running anything: the form a campaign is submitted to a remote
-// coordinator in.
+// Rows expands the flags' design space into its valid CSV rows
+// without running anything — or building a Runner: the form a
+// campaign is submitted to a remote coordinator in.
 func (f *Flags) Rows() ([]Row, error) {
 	opts, err := f.Options()
 	if err != nil {
+		return nil, err
+	}
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	space, err := f.Space()
 	if err != nil {
 		return nil, err
 	}
-	runner, err := experiments.NewRunner(opts)
-	if err != nil {
-		return nil, err
-	}
-	_, rows := space.Build(runner)
+	_, rows, _ := Expand(nil, opts, space.Backend, space.coords())
 	return rows, nil
 }
 

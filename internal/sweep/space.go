@@ -1,14 +1,15 @@
-// Package sweep defines the design-space campaign shared by cmd/sweep
-// and the distributed coordinator cmd/campaignd: the same Space
-// expansion produces the same plan, and the same CSV emitter renders
-// the same bytes, so a campaign merged from remote workers is
-// byte-identical to a single-process sweep by construction rather than
-// by convention.
+// Package sweep defines the design-space campaign shared by cmd/sweep,
+// the distributed coordinator cmd/campaignd and auto-refine: one
+// layout (Expand) produces every campaign's plan, and the same CSV
+// emitter renders the same bytes, so a campaign merged from remote
+// workers is byte-identical to a single-process sweep by construction
+// rather than by convention.
 //
 // The package splits the campaign into three composable pieces:
 //
-//   - Space expands the swept axes into an ordered plan plus Row
-//     metadata tying each CSV row to its plan indexes (Build);
+//   - Expand lays row coordinates out as an ordered plan plus Row
+//     metadata tying each CSV row to its plan indexes; Space.Build
+//     feeds it the swept axes' cross product;
 //   - Evaluator derives each row's Metrics (normalised time, MPKI,
 //     area/energy ratios) from raw simulation results;
 //   - CSV renders rows — batch (Row/WriteRow) or streaming
@@ -25,6 +26,8 @@
 package sweep
 
 import (
+	"fmt"
+
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
 )
@@ -59,48 +62,90 @@ type Row struct {
 	Phase             string
 }
 
+// Coord is one campaign row's coordinates: a benchmark and the
+// shared-I-cache axes, with an optional backend override for the
+// row's design point.
+type Coord struct {
+	Bench            string
+	CPC, KB, LB, Bus int
+	// Backend overrides the campaign backend for this row ("" keeps it).
+	Backend string `json:",omitempty"`
+}
+
 // Build declares the full campaign on r in CSV emission order — per
 // benchmark one private baseline followed by every valid shared point
-// — and returns the plan alongside the row metadata that maps plan
-// results back to CSV rows. Invalid combinations (cpc < 2, worker
-// count not divisible by cpc, configurations the simulator rejects)
-// are skipped exactly as cmd/sweep always has.
+// of the cross product — and returns the plan alongside the row
+// metadata that maps plan results back to CSV rows. Invalid
+// combinations are skipped (see Expand).
 func (sp Space) Build(r *experiments.Runner) (*experiments.Plan, []Row) {
-	workers := r.Options().Workers
-	plan := r.Plan()
-	baseIdx := map[string]int{}
-	var rows []Row
-	add := func(bench string, cfg core.Config) int {
-		return plan.AddPoint(experiments.Point{Bench: bench, Cfg: cfg, Backend: sp.Backend})
-	}
-	// Rows are labelled with the backend the points will actually run
-	// on — resolved through the runner's own rule, so a Space left at
-	// "" over a runner with Options.Backend set still labels truthfully.
-	rowBackend := r.Options().PointBackend(experiments.Point{Backend: sp.Backend})
+	coords := sp.coords()
+	// At most one baseline per benchmark: exact when each has a valid row.
+	points := make([]experiments.Point, 0, len(coords)+len(sp.Benches))
+	points, rows, _ := Expand(points, r.Options(), sp.Backend, coords)
+	return r.Plan(points...), rows
+}
+
+// coords lists the space's cross product in CSV emission order.
+func (sp Space) coords() []Coord {
+	out := make([]Coord, 0, len(sp.Benches)*len(sp.CPCs)*len(sp.SizesKB)*len(sp.LineBuffers)*len(sp.Buses))
 	for _, b := range sp.Benches {
-		baseIdx[b] = add(b, BaseConfig(workers))
 		for _, cpc := range sp.CPCs {
-			if workers%cpc != 0 || cpc < 2 {
-				continue
-			}
 			for _, kb := range sp.SizesKB {
 				for _, lb := range sp.LineBuffers {
 					for _, bus := range sp.Buses {
-						cfg := PointConfig(workers, cpc, kb, lb, bus)
-						if err := cfg.Validate(); err != nil {
-							continue
-						}
-						rows = append(rows, Row{
-							Bench: b, CPC: cpc, KB: kb, LB: lb, Bus: bus,
-							BaseIdx: baseIdx[b], PointIdx: add(b, cfg),
-							Backend: rowBackend,
-						})
+						out = append(out, Coord{Bench: b, CPC: cpc, KB: kb, LB: lb, Bus: bus})
 					}
 				}
 			}
 		}
 	}
-	return plan, rows
+	return out
+}
+
+// Expand appends to points the campaign coords lay out, in CSV
+// emission order: each benchmark's private baseline at its first valid
+// row, then each valid row's shared point. Baselines run on backend, a
+// row's point on its override, else on backend. The rows index into
+// the returned slice and carry the backend their point resolves to
+// under opts, so a backend column never mislabels a row.
+//
+// A row is valid when its configuration passes core.Config.Validate,
+// which for a shared I-cache also demands a cpc of at least 2 dividing
+// opts.Workers. Invalid rows are skipped; err names the first by its
+// position in coords, for callers handed explicit rows.
+func Expand(points []experiments.Point, opts experiments.Options, backend string, coords []Coord) ([]experiments.Point, []Row, error) {
+	workers := opts.Workers
+	base := BaseConfig(workers)
+	label := opts.PointBackend(experiments.Point{Backend: backend})
+	rows := make([]Row, 0, len(coords))
+	baseIdx := map[string]int{}
+	var first error
+	for k, c := range coords {
+		cfg := PointConfig(workers, c.CPC, c.KB, c.LB, c.Bus)
+		if err := cfg.Validate(); err != nil {
+			if first == nil {
+				first = fmt.Errorf("row %d (%s cpc %d): %w", k, c.Bench, c.CPC, err)
+			}
+			continue
+		}
+		bi, ok := baseIdx[c.Bench]
+		if !ok {
+			bi = len(points)
+			baseIdx[c.Bench] = bi
+			points = append(points, experiments.Point{Bench: c.Bench, Cfg: base, Backend: backend})
+		}
+		// An override is its own label: PointBackend resolves only "".
+		b, l := backend, label
+		if c.Backend != "" {
+			b, l = c.Backend, c.Backend
+		}
+		rows = append(rows, Row{
+			Bench: c.Bench, CPC: c.CPC, KB: c.KB, LB: c.LB, Bus: c.Bus,
+			BaseIdx: bi, PointIdx: len(points), Backend: l,
+		})
+		points = append(points, experiments.Point{Bench: c.Bench, Cfg: cfg, Backend: b})
+	}
+	return points, rows, first
 }
 
 // BaseConfig is the private-I-cache baseline every row is normalised
@@ -111,10 +156,8 @@ func BaseConfig(workers int) core.Config {
 	return cfg
 }
 
-// PointConfig is the worker-shared configuration one Row's axes
-// describe — the single place the axes-to-Config mapping lives, so
-// tooling that rebuilds a row's design point from its CSV coordinates
-// (the auto-refine frontier re-plan) cannot drift from Build.
+// PointConfig is the worker-shared configuration one row's axes
+// describe — the single place the axes-to-Config mapping lives.
 func PointConfig(workers, cpc, kb, lb, bus int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Workers = workers
