@@ -125,7 +125,7 @@ func BenchmarkFig07_NaiveSharing(b *testing.B) {
 	r := runner(b)
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(context.Background(), r)
+		res, err := experiments.Fig7(context.Background(), r, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func BenchmarkFig08_CPIStack(b *testing.B) {
 	r := runner(b)
 	var maxBus float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(context.Background(), r)
+		res, err := experiments.Fig8(context.Background(), r, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func BenchmarkFig09_AccessRatio(b *testing.B) {
 	r := runner(b)
 	var lb2, lb8 float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(context.Background(), r)
+		res, err := experiments.Fig9(context.Background(), r, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func BenchmarkFig10_Tradeoff(b *testing.B) {
 	r := runner(b)
 	var naive, moreLB, moreBW float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(context.Background(), r)
+		res, err := experiments.Fig10(context.Background(), r, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func BenchmarkFig11_SharedMPKI(b *testing.B) {
 	r := runner(b)
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(context.Background(), r)
+		res, err := experiments.Fig11(context.Background(), r, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 		}
 		var fig7 *experiments.Fig7Result
 		for _, e := range experiments.All() {
-			res, err := e.Run(context.Background(), r)
+			res, err := e.Run(context.Background(), r, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,13 +7,15 @@
 //	            [-store DIR] [-storeop index|gc]
 //
 // Each figure prints as an aligned text table whose rows/series match
-// the paper's plot; figures that support it render rows incrementally
-// as their design points complete. Simulations fan out across -par
-// goroutines (default: all cores); Ctrl-C aborts the remaining design
-// points cleanly. With -store DIR results persist across invocations
-// in an on-disk run store, so regenerating a figure against a warm
-// store simulates nothing. The paper-vs-measured record is in
-// ROADMAP.md until its EXPERIMENTS.md ledger lands.
+// the paper's plot. In text format, figures whose rows complete one
+// benchmark at a time (Figs 7-11) print each row as soon as its design
+// points complete; -format csv and json print whole tables.
+// Simulations fan out across -par goroutines (default: all cores);
+// Ctrl-C aborts the remaining design points cleanly. With -store DIR
+// results persist across invocations in an on-disk run store, so
+// regenerating a figure against a warm store simulates nothing. The
+// paper-vs-measured record is in ROADMAP.md until its EXPERIMENTS.md
+// ledger lands.
 //
 // The §II workload characterisation (Figures 2-4) walks synthetic
 // traces without cycle simulation, over max(-n, 2M) master
@@ -44,7 +46,7 @@ type cliFlags struct {
 	out                                  sweep.OutputConfig
 	n, seed                              uint64
 	workers, par, chart                  int
-	cold, stream, list                   bool
+	cold, list                           bool
 }
 
 func registerFlags(fs *flag.FlagSet) *cliFlags {
@@ -61,7 +63,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	fs.IntVar(&f.chart, "chart", -1, "also render column N (0-based) as an ASCII bar chart")
 	fs.StringVar(&f.out.Store, "store", "", "persistent run-store directory (second cache tier)")
 	fs.StringVar(&f.storeop, "storeop", "", "run-store maintenance: 'index' or 'gc', then exit")
-	fs.BoolVar(&f.stream, "stream", true, "render supporting figures row-by-row as points complete (text format)")
 	fs.BoolVar(&f.list, "list", false, "list experiment ids and exit")
 	f.out.RegisterFlags(fs)
 	return f
@@ -141,26 +142,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 
 	for _, e := range selected {
 		start := time.Now()
-		var res experiments.Renderable
-		var err error
 		// Each figure is one parent span; the runner's point spans nest
 		// under it through ectx. No-ops when -trace is off.
 		ectx, span := out.Tracer.Start(ctx, "experiment", tracing.A("id", e.ID))
-		streamed := f.format == "text" && f.stream && e.Stream != nil
-		if streamed {
-			// Incremental rendering: print each table row the moment its
-			// design points complete instead of waiting for the figure.
-			fmt.Fprintf(stdout, "%s: %s\n", e.ID, e.Title)
-			res, err = e.Stream(ectx, runner, func(label string, cells ...string) {
+		// Text output renders incrementally: a figure that emits rows
+		// prints each one the moment its design points complete, under
+		// a title line printed at the first row. A figure that emits
+		// nothing prints its batch table once it finishes.
+		var emit experiments.RowEmit
+		streamed := false
+		if f.format == "text" {
+			emit = func(label string, cells ...string) {
+				if !streamed {
+					fmt.Fprintf(stdout, "%s: %s\n", e.ID, e.Title)
+					streamed = true
+				}
 				fmt.Fprintf(stdout, "%-12s", label)
 				for _, c := range cells {
 					fmt.Fprintf(stdout, "  %14s", c)
 				}
 				fmt.Fprintln(stdout)
-			})
-		} else {
-			res, err = e.Run(ectx, runner)
+			}
 		}
+		res, err := e.Run(ectx, runner, emit)
 		if err != nil {
 			span.SetAttr("error", err.Error())
 		}

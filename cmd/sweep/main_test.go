@@ -105,6 +105,26 @@ func TestPersistentStore(t *testing.T) {
 	sweepRun(t, "-store", store, "-storeop", "gc")
 }
 
+// TestMergeMissingPoint: -merge over a store that lacks one point of
+// the campaign exits non-zero naming that point, and prints no CSV.
+func TestMergeMissingPoint(t *testing.T) {
+	store := t.TempDir()
+	space := []string{"-bench", "FT", "-size", "16", "-lb", "4", "-buses", "1", "-n", "20000", "-store", store}
+	sweepRun(t, append(space, "-cpc", "8")...)
+
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), append(space, "-cpc", "4,8", "-merge"), &stdout, &stderr)
+	if code := sweep.ExitCode("sweep", err, &stderr); code == 0 {
+		t.Fatal("-merge over an incomplete store exited 0")
+	}
+	if err == nil || !strings.Contains(err.Error(), "missing FT on worker-shared/cpc=4") {
+		t.Fatalf("err = %v, want it to name the missing FT cpc=4 point", err)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("failed merge wrote to stdout:\n%s", stdout.Bytes())
+	}
+}
+
 // TestAnalyticalBackend pins the analytical triage backend end to end
 // through run: it sweeps a Fig 7 space with zero detailed
 // simulations, emits the backend column, and its store entries are

@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := e.Run(context.Background(), runner)
+	res, err := e.Run(context.Background(), runner, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

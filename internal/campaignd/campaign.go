@@ -43,6 +43,7 @@ import (
 
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/sweep"
+	"sharedicache/internal/synth"
 	"sharedicache/internal/tracing"
 )
 
@@ -110,14 +111,16 @@ type campaign struct {
 }
 
 // buildCampaign lays a spec out through sweep.Expand, the layout a
-// local sweep's Space.Build uses. Rows a local sweep would skip (an
-// empty benchmark, or rows Expand finds invalid) are errors here — a
-// submitter naming them got the space wrong, and silently dropping rows
-// would break the byte-identity of the merged CSV.
+// local sweep's Space.Build uses. Rows a local sweep would reject or
+// skip (a benchmark no synthesis profile has, or rows Expand finds
+// invalid) are errors here — a submitter naming them got the space
+// wrong, every worker leasing an unknown benchmark would fail on it,
+// and silently dropping rows would break the byte-identity of the
+// merged CSV.
 func (s *Server) buildCampaign(spec CampaignSpec) (points []experiments.Point, rows []sweep.Row, held []bool, err error) {
 	for k, r := range spec.Rows {
-		if r.Bench == "" {
-			return nil, nil, nil, fmt.Errorf("row %d: empty benchmark", k)
+		if _, ok := synth.ProfileByName(r.Bench); !ok {
+			return nil, nil, nil, fmt.Errorf("row %d: unknown benchmark %q", k, r.Bench)
 		}
 	}
 	if points, rows, err = sweep.Expand(nil, s.runner.Options(), spec.Backend, spec.Rows); err != nil {

@@ -24,6 +24,7 @@ import (
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/metrics"
 	"sharedicache/internal/sweep"
+	"sharedicache/internal/synth"
 )
 
 // fakeCampaign fabricates n points with distinct content addresses for
@@ -597,6 +598,22 @@ func TestCampaignSpecValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownBenchmarkSpecRejected: a row naming a benchmark no
+// synthesis profile has is a 400 naming the row, not a campaign that
+// stops every worker leasing it.
+func TestUnknownBenchmarkSpecRejected(t *testing.T) {
+	srv, _, _ := testServer(t, nil, nil)
+	body := `{"Rows":[{"Bench":"ZZZ","CPC":2,"KB":16,"LB":4,"Bus":1}]}`
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaign", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d (%q), want 400", rec.Code, rec.Body.String())
+	}
+	if msg := rec.Body.String(); !strings.Contains(msg, "row 0") || !strings.Contains(msg, `"ZZZ"`) {
+		t.Fatalf("400 body %q does not name row 0 and its benchmark", msg)
+	}
+}
+
 // TestSpecExpandsLikeSpaceBuild pins the one campaign layout: a spec
 // listing a Space's rows expands to exactly Space.Build's points and
 // rows, and a further row with a backend override lands after them,
@@ -636,7 +653,8 @@ func TestSpecExpandsLikeSpaceBuild(t *testing.T) {
 // FuzzCampaignSpec throws arbitrary bodies at the unauthenticated
 // POST /v1/campaign. The handler must never panic; every body gets a
 // 400, or a reply whose Points is the expanded plan: one point per
-// row plus one private baseline per distinct benchmark.
+// row plus one private baseline per distinct benchmark, each a
+// benchmark a synthesis profile exists for.
 func FuzzCampaignSpec(f *testing.F) {
 	for _, spec := range []CampaignSpec{
 		{Name: "ft", Rows: []PointSpec{{Bench: "FT", CPC: 2, KB: 16, LB: 4, Bus: 1}, {Bench: "FT", CPC: 8, KB: 16, LB: 4, Bus: 2}}},
@@ -651,6 +669,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte(`{"Rows":[{"CPC":2,"KB":16,"LB":4,"Bus":1}]}`))
+	f.Add([]byte(`{"Rows":[{"Bench":"ZZZ","CPC":2,"KB":16,"LB":4,"Bus":1}]}`))
 	f.Add([]byte(`{"Rows":[{"Bench":"FT","CPC":-8,"KB":-1,"LB":0,"Bus":9}]}`))
 	f.Add([]byte(`{"Rows":[]}`))
 	f.Add([]byte(`{`))
@@ -677,6 +696,9 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		benches := map[string]bool{}
 		for _, r := range spec.Rows {
+			if _, ok := synth.ProfileByName(r.Bench); !ok {
+				t.Fatalf("accepted row naming unknown benchmark %q: %q", r.Bench, body)
+			}
 			benches[r.Bench] = true
 		}
 		if want := len(spec.Rows) + len(benches); reply.Points != want {

@@ -30,7 +30,7 @@ func TestFig2Fig9Correlation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig9, err := Fig9(context.Background(), r)
+	fig9, err := Fig9(context.Background(), r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,19 +71,22 @@ func (p *Plan) Len() int { return len(p.points) }
 // running plan are simulated once and the result shared. The first
 // failing point cancels the remaining work and its error — carrying
 // the benchmark and configuration — is returned. If ctx is cancelled,
-// RunAll stops feeding work and returns ctx.Err().
+// RunAll stops feeding work and returns the cancellation. It collects
+// RunAllStream, so no point of the plan still executes once it
+// returns.
 func (p *Plan) RunAll(ctx context.Context) ([]*core.Result, error) {
-	results := make([]*core.Result, len(p.points))
-	err := fanOut(ctx, len(p.points), p.r.opts.parallelism(), func(ctx context.Context, i int) error {
-		pt := p.points[i]
-		prewarm := p.r.opts.Prewarm && !pt.Cold
-		res, err := p.r.simulate(ctx, p.r.pointBackend(pt), pt.Bench, pt.Cfg, prewarm)
-		if err != nil {
-			return err
+	ch, err := p.RunAllStream(ctx)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*core.Result, 0, len(p.points))
+	for pr := range ch {
+		if pr.Err != nil {
+			err = pr.Err
+			continue
 		}
-		results[i] = res
-		return nil
-	})
+		results = append(results, pr.Result)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -125,22 +125,22 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	}
 
 	// And at the figure level: identical rows.
-	f7s, err := Fig7(ctx, serial)
+	f7s, err := Fig7(ctx, serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f7p, err := Fig7(ctx, parallel)
+	f7p, err := Fig7(ctx, parallel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(f7s, f7p) {
 		t.Fatalf("Fig7 differs across parallelism:\nserial  %+v\nparallel %+v", f7s.Rows, f7p.Rows)
 	}
-	f11s, err := Fig11(ctx, serial)
+	f11s, err := Fig11(ctx, serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f11p, err := Fig11(ctx, parallel)
+	f11p, err := Fig11(ctx, parallel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestFigureCancellation(t *testing.T) {
 	r := smallRunner(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Fig7(ctx, r); !errors.Is(err, context.Canceled) {
+	if _, err := Fig7(ctx, r, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Fig7 err = %v, want context.Canceled", err)
 	}
 	if _, err := Fig2(ctx, r); !errors.Is(err, context.Canceled) {

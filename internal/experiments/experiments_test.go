@@ -239,7 +239,7 @@ func TestTableIValues(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	r := testRunner(t)
-	res, err := Fig7(context.Background(), r)
+	res, err := Fig7(context.Background(), r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestFig7Shape(t *testing.T) {
 
 func TestFig8Shape(t *testing.T) {
 	r := testRunner(t)
-	res, err := Fig8(context.Background(), r)
+	res, err := Fig8(context.Background(), r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestFig8Shape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	r := testRunner(t)
-	res, err := Fig9(context.Background(), r)
+	res, err := Fig9(context.Background(), r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestFig9Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	r := testRunner(t)
-	res, err := Fig10(context.Background(), r)
+	res, err := Fig10(context.Background(), r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestFig10Shape(t *testing.T) {
 
 func TestFig11Shape(t *testing.T) {
 	r := testRunner(t)
-	res, err := Fig11(context.Background(), r)
+	res, err := Fig11(context.Background(), r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestRegistryRunsAll(t *testing.T) {
 	}
 	r := testRunner(t)
 	for _, e := range All() {
-		res, err := e.Run(context.Background(), r)
+		res, err := e.Run(context.Background(), r, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}

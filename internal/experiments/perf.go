@@ -27,14 +27,10 @@ type Fig7Result struct {
 	Rows []Fig7Row
 }
 
-// Fig7 sweeps cpc in {2,4,8} against the private baseline.
-func Fig7(ctx context.Context, r *Runner) (*Fig7Result, error) {
-	return fig7(ctx, r, nil)
-}
-
-// fig7 streams each benchmark's row to emit as soon as its four design
+// Fig7 sweeps cpc in {2,4,8} against the private baseline, streaming
+// each benchmark's row to emit (nil: batch) as soon as its four design
 // points complete.
-func fig7(ctx context.Context, r *Runner, emit RowEmit) (*Fig7Result, error) {
+func Fig7(ctx context.Context, r *Runner, emit RowEmit) (*Fig7Result, error) {
 	profiles := r.opts.profiles()
 	plan := r.Plan()
 	for _, p := range profiles {
@@ -109,13 +105,9 @@ type Fig8Result struct {
 // Fig8 attributes the extra cycles of naive sharing to their causes.
 // The baseline bucket is the per-benchmark baseline worker CPI; each
 // extra bucket is the additional stall cycles the shared design pays,
-// as a fraction of baseline cycles.
-func Fig8(ctx context.Context, r *Runner) (*Fig8Result, error) {
-	return fig8(ctx, r, nil)
-}
-
-// fig8 streams rows to emit as benchmarks complete.
-func fig8(ctx context.Context, r *Runner, emit RowEmit) (*Fig8Result, error) {
+// as a fraction of baseline cycles. Rows stream to emit (nil: batch)
+// as benchmarks complete.
+func Fig8(ctx context.Context, r *Runner, emit RowEmit) (*Fig8Result, error) {
 	profiles := r.opts.profiles()
 	plan := r.Plan()
 	for _, p := range profiles {
@@ -186,13 +178,9 @@ type Fig9Result struct {
 
 // Fig9 sweeps the per-core line buffer count on the baseline
 // organisation (the access ratio is a property of code and front-end,
-// not of where the I-cache lives).
-func Fig9(ctx context.Context, r *Runner) (*Fig9Result, error) {
-	return fig9(ctx, r, nil)
-}
-
-// fig9 streams rows to emit as benchmarks complete.
-func fig9(ctx context.Context, r *Runner, emit RowEmit) (*Fig9Result, error) {
+// not of where the I-cache lives). Rows stream to emit (nil: batch) as
+// benchmarks complete.
+func Fig9(ctx context.Context, r *Runner, emit RowEmit) (*Fig9Result, error) {
 	profiles := r.opts.profiles()
 	plan := r.Plan()
 	for _, p := range profiles {
@@ -246,13 +234,9 @@ type Fig10Result struct {
 	Rows []Fig10Row
 }
 
-// Fig10 compares the two congestion remedies.
-func Fig10(ctx context.Context, r *Runner) (*Fig10Result, error) {
-	return fig10(ctx, r, nil)
-}
-
-// fig10 streams rows to emit as benchmarks complete.
-func fig10(ctx context.Context, r *Runner, emit RowEmit) (*Fig10Result, error) {
+// Fig10 compares the two congestion remedies. Rows stream to emit
+// (nil: batch) as benchmarks complete.
+func Fig10(ctx context.Context, r *Runner, emit RowEmit) (*Fig10Result, error) {
 	profiles := r.opts.profiles()
 	plan := r.Plan()
 	for _, p := range profiles {
@@ -323,13 +307,9 @@ type Fig11Result struct {
 
 // Fig11 compares shared and private worker miss rates. The shared
 // configurations use the double bus so that timing artefacts do not
-// perturb miss counts.
-func Fig11(ctx context.Context, r *Runner) (*Fig11Result, error) {
-	return fig11(ctx, r, nil)
-}
-
-// fig11 streams rows to emit as benchmarks complete.
-func fig11(ctx context.Context, r *Runner, emit RowEmit) (*Fig11Result, error) {
+// perturb miss counts. Rows stream to emit (nil: batch) as benchmarks
+// complete.
+func Fig11(ctx context.Context, r *Runner, emit RowEmit) (*Fig11Result, error) {
 	profiles := r.opts.profiles()
 	plan := r.Plan()
 	for _, p := range profiles {

@@ -20,51 +20,41 @@ type Experiment struct {
 	// Title is a one-line description.
 	Title string
 	// Run executes the experiment: its design points fan out across the
-	// runner's Parallelism and ctx aborts the remaining work.
-	Run func(ctx context.Context, r *Runner) (Renderable, error)
-	// Stream, when non-nil, is Run with incremental rendering: table
-	// rows (headers first) are pushed to emit as soon as their design
-	// points complete. Figures whose row order depends on the full
-	// result set (e.g. the sorted Fig 13) leave it nil.
-	Stream func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error)
+	// runner's Parallelism and ctx aborts the remaining work. Figures
+	// whose rows complete one benchmark at a time (Figs 7-11) push
+	// each table row (headers first) to a non-nil emit as soon as its
+	// design points complete; the rest, such as the sorted Fig 13,
+	// emit nothing and render only as the returned table.
+	Run func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error)
+}
+
+// tableOnly adapts a figure that renders only as a finished table.
+func tableOnly[T Renderable](fig func(context.Context, *Runner) (T, error)) func(context.Context, *Runner, RowEmit) (Renderable, error) {
+	return func(ctx context.Context, r *Runner, _ RowEmit) (Renderable, error) { return fig(ctx, r) }
+}
+
+// rowByRow adapts a figure that streams its rows to emit.
+func rowByRow[T Renderable](fig func(context.Context, *Runner, RowEmit) (T, error)) func(context.Context, *Runner, RowEmit) (Renderable, error) {
+	return func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error) { return fig(ctx, r, emit) }
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "fig1", Title: "ACMP vs symmetric CMP speedup (Hill-Marty model)",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return Fig1(ctx, r) }},
-		{ID: "fig2", Title: "Basic block length, serial vs parallel",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return Fig2(ctx, r) }},
-		{ID: "fig3", Title: "I-cache MPKI, serial vs parallel (32KB)",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return Fig3(ctx, r) }},
-		{ID: "fig4", Title: "Instruction sharing across threads",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return Fig4(ctx, r) }},
-		{ID: "table1", Title: "Simulated ACMP configuration",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return TableI(ctx, r) }},
-		{ID: "fig7", Title: "Naive sharing: normalized execution time",
-			Run:    func(ctx context.Context, r *Runner) (Renderable, error) { return Fig7(ctx, r) },
-			Stream: func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error) { return fig7(ctx, r, emit) }},
-		{ID: "fig8", Title: "CPI stack at cpc=8, single bus",
-			Run:    func(ctx context.Context, r *Runner) (Renderable, error) { return Fig8(ctx, r) },
-			Stream: func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error) { return fig8(ctx, r, emit) }},
-		{ID: "fig9", Title: "I-cache access ratio by line buffers",
-			Run:    func(ctx context.Context, r *Runner) (Renderable, error) { return Fig9(ctx, r) },
-			Stream: func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error) { return fig9(ctx, r, emit) }},
-		{ID: "fig10", Title: "Line buffers vs interconnect bandwidth",
-			Run:    func(ctx context.Context, r *Runner) (Renderable, error) { return Fig10(ctx, r) },
-			Stream: func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error) { return fig10(ctx, r, emit) }},
-		{ID: "fig11", Title: "Shared vs private worker MPKI",
-			Run:    func(ctx context.Context, r *Runner) (Renderable, error) { return Fig11(ctx, r) },
-			Stream: func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error) { return fig11(ctx, r, emit) }},
-		{ID: "fig12", Title: "Execution time, energy and area",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return Fig12(ctx, r) }},
-		{ID: "fig13", Title: "All-shared vs worker-shared by serial fraction",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return Fig13(ctx, r) }},
-		{ID: "ext-scale", Title: "Extension: sharing-degree scalability sweep",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return ExtScale(ctx, r) }},
-		{ID: "ext-cold", Title: "Extension: cold-cache regime (sharing as a prefetcher)",
-			Run: func(ctx context.Context, r *Runner) (Renderable, error) { return ExtCold(ctx, r) }},
+		{ID: "fig1", Title: "ACMP vs symmetric CMP speedup (Hill-Marty model)", Run: tableOnly(Fig1)},
+		{ID: "fig2", Title: "Basic block length, serial vs parallel", Run: tableOnly(Fig2)},
+		{ID: "fig3", Title: "I-cache MPKI, serial vs parallel (32KB)", Run: tableOnly(Fig3)},
+		{ID: "fig4", Title: "Instruction sharing across threads", Run: tableOnly(Fig4)},
+		{ID: "table1", Title: "Simulated ACMP configuration", Run: tableOnly(TableI)},
+		{ID: "fig7", Title: "Naive sharing: normalized execution time", Run: rowByRow(Fig7)},
+		{ID: "fig8", Title: "CPI stack at cpc=8, single bus", Run: rowByRow(Fig8)},
+		{ID: "fig9", Title: "I-cache access ratio by line buffers", Run: rowByRow(Fig9)},
+		{ID: "fig10", Title: "Line buffers vs interconnect bandwidth", Run: rowByRow(Fig10)},
+		{ID: "fig11", Title: "Shared vs private worker MPKI", Run: rowByRow(Fig11)},
+		{ID: "fig12", Title: "Execution time, energy and area", Run: tableOnly(Fig12)},
+		{ID: "fig13", Title: "All-shared vs worker-shared by serial fraction", Run: tableOnly(Fig13)},
+		{ID: "ext-scale", Title: "Extension: sharing-degree scalability sweep", Run: tableOnly(ExtScale)},
+		{ID: "ext-cold", Title: "Extension: cold-cache regime (sharing as a prefetcher)", Run: tableOnly(ExtCold)},
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 
 	"sharedicache/internal/core"
@@ -51,14 +52,9 @@ type PointResult struct {
 // before it) has completed — so drivers can render rows or CSV lines
 // while later design points are still simulating. Simulation fan-out
 // is unchanged: at most Options.Parallelism points run concurrently
-// and shared points are simulated once.
-//
-// The channel is always closed, and a campaign that does not complete
-// — a failing point or a cancelled ctx — always ends the stream with a
-// final PointResult whose Err is set, so a consumer that ranges to the
-// channel's close cannot mistake a truncated stream for a finished
-// one. The consumer must drain the channel (cancelling ctx to hurry
-// it along is fine), otherwise the delivery goroutine leaks.
+// and shared points are simulated once. The delivery contract is
+// Deliver's; the channel closes only once the fan-out is over, so no
+// point of the plan still executes after the last receive.
 func (p *Plan) RunAllStream(ctx context.Context) (<-chan PointResult, error) {
 	n := len(p.points)
 	results := make([]*core.Result, n)
@@ -86,46 +82,63 @@ func (p *Plan) RunAllStream(ctx context.Context) (<-chan PointResult, error) {
 		})
 	}()
 
+	wait := func(_ context.Context, i int) (*core.Result, error) {
+		select {
+		case <-done[i]:
+			return results[i], nil
+		case <-finished:
+		}
+		// The fan-out is over. Unless point i raced the failure and
+		// completed anyway, the campaign failed (or ctx died) before
+		// reaching it.
+		select {
+		case <-done[i]:
+			return results[i], nil
+		default:
+			return nil, cmp.Or(planErr, ctx.Err(), context.Canceled)
+		}
+	}
+	return Deliver(ctx, p.points, wait, finished), nil
+}
+
+// Deliver is the plan-order delivery contract every result stream
+// shares: Plan.RunAllStream and the campaign coordinator's merge. It
+// sends each point's result in plan order, wait(ctx, i) blocking until
+// point i's result is ready or returning why it never will be.
+//
+// The channel is always closed, and a stream that does not complete —
+// a wait error or a cancelled ctx — always ends with one PointResult
+// whose Err is set, so a consumer that ranges to the channel's close
+// cannot mistake a truncated stream for a finished one. idle, when
+// non-nil, closes once nothing of the plan is still executing; the
+// channel closes only after it. The consumer must drain the channel
+// (cancelling ctx to hurry it along is fine), otherwise the delivery
+// goroutine leaks.
+func Deliver(ctx context.Context, points []Point, wait func(ctx context.Context, i int) (*core.Result, error), idle <-chan struct{}) <-chan PointResult {
 	out := make(chan PointResult)
 	go func() {
 		defer close(out)
-		// The terminal error record is sent unconditionally: it is the
-		// consumer's only signal that the stream is truncated, so it
-		// must not be droppable by a racing ctx cancellation.
-		terminal := func(i int, err error) {
-			if err == nil {
-				err = context.Canceled
-			}
-			out <- PointResult{Index: i, Point: p.points[i], Err: err}
+		if idle != nil {
+			defer func() { <-idle }()
 		}
-		for i := 0; i < n; i++ {
-			select {
-			case <-done[i]:
-			case <-finished:
-				// The fan-out is over but point i never completed: the
-				// campaign failed (or ctx died) before reaching it. Unless
-				// the point raced the failure and completed anyway, emit
-				// the terminal error and stop.
+		for i, pt := range points {
+			res, err := wait(ctx, i)
+			if err == nil {
 				select {
-				case <-done[i]:
-				default:
-					err := planErr
-					if err == nil {
-						err = ctx.Err()
-					}
-					terminal(i, err)
-					return
+				case out <- PointResult{Index: i, Point: pt, Result: res}:
+					continue
+				case <-ctx.Done():
+					err = ctx.Err()
 				}
 			}
-			select {
-			case out <- PointResult{Index: i, Point: p.points[i], Result: results[i]}:
-			case <-ctx.Done():
-				terminal(i, ctx.Err())
-				return
-			}
+			// The terminal error record is sent unconditionally: it is
+			// the consumer's only signal that the stream is truncated, so
+			// it must not be droppable by a racing ctx cancellation.
+			out <- PointResult{Index: i, Point: pt, Err: err}
+			return
 		}
 	}()
-	return out, nil
+	return out
 }
 
 // streamRows consumes RunAllStream in groups of k consecutive results

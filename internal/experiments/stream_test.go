@@ -5,7 +5,11 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"sharedicache/internal/core"
 )
 
 // TestRunAllStreamParity checks that the stream delivers every point
@@ -110,17 +114,17 @@ func TestRunAllStreamCancel(t *testing.T) {
 	}
 }
 
-// TestStreamedFigureParity checks that a figure generated through its
-// streaming path emits one rendered row per benchmark (plus a header)
-// and returns the same result as the batch path.
+// TestStreamedFigureParity checks that a figure given a RowEmit emits
+// one rendered row per benchmark (plus a header) and returns the same
+// result as with a nil (batch) emit.
 func TestStreamedFigureParity(t *testing.T) {
-	batch, err := Fig7(context.Background(), smallRunner(t, nil))
+	batch, err := Fig7(context.Background(), smallRunner(t, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var rows [][]string
-	streamed, err := fig7(context.Background(), smallRunner(t, nil), func(label string, cells ...string) {
+	streamed, err := Fig7(context.Background(), smallRunner(t, nil), func(label string, cells ...string) {
 		rows = append(rows, append([]string{label}, cells...))
 	})
 	if err != nil {
@@ -142,5 +146,108 @@ func TestStreamedFigureParity(t *testing.T) {
 		if len(row) != 4 {
 			t.Fatalf("row %d has %d cells, want 4", i, len(row))
 		}
+	}
+}
+
+// gate latches the "test-gate" backend: each Execute signals started,
+// then holds until release closes, whatever its context says, so a
+// test can observe what a stream does while a point is still running.
+var gate struct {
+	started, release chan struct{}
+}
+
+var registerGateBackend = sync.OnceFunc(func() {
+	RegisterBackend("test-gate", func(Options) (Backend, error) { return gateBackend{}, nil })
+})
+
+type gateBackend struct{}
+
+func (gateBackend) Name() string        { return "test-gate" }
+func (gateBackend) Fingerprint() string { return "test-gate/v1" }
+func (gateBackend) Execute(ctx context.Context, bench string, cfg core.Config, prewarm bool) (*core.Result, error) {
+	gate.started <- struct{}{}
+	<-gate.release
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return &core.Result{Config: cfg, Cycles: 7, Cores: make([]core.CoreResult, cfg.Workers+1)}, nil
+}
+
+// resetGate arms the gate for one test and returns its blocking point.
+func resetGate() Point {
+	registerGateBackend()
+	gate.started, gate.release = make(chan struct{}, 1), make(chan struct{})
+	return Point{Bench: "FT", Cfg: baselineConfig(), Backend: "test-gate"}
+}
+
+// TestRunAllStreamClosesAfterFanOut: a consumer that cancels and drains
+// must not see the channel close while a point's Execute is still
+// blocked — a closed stream means nothing of the plan still runs.
+func TestRunAllStreamClosesAfterFanOut(t *testing.T) {
+	blocked := resetGate()
+	r := smallRunner(t, func(o *Options) { o.Parallelism = 2 })
+	// Point 0 is warm in the memory tier, so delivery parks on its send
+	// while point 1 blocks in Execute.
+	warm := Point{Bench: "FT", Cfg: baselineConfig(), Backend: "analytical"}
+	if _, err := r.RunAll(context.Background(), warm); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch, err := r.Plan(warm, blocked).RunAllStream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.started
+	// Give delivery time to park on point 0's send, where a close that
+	// overtakes the fan-out would happen. The assertion below holds
+	// whether or not it got there.
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+
+	drained := make(chan []PointResult)
+	go func() {
+		var got []PointResult
+		for pr := range ch {
+			got = append(got, pr)
+		}
+		drained <- got
+	}()
+	select {
+	case <-drained:
+		close(gate.release)
+		t.Fatal("stream closed while a point's Execute was still blocked")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate.release)
+	got := <-drained
+	if len(got) == 0 || !errors.Is(got[len(got)-1].Err, context.Canceled) {
+		t.Fatalf("cancelled stream = %+v, want it to end with a context.Canceled record", got)
+	}
+}
+
+// TestRunAllWaitsForFanOut: a cancelled RunAll returns only once the
+// blocked point's Execute has returned too.
+func TestRunAllWaitsForFanOut(t *testing.T) {
+	blocked := resetGate()
+	r := smallRunner(t, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	returned := make(chan error, 1)
+	go func() {
+		_, err := r.RunAll(ctx, blocked)
+		returned <- err
+	}()
+	<-gate.started
+	cancel()
+	select {
+	case err := <-returned:
+		close(gate.release)
+		t.Fatalf("RunAll returned (%v) while a point's Execute was still blocked", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-returned; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

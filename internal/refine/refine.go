@@ -82,7 +82,8 @@ type Config struct {
 	Selector Selector
 	// GoldenMax bounds how many shared design points the calibration
 	// golden space samples (0 means DefaultGoldenMax). The golden pass
-	// additionally runs every benchmark's baseline on both backends.
+	// additionally runs the baseline of each benchmark it samples on
+	// both backends.
 	GoldenMax int
 	// Log, when non-nil, receives the pipeline's accounting lines
 	// (calibration fit, triage size, frontier size).
@@ -180,7 +181,7 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 
 	// --- phase 1: calibration -----------------------------------------
 	golden := goldenSample(len(rows), goldenMax)
-	gplan, grefs := goldenPlan(r, cfg.Space.Benches, rows, golden)
+	gplan, gdet, gana := goldenPlan(r, rows, golden)
 
 	out := &Result{
 		GoldenRows:   len(golden),
@@ -189,7 +190,7 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	detBefore := r.BackendRuns()[backendDetailed]
 	calCtx, calSpan := tracer.Start(ctx, "refine.calibrate", tracing.AInt("golden_rows", len(golden)))
-	cal, err := calibrate(calCtx, r, gplan, grefs, rows)
+	cal, err := calibrate(calCtx, r, gplan, gdet, gana)
 	calSpan.End()
 	if err != nil {
 		return nil, err
@@ -240,12 +241,7 @@ func Prepare(ctx context.Context, cfg Config) (*Result, error) {
 	// out after the triage points, so executing the mixed plan
 	// re-delivers the analytical results from the runner's cache and
 	// only the detailed points simulate.
-	coords := make([]sweep.Coord, len(frontier))
-	for k, fi := range frontier {
-		row := rows[fi]
-		coords[k] = sweep.Coord{Bench: row.Bench, CPC: row.CPC, KB: row.KB, LB: row.LB, Bus: row.Bus}
-	}
-	points, frows, _ := sweep.Expand(plan.Points(), r.Options(), backendDetailed, coords)
+	points, frows, _ := sweep.Expand(plan.Points(), r.Options(), backendDetailed, coordsAt(rows, frontier))
 	for _, row := range frows {
 		row.Phase = PhaseRefine
 		rows = append(rows, row)
@@ -283,56 +279,47 @@ func goldenSample(n, max int) []int {
 	return out
 }
 
-// goldenRef ties one golden row to its four golden-plan points.
-type goldenRef struct {
-	rowIdx                         int
-	detBase, anaBase, detPt, anaPt int
+// goldenPlan declares the calibration campaign through sweep.Expand:
+// the sampled rows on the detailed backend (each benchmark's baseline
+// at its first golden row), then the same rows on the analytical
+// backend. The two returned row slices pair up by position.
+func goldenPlan(r *experiments.Runner, rows []sweep.Row, golden []int) (plan *experiments.Plan, det, ana []sweep.Row) {
+	coords := coordsAt(rows, golden)
+	points, det, _ := sweep.Expand(nil, r.Options(), backendDetailed, coords)
+	points, ana, _ = sweep.Expand(points, r.Options(), backendAnalytical, coords)
+	return r.Plan(points...), det, ana
 }
 
-// goldenPlan declares the calibration campaign: every benchmark's
-// baseline on both backends, then each sampled row's design point on
-// both backends.
-func goldenPlan(r *experiments.Runner, benches []string, rows []sweep.Row, golden []int) (*experiments.Plan, []goldenRef) {
-	workers := r.Options().Workers
-	plan := r.Plan()
-	baseD, baseA := map[string]int{}, map[string]int{}
-	for _, b := range benches {
-		baseD[b] = plan.AddPoint(experiments.Point{Bench: b, Cfg: sweep.BaseConfig(workers), Backend: backendDetailed})
-		baseA[b] = plan.AddPoint(experiments.Point{Bench: b, Cfg: sweep.BaseConfig(workers), Backend: backendAnalytical})
+// coordsAt returns the coordinates of rows[i] for each index, without
+// backend overrides.
+func coordsAt(rows []sweep.Row, idx []int) []sweep.Coord {
+	coords := make([]sweep.Coord, len(idx))
+	for k, i := range idx {
+		row := rows[i]
+		coords[k] = sweep.Coord{Bench: row.Bench, CPC: row.CPC, KB: row.KB, LB: row.LB, Bus: row.Bus}
 	}
-	refs := make([]goldenRef, 0, len(golden))
-	for _, ri := range golden {
-		row := rows[ri]
-		cfg := sweep.PointConfig(workers, row.CPC, row.KB, row.LB, row.Bus)
-		ref := goldenRef{rowIdx: ri, detBase: baseD[row.Bench], anaBase: baseA[row.Bench]}
-		ref.detPt = plan.AddPoint(experiments.Point{Bench: row.Bench, Cfg: cfg, Backend: backendDetailed})
-		ref.anaPt = plan.AddPoint(experiments.Point{Bench: row.Bench, Cfg: cfg, Backend: backendAnalytical})
-		refs = append(refs, ref)
-	}
-	return plan, refs
+	return coords
 }
 
 // calibrate executes the golden plan and fits the per-metric
-// corrections from analytical estimates to detailed ground truth.
-func calibrate(ctx context.Context, r *experiments.Runner, gplan *experiments.Plan, grefs []goldenRef, rows []sweep.Row) (Calibration, error) {
+// corrections from analytical estimates to detailed ground truth, over
+// the golden rows paired by position.
+func calibrate(ctx context.Context, r *experiments.Runner, gplan *experiments.Plan, det, ana []sweep.Row) (Calibration, error) {
 	results, err := gplan.RunAll(ctx)
 	if err != nil {
 		return Calibration{}, fmt.Errorf("refine: calibration pass: %w", err)
 	}
 	eval := sweep.NewEvaluator(r.Options().Workers)
 	var xsT, ysT, xsE, ysE []float64
-	for _, g := range grefs {
-		row := rows[g.rowIdx]
-		detRow, anaRow := row, row
-		detRow.BaseIdx, detRow.PointIdx = g.detBase, g.detPt
-		anaRow.BaseIdx, anaRow.PointIdx = g.anaBase, g.anaPt
-		dm, err := eval.Metrics(detRow, results[g.detBase], results[g.detPt])
+	for k, d := range det {
+		a := ana[k]
+		dm, err := eval.Metrics(d, results[d.BaseIdx], results[d.PointIdx])
 		if err != nil {
-			return Calibration{}, fmt.Errorf("refine: golden detailed metrics for %s cpc=%d: %w", row.Bench, row.CPC, err)
+			return Calibration{}, fmt.Errorf("refine: golden detailed metrics for %s cpc=%d: %w", d.Bench, d.CPC, err)
 		}
-		am, err := eval.Metrics(anaRow, results[g.anaBase], results[g.anaPt])
+		am, err := eval.Metrics(a, results[a.BaseIdx], results[a.PointIdx])
 		if err != nil {
-			return Calibration{}, fmt.Errorf("refine: golden analytical metrics for %s cpc=%d: %w", row.Bench, row.CPC, err)
+			return Calibration{}, fmt.Errorf("refine: golden analytical metrics for %s cpc=%d: %w", a.Bench, a.CPC, err)
 		}
 		xsT, ysT = append(xsT, am.TimeRatio), append(ysT, dm.TimeRatio)
 		xsE, ysE = append(xsE, am.EnergyRatio), append(ysE, dm.EnergyRatio)

@@ -1,14 +1,8 @@
-// Package stats provides the small statistical toolkit the experiment
-// harness uses to turn raw simulation results into the rows the paper
-// plots: arithmetic/geometric/harmonic means, normalisation against a
-// baseline, and simple descriptive summaries.
+// Package stats renders the experiment harness's figures: Table holds
+// one row per benchmark (or design point) and one column per series,
+// and prints as aligned text, CSV, JSON or an ASCII bar chart. Mean is
+// the arithmetic mean the figures' summary rows use.
 package stats
-
-import (
-	"fmt"
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -20,148 +14,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be
-// positive; it returns 0 for an empty slice and NaN if any value is
-// not positive (a loud failure beats a silently wrong mean).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// HarmonicMean returns the harmonic mean of xs (the right mean for
-// rates such as IPC). It returns 0 for an empty slice and NaN if any
-// value is not positive.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += 1 / x
-	}
-	return float64(len(xs)) / s
-}
-
-// Min returns the smallest element of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs (mean of the middle pair for even
-// lengths), or 0 for an empty slice. xs is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid]
-	}
-	return (cp[mid-1] + cp[mid]) / 2
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mu := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Normalize divides each element of xs by the matching element of
-// base. It panics on length mismatch and returns NaN entries where the
-// base is zero.
-func Normalize(xs, base []float64) []float64 {
-	if len(xs) != len(base) {
-		panic(fmt.Sprintf("stats: Normalize length mismatch %d vs %d", len(xs), len(base)))
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		if base[i] == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = xs[i] / base[i]
-	}
-	return out
-}
-
-// Ratio returns a/b, or NaN when b is zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.NaN()
-	}
-	return a / b
-}
-
-// Summary holds the descriptive statistics of one series.
-type Summary struct {
-	N      int
-	Mean   float64
-	GeoM   float64
-	Median float64
-	Min    float64
-	Max    float64
-	Stddev float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		GeoM:   GeoMean(xs),
-		Median: Median(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Stddev: Stddev(xs),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g geomean=%.4g median=%.4g min=%.4g max=%.4g sd=%.4g",
-		s.N, s.Mean, s.GeoM, s.Median, s.Min, s.Max, s.Stddev)
 }

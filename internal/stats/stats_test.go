@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,107 +21,6 @@ func TestMeanBasics(t *testing.T) {
 	}
 }
 
-func TestGeoMeanBasics(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean should be 0")
-	}
-	if got := GeoMean([]float64{2, 8}); !almostEq(got, 4) {
-		t.Fatalf("geomean = %v", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, 0})) {
-		t.Fatal("geomean with zero should be NaN")
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -2})) {
-		t.Fatal("geomean with negative should be NaN")
-	}
-}
-
-func TestHarmonicMeanBasics(t *testing.T) {
-	if HarmonicMean(nil) != 0 {
-		t.Fatal("empty harmonic mean should be 0")
-	}
-	// Harmonic mean of 1 and 3 is 1.5.
-	if got := HarmonicMean([]float64{1, 3}); !almostEq(got, 1.5) {
-		t.Fatalf("harmonic mean = %v", got)
-	}
-	if !math.IsNaN(HarmonicMean([]float64{0, 1})) {
-		t.Fatal("harmonic mean with zero should be NaN")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median(nil) != 0 {
-		t.Fatal("empty median should be 0")
-	}
-	if got := Median([]float64{3, 1, 2}); !almostEq(got, 2) {
-		t.Fatalf("odd median = %v", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); !almostEq(got, 2.5) {
-		t.Fatalf("even median = %v", got)
-	}
-	// Input must not be reordered.
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Median mutated its input")
-	}
-}
-
-func TestMinMaxStddev(t *testing.T) {
-	xs := []float64{4, 1, 3}
-	if Min(xs) != 1 || Max(xs) != 4 {
-		t.Fatal("min/max wrong")
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty min/max should be infinities")
-	}
-	if got := Stddev([]float64{2, 2, 2}); got != 0 {
-		t.Fatalf("stddev of constant = %v", got)
-	}
-	if got := Stddev([]float64{1, 3}); !almostEq(got, 1) {
-		t.Fatalf("stddev = %v", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 6, 1}, []float64{1, 3, 0})
-	if out[0] != 2 || out[1] != 2 {
-		t.Fatalf("normalize = %v", out)
-	}
-	if !math.IsNaN(out[2]) {
-		t.Fatal("zero base should give NaN")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch should panic")
-		}
-	}()
-	Normalize([]float64{1}, []float64{1, 2})
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(6, 3) != 2 {
-		t.Fatal("ratio wrong")
-	}
-	if !math.IsNaN(Ratio(1, 0)) {
-		t.Fatal("ratio by zero should be NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 4})
-	if s.N != 3 || !almostEq(s.Mean, 7.0/3) || !almostEq(s.GeoM, 2) ||
-		s.Min != 1 || s.Max != 4 || s.Median != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary should be zero")
-	}
-	if !strings.Contains(s.String(), "n=3") {
-		t.Fatal("summary string should carry the count")
-	}
-}
-
 // Property: mean is bounded by min and max.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -134,44 +34,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 			return true
 		}
 		m := Mean(clean)
-		return m >= Min(clean)-1e-6 && m <= Max(clean)+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: AM >= GM >= HM for positive inputs.
-func TestMeanInequalityProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, r := range raw {
-			xs = append(xs, float64(r)+1) // strictly positive
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		am, gm, hm := Mean(xs), GeoMean(xs), HarmonicMean(xs)
-		return am >= gm-1e-9*am && gm >= hm-1e-9*gm
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: normalising a slice by itself yields all ones.
-func TestNormalizeSelfProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, r := range raw {
-			xs = append(xs, float64(r)+1)
-		}
-		for _, v := range Normalize(xs, xs) {
-			if !almostEq(v, 1) {
-				return false
-			}
-		}
-		return true
+		return m >= slices.Min(clean)-1e-6 && m <= slices.Max(clean)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -313,15 +313,6 @@ func New(p Profile, cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-// MustNew is New for static profiles; it panics on error.
-func MustNew(p Profile, cfg Config) *Workload {
-	w, err := New(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Profile returns the profile the workload was built from.
 func (w *Workload) Profile() Profile { return w.p }
 

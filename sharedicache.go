@@ -188,7 +188,8 @@ type CampaignPlan = experiments.Plan
 type ExperimentOptions = experiments.Options
 
 // Experiment couples a figure id with its runner; Run takes a
-// context.Context so campaigns can be aborted cleanly.
+// context.Context so campaigns can be aborted cleanly, and a row
+// callback that figures rendering row by row feed (nil: batch only).
 type Experiment = experiments.Experiment
 
 // PointResult is one streamed design-point outcome from

@@ -84,7 +84,7 @@ func TestFacadeExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(context.Background(), r)
+	res, err := e.Run(context.Background(), r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
