@@ -74,16 +74,12 @@ func localCSV(t *testing.T, args []string) ([]byte, []campaignd.PointSpec) {
 		t.Fatal(err)
 	}
 	plan, rows := space.Build(runner)
-	ch, err := plan.RunAllStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	csvw := sweep.NewCSV(&buf, opts.Workers)
 	if err := csvw.Header(); err != nil {
 		t.Fatal(err)
 	}
-	if err := csvw.EmitStream(ch, rows, plan.Len()); err != nil {
+	if err := csvw.EmitStream(plan.RunAllStream(context.Background()), rows, plan.Len()); err != nil {
 		t.Fatal(err)
 	}
 	specs := make([]campaignd.PointSpec, len(rows))

@@ -2,8 +2,7 @@
 // benchmarks and emits one CSV row per (benchmark, design point):
 // normalised execution time, worker MPKI, access ratio, bus wait, and
 // the area/energy ratios from the power model. The output is meant for
-// plotting or spreadsheet analysis; examples/designspace is the
-// human-readable variant.
+// plotting or spreadsheet analysis.
 //
 // The whole sweep is declared as one batch plan and fanned out across
 // -par goroutines (default: all cores); rows stream to stdout as their
@@ -293,11 +292,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	// Normal run: stream rows as their points complete (EmitStream
 	// renders a row as soon as its point — and, by plan order, its
 	// baseline — has streamed past).
-	ch, err := plan.RunAllStream(ctx)
-	if err != nil {
-		return err
-	}
-	if err := csvw.EmitStream(ch, rows, plan.Len()); err != nil {
+	if err := csvw.EmitStream(plan.RunAllStream(ctx), rows, plan.Len()); err != nil {
 		return err
 	}
 	if ref := c.Refine; ref != nil {

@@ -55,7 +55,9 @@ func ExamplePaperCMPDesigns() {
 	// 30% serial:     5x
 }
 
-// Worker-cluster area with the paper's §VI-D methodology.
+// Worker-cluster area with the paper's §VI-D methodology: the area
+// that sharing saves buys a ninth lean core, which the Hill-Marty
+// model of Figure 1 turns into parallel throughput.
 func ExampleTech_ClusterArea() {
 	tech := sharedicache.Default45nm()
 	private := sharedicache.Cluster{
@@ -71,11 +73,28 @@ func ExampleTech_ClusterArea() {
 		LineBuffersPerCore:  4,
 		SharedCacheOverhead: 0.25,
 	}
+	shared.Cache.Banks = shared.BusesPerCache // one bank per bus, as the simulator ports it
+	shared9 := shared
+	shared9.Workers = 9
 	pa, _ := tech.ClusterArea(private)
 	sa, _ := tech.ClusterArea(shared)
+	sa9, _ := tech.ClusterArea(shared9)
 	fmt.Printf("area saving: %.0f%%\n", 100*(1-sa.TotalMM2()/pa.TotalMM2()))
+	fmt.Printf("9 shared workers: %.3f mm^2 of 8 private's %.3f, %.3f to spare\n",
+		sa9.TotalMM2(), pa.TotalMM2(), pa.TotalMM2()-sa9.TotalMM2())
+
+	// One 4-BCE master plus 8 or 9 one-BCE workers.
+	acmp8 := sharedicache.CMPDesign{Name: "8w", BudgetBCE: 12, BigBCE: 4, BigCores: 1}
+	acmp9 := sharedicache.CMPDesign{Name: "9w", BudgetBCE: 13, BigBCE: 4, BigCores: 1}
+	for _, serial := range []float64{0, 0.10} {
+		fmt.Printf("9th core at %2.0f%% serial: %+.2f%%\n",
+			100*serial, 100*(acmp9.Speedup(serial)/acmp8.Speedup(serial)-1))
+	}
 	// Output:
 	// area saving: 13%
+	// 9 shared workers: 14.478 mm^2 of 8 private's 14.875, 0.398 to spare
+	// 9th core at  0% serial: +10.00%
+	// 9th core at 10% serial: +6.21%
 }
 
 // Run one registered paper experiment.

@@ -103,10 +103,7 @@ func TestMixedBackendCampaign(t *testing.T) {
 	// The single-process run of the same mixed plan emits identical
 	// bytes through the same emitter.
 	local := testRunner(t)
-	ch, err := local.Plan(pts...).RunAllStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := local.Plan(pts...).RunAllStream(context.Background())
 	localCSV := emitCSV(t, ch, rows, len(pts), testOptions().Workers)
 	if !bytes.Equal(distCSV, localCSV) {
 		t.Fatalf("mixed-backend distributed CSV differs from single-process run:\n--- distributed\n%s--- local\n%s",

@@ -43,10 +43,7 @@ func TestDistributedRefineCSV(t *testing.T) {
 
 	// The single-process refine CSV, rendered as `sweep -refine` does.
 	local := prepare(refine.Config{Runner: testRunner(t)})
-	ch, err := local.Plan.RunAllStream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := local.Plan.RunAllStream(ctx)
 	var want bytes.Buffer
 	out := local.Shape().NewCSV(&want, testOptions().Workers)
 	if err := out.Header(); err != nil {

@@ -47,10 +47,7 @@ func TestStreamMidCancelRemoteTierTerminalRecord(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, err := r.Plan(pts...).RunAllStream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := r.Plan(pts...).RunAllStream(ctx)
 	<-gets // at least one lookup in flight
 	cancel()
 

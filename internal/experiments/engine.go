@@ -75,12 +75,9 @@ func (p *Plan) Len() int { return len(p.points) }
 // RunAllStream, so no point of the plan still executes once it
 // returns.
 func (p *Plan) RunAll(ctx context.Context) ([]*core.Result, error) {
-	ch, err := p.RunAllStream(ctx)
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	results := make([]*core.Result, 0, len(p.points))
-	for pr := range ch {
+	for pr := range p.RunAllStream(ctx) {
 		if pr.Err != nil {
 			err = pr.Err
 			continue

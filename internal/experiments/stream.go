@@ -55,7 +55,7 @@ type PointResult struct {
 // and shared points are simulated once. The delivery contract is
 // Deliver's; the channel closes only once the fan-out is over, so no
 // point of the plan still executes after the last receive.
-func (p *Plan) RunAllStream(ctx context.Context) (<-chan PointResult, error) {
+func (p *Plan) RunAllStream(ctx context.Context) <-chan PointResult {
 	n := len(p.points)
 	results := make([]*core.Result, n)
 	done := make([]chan struct{}, n)
@@ -98,7 +98,7 @@ func (p *Plan) RunAllStream(ctx context.Context) (<-chan PointResult, error) {
 			return nil, cmp.Or(planErr, ctx.Err(), context.Canceled)
 		}
 	}
-	return Deliver(ctx, p.points, wait, finished), nil
+	return Deliver(ctx, p.points, wait, finished)
 }
 
 // Deliver is the plan-order delivery contract every result stream
@@ -149,10 +149,7 @@ func Deliver(ctx context.Context, points []Point, wait func(ctx context.Context,
 func (p *Plan) streamRows(ctx context.Context, k int, fn func(group int, res []*core.Result) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch, err := p.RunAllStream(ctx)
-	if err != nil {
-		return err
-	}
+	ch := p.RunAllStream(ctx)
 	// On early return, cancel + drain release the delivery goroutine.
 	defer func() {
 		cancel()

@@ -23,10 +23,7 @@ func TestRunAllStreamParity(t *testing.T) {
 
 	r2 := smallRunner(t, nil)
 	plan := campaignPlan(r2)
-	ch, err := plan.RunAllStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := plan.RunAllStream(context.Background())
 	i := 0
 	for pr := range ch {
 		if pr.Err != nil {
@@ -60,10 +57,7 @@ func TestRunAllStreamError(t *testing.T) {
 	plan.Add("FT", badCfg)
 	plan.Add("UA", baselineConfig())
 
-	ch, err := plan.RunAllStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := plan.RunAllStream(context.Background())
 	var got []PointResult
 	for pr := range ch {
 		got = append(got, pr)
@@ -91,10 +85,7 @@ func TestRunAllStreamCancel(t *testing.T) {
 	r := smallRunner(t, func(o *Options) { o.Parallelism = 1 })
 	ctx, cancel := context.WithCancel(context.Background())
 	plan := campaignPlan(r)
-	ch, err := plan.RunAllStream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := plan.RunAllStream(ctx)
 	n := 0
 	for pr := range ch {
 		n++
@@ -194,10 +185,7 @@ func TestRunAllStreamClosesAfterFanOut(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, err := r.Plan(warm, blocked).RunAllStream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := r.Plan(warm, blocked).RunAllStream(ctx)
 	<-gate.started
 	// Give delivery time to park on point 0's send, where a close that
 	// overtakes the fan-out would happen. The assertion below holds

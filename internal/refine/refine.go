@@ -23,12 +23,11 @@
 //     Point.Backend = "detailed", with row metadata labelling every
 //     CSV row's phase ("triage" or "refine").
 //
-// The caller — cmd/sweep's -refine mode, cmd/campaignd serving a
-// refine plan to remote workers (both through Flags.Campaign), or
-// examples/autorefine — executes the returned plan like any other and
-// emits one merged CSV through the shared sweep emitter in
-// Result.Shape: phase and backend columns, with the calibration
-// applied to triage rows. Because the
+// The caller — cmd/sweep's -refine mode or cmd/campaignd serving a
+// refine plan to remote workers, both through Flags.Campaign —
+// executes the returned plan like any other and emits one merged CSV
+// through the shared sweep emitter in Result.Shape: phase and backend
+// columns, with the calibration applied to triage rows. Because the
 // analytical phase already ran inside Prepare, executing the mixed
 // plan re-simulates nothing analytical; only the frontier's detailed
 // points (plus their baselines, usually warm from the golden pass)

@@ -49,10 +49,7 @@ func emitAll(t *testing.T, res *Result) []byte {
 	if err := csvw.Header(); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := res.Plan.RunAllStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := res.Plan.RunAllStream(context.Background())
 	if err := csvw.EmitStream(ch, res.Rows, res.Plan.Len()); err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,9 @@
 //     second cache tier keyed by content hash; Shard partitions a
 //     CampaignPlan deterministically so sharded processes sharing one
 //     store directory split a campaign, and
-//     CampaignPlan.RunAllStream streams results in plan order as they
-//     complete.
+//     CampaignPlan.RunAllStream returns a channel of results in plan
+//     order as they complete; a truncated stream ends with one
+//     PointResult whose Err is set.
 //   - CampaignServer / CampaignWorker / RemoteRunStore
 //     (internal/campaignd) distribute campaigns over HTTP: the server
 //     owns the store and every enqueued campaign's plan, workers lease
@@ -390,7 +391,8 @@ func NewRunner(opts ExperimentOptions) (*Runner, error) { return experiments.New
 // Experiments returns every paper experiment in order.
 func Experiments() []Experiment { return experiments.All() }
 
-// ExperimentByID returns one experiment ("fig1".."fig13", "table1").
+// ExperimentByID returns one experiment: "fig1".."fig13", "table1",
+// or the extensions "ext-scale" and "ext-cold".
 func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id) }
 
 // Tech bundles technology coefficients for the area/energy model.
