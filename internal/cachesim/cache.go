@@ -84,10 +84,11 @@ func (s *Stats) Add(o Stats) {
 	s.Compulsory += o.Compulsory
 }
 
+// way is one cache way. lru is the cache clock at the way's last fill
+// or hit; the clock is bumped before either, so 0 marks an invalid way
+// and every valid way's lru is distinct.
 type way struct {
-	tag   uint64
-	valid bool
-	// lru is a per-set sequence number; larger = more recent.
+	tag uint64 // full line number; the set index is re-derived on eviction
 	lru uint64
 }
 
@@ -95,12 +96,18 @@ type way struct {
 // safe for concurrent use; the simulator is single-goroutine per run.
 type Cache struct {
 	cfg       Config
-	sets      [][]way
+	ways      []way // set s is ways[s*Assoc : (s+1)*Assoc]
 	setMask   uint64
 	lineShift uint
 	clock     uint64
-	seen      map[uint64]struct{} // lines ever referenced, for cold-miss classification
-	stats     Stats
+	// evicted holds every line ever evicted, the cold-miss history. A
+	// miss finds its line not resident, and the only way a line leaves
+	// the cache is eviction by Access or Install. So at a miss, "the
+	// line was referenced before" holds exactly when "the line was
+	// evicted before" does, and installs that evict nothing write no
+	// history at all.
+	evicted map[uint64]struct{}
+	stats   Stats
 }
 
 // New builds a cache. It panics on invalid geometry: configurations are
@@ -112,13 +119,9 @@ func New(cfg Config) *Cache {
 	nsets := cfg.Sets()
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]way, nsets),
+		ways:    make([]way, nsets*cfg.Assoc),
 		setMask: uint64(nsets - 1),
-		seen:    make(map[uint64]struct{}),
-	}
-	backing := make([]way, nsets*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
+		evicted: make(map[uint64]struct{}),
 	}
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
@@ -153,90 +156,80 @@ type Result struct {
 // Access looks up addr, filling the line on a miss (allocate-on-miss)
 // and updating LRU state and statistics.
 func (c *Cache) Access(addr uint64) Result {
-	c.clock++
 	c.stats.Accesses++
 	line := addr >> c.lineShift
-	set := c.sets[line&c.setMask]
-	tag := line >> 0 // full line number as tag; set index re-derived on eviction
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.clock
-			return Result{Hit: true}
-		}
+	hit, old := c.touch(line)
+	if hit {
+		return Result{Hit: true}
 	}
-	// Miss.
 	c.stats.Misses++
 	res := Result{}
-	if _, ok := c.seen[line]; !ok {
-		c.seen[line] = struct{}{}
+	if old.lru != 0 {
+		res.Evicted = true
+		res.Victim = old.tag << c.lineShift
+	}
+	// The fill never evicts the line being filled, so looking the line
+	// up after recording the victim is safe.
+	if _, ok := c.evicted[line]; !ok {
 		c.stats.Compulsory++
 		res.Compulsory = true
 	}
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[victim].valid && set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	if !set[victim].valid {
-		// Prefer any invalid way over LRU eviction.
-		for i := range set {
-			if !set[i].valid {
-				victim = i
-				break
-			}
-		}
-	} else {
-		res.Evicted = true
-		res.Victim = set[victim].tag << c.lineShift
-	}
-	set[victim] = way{tag: tag, valid: true, lru: c.clock}
 	return res
 }
 
 // Install fills the line containing addr without counting an access or
 // a miss. It models cache warm-up: the paper measures steady state over
 // 20+ G instructions, where every hot line has long been resident;
-// Install lets a scaled-down run start from that state. The line is
-// recorded in the cold-miss history (it has been referenced, in the
-// modelled past), and LRU recency advances as for a normal access, so
-// install order determines survival when the working set exceeds the
-// capacity (install hottest last).
+// Install lets a scaled-down run start from that state. An installed
+// line counts as referenced in the modelled past: if it is evicted
+// later, its next miss is not compulsory. LRU recency advances as for a
+// normal access, so install order determines survival when the working
+// set exceeds the capacity (install hottest last).
 func (c *Cache) Install(addr uint64) {
+	c.touch(addr >> c.lineShift)
+}
+
+// touch makes line the most recently used way of its set. On a miss it
+// fills the first way with the smallest lru, which is the first invalid
+// way if there is one and the least recently used way otherwise, and
+// returns the way it replaced; a replaced valid line enters the
+// eviction history.
+func (c *Cache) touch(line uint64) (hit bool, old way) {
 	c.clock++
-	line := addr >> c.lineShift
-	c.seen[line] = struct{}{}
-	set := c.sets[line&c.setMask]
+	set := c.set(line)
 	for i := range set {
-		if set[i].valid && set[i].tag == line {
+		if set[i].tag == line && set[i].lru != 0 {
 			set[i].lru = c.clock
-			return
+			return true, way{}
 		}
 	}
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
 		if set[i].lru < set[victim].lru {
 			victim = i
 		}
 	}
-	set[victim] = way{tag: line, valid: true, lru: c.clock}
+	old = set[victim]
+	if old.lru != 0 {
+		c.evicted[old.tag] = struct{}{}
+	}
+	set[victim] = way{tag: line, lru: c.clock}
+	return false, old
+}
+
+// set returns the ways of the set line maps to.
+func (c *Cache) set(line uint64) []way {
+	a := uint64(c.cfg.Assoc)
+	s := (line & c.setMask) * a
+	return c.ways[s : s+a]
 }
 
 // Probe reports whether addr currently hits, without updating LRU or
 // statistics. Useful for invariant checks and tests.
 func (c *Cache) Probe(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := c.sets[line&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
+	for _, w := range c.set(line) {
+		if w.tag == line && w.lru != 0 {
 			return true
 		}
 	}
@@ -253,11 +246,9 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // ResidentLines returns the number of valid lines, for occupancy tests.
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, w := range set {
-			if w.valid {
-				n++
-			}
+	for _, w := range c.ways {
+		if w.lru != 0 {
+			n++
 		}
 	}
 	return n

@@ -185,9 +185,20 @@ func TestResetStatsKeepsContents(t *testing.T) {
 		t.Fatal("stats should restart from zero")
 	}
 	// Cold-miss history is preserved: re-touching an evicted seen line
-	// is not compulsory.
-	if c.Stats().Compulsory != 0 {
-		t.Fatal("hit should not be compulsory")
+	// after a reset is not compulsory. The nine lines 0x1000 + k*4 KB
+	// share a set of the 8-way cache, so the last evicts the first.
+	for k := uint64(1); k <= 8; k++ {
+		c.Access(0x1000 + k*(4<<10))
+	}
+	if c.Probe(0x1000) {
+		t.Fatal("0x1000 should have been evicted")
+	}
+	c.ResetStats()
+	if r := c.Access(0x1000); r.Hit || r.Compulsory {
+		t.Fatalf("re-access of an evicted line after ResetStats = %+v, want a non-compulsory miss", r)
+	}
+	if st := c.Stats(); st.Compulsory != 0 {
+		t.Fatalf("stats after re-access = %+v, want no compulsory miss", st)
 	}
 }
 

@@ -97,3 +97,48 @@ func TestSimAllocsPerRecord(t *testing.T) {
 			perRecord, maxAllocsPerRecord)
 	}
 }
+
+// maxPrewarmBytes bounds TestPrewarmBytes. New plus Prewarm of one
+// CoEVP point on SharedConfig allocates about 3.7 MB: nine Table I L2s
+// (1 MB, 32-way) of 16-byte ways, the I-caches, and the eviction
+// history of the L2s that overflow while warming. Recording every
+// installed line, or widening a way, lands well above the bound.
+const maxPrewarmBytes = 5_000_000
+
+// TestPrewarmBytes builds and prewarms one CoEVP SharedConfig point
+// (80k master instructions, seed 1), the largest warm set of the Fig 7
+// space, and fails if the two calls allocate more than maxPrewarmBytes:
+// per-point setup memory is what bounds a parallel sweep's peak RSS.
+func TestPrewarmBytes(t *testing.T) {
+	p, ok := synth.ProfileByName("CoEVP")
+	if !ok {
+		t.Fatal("no profile CoEVP")
+	}
+	cfg := SharedConfig()
+	w, err := synth.New(p, synth.Config{Workers: cfg.Workers, MasterInstructions: 80_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]trace.Source, w.NumThreads())
+	ic := make([][]uint64, w.NumThreads())
+	l2 := make([][]uint64, w.NumThreads())
+	for i := range srcs {
+		srcs[i] = w.Source(i)
+		ic[i] = w.WarmLines(i, cfg.ICache.LineBytes)
+		l2[i] = w.L2WarmLines(i, cfg.Mem.L2.LineBytes)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sim, err := New(cfg, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Prewarm(ic, l2)
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New+Prewarm: %.2f MB in %d allocations", float64(bytes)/1e6, after.Mallocs-before.Mallocs)
+	if bytes > maxPrewarmBytes {
+		t.Errorf("New+Prewarm allocates %.2f MB, above the %.0f MB bound", float64(bytes)/1e6, maxPrewarmBytes/1e6)
+	}
+}
