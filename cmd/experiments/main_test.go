@@ -84,3 +84,20 @@ func TestStoreLogsBadEntry(t *testing.T) {
 		t.Errorf("figure over a corrupted store differs:\ncold:\n%s\nwarm:\n%s", cold.Bytes(), warm.Bytes())
 	}
 }
+
+// TestFigureGolden pins the simulated figures byte for byte: text,
+// where Figs 7-11 stream row by row, and csv, where every figure prints
+// its whole table.
+func TestFigureGolden(t *testing.T) {
+	for _, format := range []string{"text", "csv"} {
+		t.Run(format, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := []string{"-fig", "fig7,fig8,fig9,fig10,fig11,fig12,fig13,ext-cold",
+				"-bench", "FT,UA", "-n", "20000", "-format", format}
+			if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+				t.Fatalf("%v\n%s", err, stderr.Bytes())
+			}
+			clitest.Golden(t, filepath.Join("testdata", "figs-"+format+".golden"), stdout.Bytes())
+		})
+	}
+}

@@ -32,8 +32,6 @@ type Worker struct {
 	// a scheduling option, excluded from the campaign fingerprint, so
 	// heterogeneous workers still compute identical store keys.
 	Parallelism int
-	// Max bounds points per lease (0 = the coordinator's batch size).
-	Max int
 	// Logger receives structured progress records (lease grants, lost
 	// leases, heartbeat trouble) with consistent worker/lease fields.
 	// Nil means silent.
@@ -376,9 +374,10 @@ func (w *Worker) handshake(ctx context.Context, client *Client) (CampaignInfo, e
 	return CampaignInfo{}, fmt.Errorf("campaignd: coordinator unreachable: %w", last)
 }
 
-// lease claims work, retrying transient transport errors so a worker
-// survives a coordinator hiccup (or its graceful-shutdown window)
-// without aborting the whole campaign.
+// lease claims the coordinator's batch of work (max 0), retrying
+// transient transport errors so a worker survives a coordinator hiccup
+// (or its graceful-shutdown window) without aborting the whole
+// campaign.
 func (w *Worker) lease(ctx context.Context, client *Client, id string, backends []string) (LeaseGrant, error) {
 	var last error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -389,7 +388,7 @@ func (w *Worker) lease(ctx context.Context, client *Client, id string, backends 
 				return LeaseGrant{}, ctx.Err()
 			}
 		}
-		lr, err := client.Lease(ctx, id, w.Max, backends)
+		lr, err := client.Lease(ctx, id, 0, backends)
 		if err == nil {
 			return lr, nil
 		}

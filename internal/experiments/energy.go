@@ -94,46 +94,32 @@ func Fig12(ctx context.Context, r *Runner) (*Fig12Result, error) {
 		{"cpc=8 8LB 2bus", 8, 2, sharedConfig(8, 16, 8, 2)},
 	}
 
-	profiles := r.opts.profiles()
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("experiments: no benchmarks selected")
+	cfgs := make([]core.Config, len(designs))
+	for di, d := range designs {
+		cfgs[di] = d.cfg
 	}
-	plan := r.Plan()
-	for _, p := range profiles {
-		for _, d := range designs {
-			plan.Add(p.Name, d.cfg)
-		}
-	}
-	results, err := plan.RunAll(ctx)
-	if err != nil {
-		return nil, err
-	}
-
 	// Per-design accumulators of per-benchmark normalised metrics.
 	times := make([][]float64, len(designs))
 	energies := make([][]float64, len(designs))
 	areas := make([]float64, len(designs))
-
-	for pi := range profiles {
-		var baseRep power.Report
+	err := eachBenchmark(ctx, r, nil, nil, false, cfgs, func(_ profile, res []*core.Result) error {
+		reps := make([]power.Report, len(designs))
 		for di, d := range designs {
-			res := results[pi*len(designs)+di]
-			rep, err := tech.Evaluate(ClusterFor(d.cfg), ActivityFor(res))
+			rep, err := tech.Evaluate(ClusterFor(d.cfg), ActivityFor(res[di]))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if di == 0 {
-				baseRep = rep
-				times[di] = append(times[di], 1)
-				energies[di] = append(energies[di], 1)
-				areas[di] = rep.Area.TotalMM2()
-				continue
-			}
-			tr, er, _ := rep.Relative(baseRep)
+			// designs[0] is the baseline, so reps[0] is set before use.
+			reps[di] = rep
+			tr, er, _ := rep.Relative(reps[0])
 			times[di] = append(times[di], tr)
 			energies[di] = append(energies[di], er)
 			areas[di] = rep.Area.TotalMM2()
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	baseArea := areas[0]

@@ -25,11 +25,12 @@ type Point struct {
 	Backend string `json:",omitempty"`
 }
 
-// Plan is an ordered batch of design points. Figure generators declare
-// their full design-point set up front, run it with RunAll — which
-// fans the points out across the campaign's Parallelism goroutines —
-// and then assemble rows from the returned results, whose order
-// matches the plan (and hence the paper's plotting order).
+// Plan is an ordered batch of design points. RunAll fans the points
+// out across the campaign's Parallelism goroutines and returns the
+// results in plan order; RunAllStream delivers them in that order as
+// they complete. The simulated figures build theirs with eachBenchmark
+// (stream.go): each benchmark's design points in the paper's plotting
+// order.
 type Plan struct {
 	r      *Runner
 	points []Point
@@ -39,20 +40,6 @@ type Plan struct {
 // given.
 func (r *Runner) Plan(points ...Point) *Plan {
 	return &Plan{r: r, points: points}
-}
-
-// Add appends a prewarm-honouring design point and returns its result
-// index.
-func (p *Plan) Add(bench string, cfg core.Config) int {
-	p.points = append(p.points, Point{Bench: bench, Cfg: cfg})
-	return len(p.points) - 1
-}
-
-// AddCold appends a forced-cold design point and returns its result
-// index.
-func (p *Plan) AddCold(bench string, cfg core.Config) int {
-	p.points = append(p.points, Point{Bench: bench, Cfg: cfg, Cold: true})
-	return len(p.points) - 1
 }
 
 // AddPoint appends a fully specified design point — including a

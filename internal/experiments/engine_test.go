@@ -69,10 +69,10 @@ func TestSingleflightOneKey(t *testing.T) {
 func TestPlanOrderAndDedup(t *testing.T) {
 	r := smallRunner(t, nil)
 	plan := r.Plan()
-	i0 := plan.Add("FT", baselineConfig())
-	i1 := plan.Add("UA", baselineConfig())
-	i2 := plan.Add("FT", baselineConfig()) // duplicate of i0
-	i3 := plan.AddCold("FT", baselineConfig())
+	i0 := plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig()})
+	i1 := plan.AddPoint(Point{Bench: "UA", Cfg: baselineConfig()})
+	i2 := plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig()}) // duplicate of i0
+	i3 := plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig(), Cold: true})
 	if plan.Len() != 4 {
 		t.Fatalf("Len = %d", plan.Len())
 	}
@@ -103,10 +103,10 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	plan := func(r *Runner) *Plan {
 		p := r.Plan()
 		for _, b := range []string{"FT", "UA"} {
-			p.Add(b, baselineConfig())
-			p.Add(b, sharedConfig(8, 32, 4, 1))
-			p.Add(b, sharedConfig(8, 16, 4, 2))
-			p.AddCold(b, baselineConfig())
+			p.AddPoint(Point{Bench: b, Cfg: baselineConfig()})
+			p.AddPoint(Point{Bench: b, Cfg: sharedConfig(8, 32, 4, 1)})
+			p.AddPoint(Point{Bench: b, Cfg: sharedConfig(8, 16, 4, 2)})
+			p.AddPoint(Point{Bench: b, Cfg: baselineConfig(), Cold: true})
 		}
 		return p
 	}
@@ -166,11 +166,11 @@ func TestParallelSerialEquivalence(t *testing.T) {
 func TestRunAllErrorPropagation(t *testing.T) {
 	r := smallRunner(t, func(o *Options) { o.Parallelism = 1 })
 	plan := r.Plan()
-	plan.Add("nope", baselineConfig())
+	plan.AddPoint(Point{Bench: "nope", Cfg: baselineConfig()})
 	for i := 0; i < 8; i++ {
 		cfg := baselineConfig()
 		cfg.LineBuffers = 2 + i // 8 distinct points
-		plan.Add("FT", cfg)
+		plan.AddPoint(Point{Bench: "FT", Cfg: cfg})
 	}
 	_, err := plan.RunAll(context.Background())
 	if err == nil {

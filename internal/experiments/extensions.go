@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"sharedicache/internal/core"
 	"sharedicache/internal/stats"
 )
 
@@ -65,7 +66,6 @@ type ExtScaleResult struct {
 func ExtScale(ctx context.Context, r *Runner) (*ExtScaleResult, error) {
 	benches := r.opts.extBenchmarks()
 	out := &ExtScaleResult{Benchmarks: benches}
-	busCounts := []int{1, 2, 4}
 	for _, workers := range []int{2, 4, 8, 12, 16} {
 		opts := r.opts
 		opts.Workers = workers
@@ -74,38 +74,22 @@ func ExtScale(ctx context.Context, r *Runner) (*ExtScaleResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Per bench: the private baseline followed by the three shared
-		// bus variants.
-		plan := sub.Plan()
-		for _, b := range benches {
-			plan.Add(b, baselineConfig())
-			for _, buses := range busCounts {
-				plan.Add(b, sharedConfig(workers, 16, 4, buses))
+		// Per bench: the private baseline followed by the 1-, 2- and
+		// 4-bus shared variants.
+		cfgs := []core.Config{baselineConfig(), sharedConfig(workers, 16, 4, 1),
+			sharedConfig(workers, 16, 4, 2), sharedConfig(workers, 16, 4, 4)}
+		var ratios [3][]float64 // per bus count, one ratio per benchmark
+		err = eachBenchmark(ctx, sub, nil, nil, false, cfgs, func(_ profile, res []*core.Result) error {
+			for i, shared := range res[1:] {
+				ratios[i] = append(ratios[i], float64(shared.Cycles)/float64(res[0].Cycles))
 			}
-		}
-		results, err := plan.RunAll(ctx)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		row := ExtScaleRow{Workers: workers}
-		for bi, buses := range busCounts {
-			var ratios []float64
-			for i := range benches {
-				base := results[i*(len(busCounts)+1)]
-				res := results[i*(len(busCounts)+1)+1+bi]
-				ratios = append(ratios, float64(res.Cycles)/float64(base.Cycles))
-			}
-			mean := stats.Mean(ratios)
-			switch buses {
-			case 1:
-				row.Bus1 = mean
-			case 2:
-				row.Bus2 = mean
-			case 4:
-				row.Bus4 = mean
-			}
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, ExtScaleRow{Workers: workers,
+			Bus1: stats.Mean(ratios[0]), Bus2: stats.Mean(ratios[1]), Bus4: stats.Mean(ratios[2])})
 	}
 	return out, nil
 }
@@ -164,24 +148,18 @@ type ExtColdResult struct {
 // ExtCold compares cold-cache execution time of the shared design
 // against the cold private baseline for every selected benchmark.
 func ExtCold(ctx context.Context, r *Runner) (*ExtColdResult, error) {
-	profiles := r.opts.profiles()
-	plan := r.Plan()
-	for _, p := range profiles {
-		plan.AddCold(p.Name, baselineConfig())
-		plan.AddCold(p.Name, sharedConfig(8, 32, 4, 2))
-	}
-	results, err := plan.RunAll(ctx)
-	if err != nil {
-		return nil, err
-	}
 	out := &ExtColdResult{}
-	for i, p := range profiles {
-		base, shared := results[2*i], results[2*i+1]
+	cfgs := []core.Config{baselineConfig(), sharedConfig(8, 32, 4, 2)}
+	err := eachBenchmark(ctx, r, nil, nil, true, cfgs, func(p profile, res []*core.Result) error {
 		out.Rows = append(out.Rows, ExtColdRow{
 			Benchmark:   p.Name,
-			PrivateMPKI: base.WorkerMPKI(),
-			TimeRatio:   float64(shared.Cycles) / float64(base.Cycles),
+			PrivateMPKI: res[0].WorkerMPKI(),
+			TimeRatio:   float64(res[1].Cycles) / float64(res[0].Cycles),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

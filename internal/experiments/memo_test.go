@@ -28,11 +28,11 @@ func TestSynthMemoSweep(t *testing.T) {
 
 	plan := r.Plan()
 	for _, bench := range opts.Benchmarks {
-		plan.Add(bench, baselineConfig())
+		plan.AddPoint(Point{Bench: bench, Cfg: baselineConfig()})
 		for _, sizeKB := range []int{16, 32} {
 			for _, buses := range []int{1, 2} {
 				for _, cpc := range []int{2, 4, 8} {
-					plan.Add(bench, sharedConfig(cpc, sizeKB, 4, buses))
+					plan.AddPoint(Point{Bench: bench, Cfg: sharedConfig(cpc, sizeKB, 4, buses)})
 				}
 			}
 		}
@@ -95,8 +95,8 @@ func TestSynthMemoDistinctGeometries(t *testing.T) {
 	plan := r.Plan()
 	narrow := baselineConfig()
 	narrow.ICache.LineBytes = 32
-	plan.Add("FT", baselineConfig())
-	plan.Add("FT", narrow)
+	plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig()})
+	plan.AddPoint(Point{Bench: "FT", Cfg: narrow})
 	if _, err := plan.RunAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}

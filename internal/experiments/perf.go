@@ -31,24 +31,17 @@ type Fig7Result struct {
 // each benchmark's row to emit (nil: batch) as soon as its four design
 // points complete.
 func Fig7(ctx context.Context, r *Runner, emit RowEmit) (*Fig7Result, error) {
-	profiles := r.opts.profiles()
-	plan := r.Plan()
-	for _, p := range profiles {
-		plan.Add(p.Name, baselineConfig())
-		for _, cpc := range []int{2, 4, 8} {
-			plan.Add(p.Name, sharedConfig(cpc, 32, 4, 1))
-		}
-	}
-	emit.strings("benchmark", "cpc=2", "cpc=4", "cpc=8")
 	out := &Fig7Result{}
-	err := plan.streamRows(ctx, 4, func(i int, res []*core.Result) error {
-		base := res[0]
-		row := Fig7Row{Benchmark: profiles[i].Name}
-		row.CPC2 = float64(res[1].Cycles) / float64(base.Cycles)
-		row.CPC4 = float64(res[2].Cycles) / float64(base.Cycles)
-		row.CPC8 = float64(res[3].Cycles) / float64(base.Cycles)
-		out.Rows = append(out.Rows, row)
-		emit.row(row.Benchmark, row.CPC2, row.CPC4, row.CPC8)
+	cfgs := []core.Config{baselineConfig(),
+		sharedConfig(2, 32, 4, 1), sharedConfig(4, 32, 4, 1), sharedConfig(8, 32, 4, 1)}
+	err := eachBenchmark(ctx, r, emit, out.Table, false, cfgs, func(p profile, res []*core.Result) error {
+		base := float64(res[0].Cycles)
+		out.Rows = append(out.Rows, Fig7Row{
+			Benchmark: p.Name,
+			CPC2:      float64(res[1].Cycles) / base,
+			CPC4:      float64(res[2].Cycles) / base,
+			CPC8:      float64(res[3].Cycles) / base,
+		})
 		return nil
 	})
 	if err != nil {
@@ -108,18 +101,10 @@ type Fig8Result struct {
 // as a fraction of baseline cycles. Rows stream to emit (nil: batch)
 // as benchmarks complete.
 func Fig8(ctx context.Context, r *Runner, emit RowEmit) (*Fig8Result, error) {
-	profiles := r.opts.profiles()
-	plan := r.Plan()
-	for _, p := range profiles {
-		plan.Add(p.Name, baselineConfig())
-		plan.Add(p.Name, sharedConfig(8, 32, 4, 1))
-	}
-	emit.strings("benchmark", "baseline", "I-bus lat", "I-bus congest", "I-cache lat", "branch miss", "rest", "total")
 	out := &Fig8Result{}
-	err := plan.streamRows(ctx, 2, func(i int, results []*core.Result) error {
-		p := profiles[i]
-		base, res := results[0], results[1]
-		bs, ss := base.WorkerStack(), res.WorkerStack()
+	cfgs := []core.Config{baselineConfig(), sharedConfig(8, 32, 4, 1)}
+	err := eachBenchmark(ctx, r, emit, out.Table, false, cfgs, func(p profile, res []*core.Result) error {
+		bs, ss := res[0].WorkerStack(), res[1].WorkerStack()
 		norm := float64(bs.Total())
 		if norm == 0 {
 			return fmt.Errorf("experiments: %s baseline recorded no worker cycles", p.Name)
@@ -130,7 +115,7 @@ func Fig8(ctx context.Context, r *Runner, emit RowEmit) (*Fig8Result, error) {
 			}
 			return float64(shared-baseline) / norm
 		}
-		row := Fig8Row{
+		out.Rows = append(out.Rows, Fig8Row{
 			Benchmark:    p.Name,
 			BaselineCPI:  1.0,
 			BusLatency:   extra(ss.BusLatency, bs.BusLatency),
@@ -138,10 +123,7 @@ func Fig8(ctx context.Context, r *Runner, emit RowEmit) (*Fig8Result, error) {
 			CacheLatency: extra(ss.CacheMiss+ss.CacheHit, bs.CacheMiss+bs.CacheHit),
 			BranchMiss:   extra(ss.Branch, bs.Branch),
 			Rest:         extra(ss.Sync+ss.Drain, bs.Sync+bs.Drain),
-		}
-		out.Rows = append(out.Rows, row)
-		emit.row(row.Benchmark, row.BaselineCPI, row.BusLatency, row.BusCongest,
-			row.CacheLatency, row.BranchMiss, row.Rest, row.Total())
+		})
 		return nil
 	})
 	if err != nil {
@@ -181,26 +163,20 @@ type Fig9Result struct {
 // not of where the I-cache lives). Rows stream to emit (nil: batch) as
 // benchmarks complete.
 func Fig9(ctx context.Context, r *Runner, emit RowEmit) (*Fig9Result, error) {
-	profiles := r.opts.profiles()
-	plan := r.Plan()
-	for _, p := range profiles {
-		for _, lb := range []int{2, 4, 8} {
-			cfg := baselineConfig()
-			cfg.LineBuffers = lb
-			plan.Add(p.Name, cfg)
-		}
-	}
-	emit.strings("benchmark", "2 LB", "4 LB", "8 LB")
 	out := &Fig9Result{}
-	err := plan.streamRows(ctx, 3, func(i int, results []*core.Result) error {
-		row := Fig9Row{
-			Benchmark: profiles[i].Name,
-			LB2:       100 * results[0].WorkerAccessRatio(),
-			LB4:       100 * results[1].WorkerAccessRatio(),
-			LB8:       100 * results[2].WorkerAccessRatio(),
-		}
-		out.Rows = append(out.Rows, row)
-		emit.row(row.Benchmark, row.LB2, row.LB4, row.LB8)
+	var cfgs []core.Config
+	for _, lb := range []int{2, 4, 8} {
+		cfg := baselineConfig()
+		cfg.LineBuffers = lb
+		cfgs = append(cfgs, cfg)
+	}
+	err := eachBenchmark(ctx, r, emit, out.Table, false, cfgs, func(p profile, res []*core.Result) error {
+		out.Rows = append(out.Rows, Fig9Row{
+			Benchmark: p.Name,
+			LB2:       100 * res[0].WorkerAccessRatio(),
+			LB4:       100 * res[1].WorkerAccessRatio(),
+			LB8:       100 * res[2].WorkerAccessRatio(),
+		})
 		return nil
 	})
 	if err != nil {
@@ -237,34 +213,22 @@ type Fig10Result struct {
 // Fig10 compares the two congestion remedies. Rows stream to emit
 // (nil: batch) as benchmarks complete.
 func Fig10(ctx context.Context, r *Runner, emit RowEmit) (*Fig10Result, error) {
-	profiles := r.opts.profiles()
-	plan := r.Plan()
-	for _, p := range profiles {
-		plan.Add(p.Name, baselineConfig())
-		plan.Add(p.Name, sharedConfig(8, 16, 4, 1))
-		plan.Add(p.Name, sharedConfig(8, 16, 8, 1))
-		plan.Add(p.Name, sharedConfig(8, 16, 4, 2))
-	}
-	emit.strings("benchmark", "4LB+1bus", "8LB+1bus", "4LB+2bus")
 	out := &Fig10Result{}
-	err := plan.streamRows(ctx, 4, func(i int, results []*core.Result) error {
-		base := float64(results[0].Cycles)
-		row := Fig10Row{
-			Benchmark:  profiles[i].Name,
-			Naive:      float64(results[1].Cycles) / base,
-			MoreLB:     float64(results[2].Cycles) / base,
-			MoreBandwk: float64(results[3].Cycles) / base,
-		}
-		out.Rows = append(out.Rows, row)
-		emit.row(row.Benchmark, row.Naive, row.MoreLB, row.MoreBandwk)
+	cfgs := []core.Config{baselineConfig(),
+		sharedConfig(8, 16, 4, 1), sharedConfig(8, 16, 8, 1), sharedConfig(8, 16, 4, 2)}
+	err := eachBenchmark(ctx, r, emit, out.Table, false, cfgs, func(p profile, res []*core.Result) error {
+		base := float64(res[0].Cycles)
+		out.Rows = append(out.Rows, Fig10Row{
+			Benchmark:  p.Name,
+			Naive:      float64(res[1].Cycles) / base,
+			MoreLB:     float64(res[2].Cycles) / base,
+			MoreBandwk: float64(res[3].Cycles) / base,
+		})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The summary row the batch table carries must survive streaming.
-	a, b, c := out.Means()
-	emit.row("amean", a, b, c)
 	return out, nil
 }
 
@@ -310,27 +274,15 @@ type Fig11Result struct {
 // perturb miss counts. Rows stream to emit (nil: batch) as benchmarks
 // complete.
 func Fig11(ctx context.Context, r *Runner, emit RowEmit) (*Fig11Result, error) {
-	profiles := r.opts.profiles()
-	plan := r.Plan()
-	for _, p := range profiles {
-		plan.AddCold(p.Name, baselineConfig())
-		plan.AddCold(p.Name, sharedConfig(8, 32, 4, 2))
-		plan.AddCold(p.Name, sharedConfig(8, 16, 4, 2))
-	}
-	emit.strings("benchmark", "private MPKI", "cpc=8 32KB [%]", "cpc=8 16KB [%]")
 	out := &Fig11Result{}
-	err := plan.streamRows(ctx, 3, func(i int, results []*core.Result) error {
-		base, s32, s16 := results[0], results[1], results[2]
-		row := Fig11Row{Benchmark: profiles[i].Name, PrivateMPKI: base.WorkerMPKI()}
+	cfgs := []core.Config{baselineConfig(), sharedConfig(8, 32, 4, 2), sharedConfig(8, 16, 4, 2)}
+	err := eachBenchmark(ctx, r, emit, out.Table, true, cfgs, func(p profile, res []*core.Result) error {
+		row := Fig11Row{Benchmark: p.Name, PrivateMPKI: res[0].WorkerMPKI()}
 		if row.PrivateMPKI > 0 {
-			row.Shared32Pct = 100 * s32.WorkerMPKI() / row.PrivateMPKI
-			row.Shared16Pct = 100 * s16.WorkerMPKI() / row.PrivateMPKI
+			row.Shared32Pct = 100 * res[1].WorkerMPKI() / row.PrivateMPKI
+			row.Shared16Pct = 100 * res[2].WorkerMPKI() / row.PrivateMPKI
 		}
 		out.Rows = append(out.Rows, row)
-		emit.strings(row.Benchmark,
-			fmt.Sprintf("%.3f", row.PrivateMPKI),
-			fmt.Sprintf("%.1f", row.Shared32Pct),
-			fmt.Sprintf("%.1f", row.Shared16Pct))
 		return nil
 	})
 	if err != nil {
@@ -412,28 +364,21 @@ type Fig13Result struct {
 // Fig13 runs the §VI-E comparison. Rows are sorted by serial fraction
 // to match the figure's x-axis.
 func Fig13(ctx context.Context, r *Runner) (*Fig13Result, error) {
-	profiles := r.opts.profiles()
-	plan := r.Plan()
-	for _, p := range profiles {
-		plan.Add(p.Name, sharedConfig(8, 32, 4, 2))
-		plan.Add(p.Name, allSharedConfig(32, 4, 2))
-		plan.Add(p.Name, sharedConfig(8, 32, 4, 1))
-		plan.Add(p.Name, allSharedConfig(32, 4, 1))
-	}
-	results, err := plan.RunAll(ctx)
-	if err != nil {
-		return nil, err
-	}
 	out := &Fig13Result{}
-	for i, p := range profiles {
-		ws, as, ws1, as1 := results[4*i], results[4*i+1], results[4*i+2], results[4*i+3]
+	cfgs := []core.Config{sharedConfig(8, 32, 4, 2), allSharedConfig(32, 4, 2),
+		sharedConfig(8, 32, 4, 1), allSharedConfig(32, 4, 1)}
+	err := eachBenchmark(ctx, r, nil, nil, false, cfgs, func(p profile, res []*core.Result) error {
 		out.Rows = append(out.Rows, Fig13Row{
 			Benchmark:  p.Name,
 			SerialFrac: p.SerialFrac,
-			Ratio:      float64(as.Cycles) / float64(ws.Cycles),
-			SingleBus:  float64(as1.Cycles) / float64(ws1.Cycles),
+			Ratio:      float64(res[1].Cycles) / float64(res[0].Cycles),
+			SingleBus:  float64(res[3].Cycles) / float64(res[2].Cycles),
 			Group:      classifyFig13(p),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out.Rows, func(i, j int) bool {
 		return out.Rows[i].SerialFrac < out.Rows[j].SerialFrac

@@ -17,9 +17,9 @@ import (
 func fig7Plan(r *Runner) *Plan {
 	plan := r.Plan()
 	for _, p := range r.opts.profiles() {
-		plan.Add(p.Name, baselineConfig())
+		plan.AddPoint(Point{Bench: p.Name, Cfg: baselineConfig()})
 		for _, cpc := range []int{2, 4, 8} {
-			plan.Add(p.Name, sharedConfig(cpc, 32, 4, 1))
+			plan.AddPoint(Point{Bench: p.Name, Cfg: sharedConfig(cpc, 32, 4, 1)})
 		}
 	}
 	return plan

@@ -25,10 +25,10 @@ func storeRunner(t *testing.T, dir string) *Runner {
 func campaignPlan(r *Runner) *Plan {
 	plan := r.Plan()
 	for _, b := range []string{"FT", "UA"} {
-		plan.Add(b, baselineConfig())
-		plan.Add(b, sharedConfig(2, 32, 4, 1))
-		plan.Add(b, sharedConfig(8, 16, 4, 2))
-		plan.AddCold(b, baselineConfig())
+		plan.AddPoint(Point{Bench: b, Cfg: baselineConfig()})
+		plan.AddPoint(Point{Bench: b, Cfg: sharedConfig(2, 32, 4, 1)})
+		plan.AddPoint(Point{Bench: b, Cfg: sharedConfig(8, 16, 4, 2)})
+		plan.AddPoint(Point{Bench: b, Cfg: baselineConfig(), Cold: true})
 	}
 	return plan
 }

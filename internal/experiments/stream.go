@@ -3,6 +3,7 @@ package experiments
 import (
 	"cmp"
 	"context"
+	"math"
 
 	"sharedicache/internal/core"
 	"sharedicache/internal/stats"
@@ -12,25 +13,6 @@ import (
 // that display figures incrementally. The first call of a stream
 // carries the column headers. A nil RowEmit is valid and ignored.
 type RowEmit func(label string, cells ...string)
-
-// row formats numeric cells like stats.Table and forwards them.
-func (e RowEmit) row(label string, vals ...float64) {
-	if e == nil {
-		return
-	}
-	cells := make([]string, len(vals))
-	for i, v := range vals {
-		cells[i] = stats.FormatCell(v)
-	}
-	e(label, cells...)
-}
-
-// strings forwards preformatted cells.
-func (e RowEmit) strings(label string, cells ...string) {
-	if e != nil {
-		e(label, cells...)
-	}
-}
 
 // PointResult is one streamed design-point outcome. Results are
 // delivered in plan order; Err is set on at most one PointResult — the
@@ -141,36 +123,67 @@ func Deliver(ctx context.Context, points []Point, wait func(ctx context.Context,
 	return out
 }
 
-// streamRows consumes RunAllStream in groups of k consecutive results
-// — the "one table row per benchmark, k design points per row" shape
-// shared by the Fig 7-11 generators — invoking fn with each complete
-// group in plan order. An fn error (or a stream error) cancels the
-// remaining work and is returned.
-func (p *Plan) streamRows(ctx context.Context, k int, fn func(group int, res []*core.Result) error) error {
+// eachBenchmark is the loop every simulated figure shares. It plans
+// cfgs for each selected benchmark in plotting order, every point
+// forced cold if cold is set, and calls add with the benchmark's
+// profile and its len(cfgs) results, in cfgs order, as soon as they
+// have all completed; add must not retain the slice. A non-nil emit
+// receives the figure's own table as it grows: table's header first,
+// then row k once benchmark k's add returns, and after the last
+// benchmark whatever rows remain (a summary such as Fig 10's amean).
+// table is called only for a non-nil emit. An add or stream error
+// cancels the remaining work and is returned; either way the stream is
+// drained before eachBenchmark returns.
+func eachBenchmark(ctx context.Context, r *Runner, emit RowEmit, table func() *stats.Table, cold bool, cfgs []core.Config, add func(p profile, res []*core.Result) error) error {
+	profiles := r.opts.profiles()
+	plan := r.Plan()
+	for _, p := range profiles {
+		for _, cfg := range cfgs {
+			plan.AddPoint(Point{Bench: p.Name, Cfg: cfg, Cold: cold})
+		}
+	}
+
+	if emit != nil {
+		emit("benchmark", table().Columns...)
+	}
+	shown := 0 // table rows emitted so far
+	show := func(rows int) {
+		if emit == nil {
+			return
+		}
+		t := table()
+		labels, cells := t.Labels(), t.Cells()
+		for ; shown < min(rows, len(labels)); shown++ {
+			emit(labels[shown], cells[shown]...)
+		}
+	}
+
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := p.RunAllStream(ctx)
+	ch := plan.RunAllStream(ctx)
 	// On early return, cancel + drain release the delivery goroutine.
 	defer func() {
 		cancel()
 		for range ch {
 		}
 	}()
-
-	buf := make([]*core.Result, 0, k)
-	group := 0
+	k := len(cfgs)
+	res := make([]*core.Result, 0, k)
 	for pr := range ch {
 		if pr.Err != nil {
 			return pr.Err
 		}
-		buf = append(buf, pr.Result)
-		if len(buf) == k {
-			if err := fn(group, buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-			group++
+		res = append(res, pr.Result)
+		if len(res) < k {
+			continue
 		}
+		done := pr.Index/k + 1
+		if err := add(profiles[done-1], res); err != nil {
+			return err
+		}
+		res = res[:0]
+		show(done)
 	}
+	show(math.MaxInt)
 	return nil
 }

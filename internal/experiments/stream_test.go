@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -51,11 +52,11 @@ func TestRunAllStreamParity(t *testing.T) {
 func TestRunAllStreamError(t *testing.T) {
 	r := smallRunner(t, func(o *Options) { o.Parallelism = 1 })
 	plan := r.Plan()
-	plan.Add("FT", baselineConfig())
+	plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig()})
 	badCfg := baselineConfig()
 	badCfg.ICacheLatency = 0 // rejected by core.New
-	plan.Add("FT", badCfg)
-	plan.Add("UA", baselineConfig())
+	plan.AddPoint(Point{Bench: "FT", Cfg: badCfg})
+	plan.AddPoint(Point{Bench: "UA", Cfg: baselineConfig()})
 
 	ch := plan.RunAllStream(context.Background())
 	var got []PointResult
@@ -105,38 +106,80 @@ func TestRunAllStreamCancel(t *testing.T) {
 	}
 }
 
-// TestStreamedFigureParity checks that a figure given a RowEmit emits
-// one rendered row per benchmark (plus a header) and returns the same
-// result as with a nil (batch) emit.
+// TestStreamedFigureParity checks that each streamed figure (Figs
+// 7-11) given a RowEmit emits its table's header and then exactly the
+// table's rows, Fig 10's amean included, and returns the same result
+// as with a nil (batch) emit.
 func TestStreamedFigureParity(t *testing.T) {
-	batch, err := Fig7(context.Background(), smallRunner(t, nil), nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"fig7", "fig8", "fig9", "fig10", "fig11"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := e.Run(context.Background(), smallRunner(t, nil), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows [][]string
+			streamed, err := e.Run(context.Background(), smallRunner(t, nil), func(label string, cells ...string) {
+				rows = append(rows, append([]string{label}, cells...))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(batch, streamed) {
+				t.Fatalf("streamed %s result differs from batch result", id)
+			}
+			tbl := streamed.Table()
+			want := [][]string{append([]string{"benchmark"}, tbl.Columns...)}
+			for i, label := range tbl.Labels() {
+				want = append(want, append([]string{label}, tbl.Cells()[i]...))
+			}
+			if !reflect.DeepEqual(rows, want) {
+				t.Fatalf("emitted rows %q, want header + table rows %q", rows, want)
+			}
+		})
+	}
+}
+
+// TestEachBenchmarkStops: an add error or a cancelled context ends the
+// figure loop with that error, and once it returns no goroutine of its
+// stream is left running.
+func TestEachBenchmarkStops(t *testing.T) {
+	r := smallRunner(t, nil)
+	cfgs := []core.Config{baselineConfig(), sharedConfig(8, 32, 4, 1)}
+	before := runtime.NumGoroutine()
+
+	boom := errors.New("boom")
+	calls := 0
+	err := eachBenchmark(context.Background(), r, nil, nil, false, cfgs, func(profile, []*core.Result) error {
+		calls++
+		return boom
+	})
+	if !errors.Is(err, boom) || calls != 1 {
+		t.Fatalf("add error: err = %v after %d add calls, want boom after 1", err, calls)
 	}
 
-	var rows [][]string
-	streamed, err := Fig7(context.Background(), smallRunner(t, nil), func(label string, cells ...string) {
-		rows = append(rows, append([]string{label}, cells...))
+	// A fresh runner: a memory-tier hit may still be delivered under a
+	// cancelled context, a fresh point never is.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = eachBenchmark(ctx, smallRunner(t, nil), nil, nil, false, cfgs, func(profile, []*core.Result) error {
+		t.Error("add called under a cancelled context")
+		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled: err = %v, want context.Canceled", err)
 	}
-	if !reflect.DeepEqual(batch, streamed) {
-		t.Fatal("streamed Fig7 result differs from batch result")
-	}
-	if len(rows) != len(streamed.Rows)+1 {
-		t.Fatalf("emitted %d rows, want header + %d benchmarks", len(rows), len(streamed.Rows))
-	}
-	if rows[0][0] != "benchmark" {
-		t.Fatalf("first emitted row %v is not the header", rows[0])
-	}
-	for i, row := range rows[1:] {
-		if row[0] != streamed.Rows[i].Benchmark {
-			t.Fatalf("row %d label = %q, want %q", i, row[0], streamed.Rows[i].Benchmark)
+
+	// The delivery and fan-out goroutines close their channels as
+	// their last act, so allow them a moment to exit.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, want %d", runtime.NumGoroutine(), before)
 		}
-		if len(row) != 4 {
-			t.Fatalf("row %d has %d cells, want 4", i, len(row))
-		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

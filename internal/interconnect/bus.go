@@ -1,8 +1,8 @@
-// Package interconnect models the shared buses of the paper: the
-// I-interconnect between lean cores and the shared I-cache (single or
-// double bus, round-robin arbitration, 32 B width, 2-cycle base latency
-// plus contention) and the L2–DRAM bus (4-cycle base latency plus
-// contention).
+// Package interconnect models the paper's I-interconnect between lean
+// cores and the shared I-cache: single or double bus, round-robin
+// arbitration, 32 B width, 2-cycle base latency plus contention. The
+// L2–DRAM bus is not modelled here; it is memsys.Timeline, held by
+// memsys.System as its bus.
 //
 // A Bus is a cycle-driven arbitrated resource: requesters Submit
 // requests into per-requester FIFOs; each cycle the owner calls Tick,
@@ -75,9 +75,9 @@ type Bus struct {
 }
 
 // NewBus builds a bus for n requesters. latency is the base traversal
-// latency in cycles (Table I: 2 for the I-interconnect, 4 for the
-// L2-DRAM bus); occupancy is how many cycles each granted transfer
-// holds the bus (line bytes / bus width; Table I: 64/32 = 2).
+// latency in cycles (Table I: 2 for the I-interconnect); occupancy is
+// how many cycles each granted transfer holds the bus (line bytes /
+// bus width; Table I: 64/32 = 2).
 func NewBus(n, latency, occupancy int) *Bus {
 	if n <= 0 {
 		panic(fmt.Sprintf("interconnect: requester count %d must be positive", n))

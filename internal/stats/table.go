@@ -51,10 +51,6 @@ func (t *Table) AddStringRow(label string, cells ...string) {
 // NumRows returns the number of data rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// FormatCell renders one numeric cell exactly as AddRow would, for
-// renderers that stream rows outside a Table.
-func FormatCell(v float64) string { return formatFloat(v) }
-
 // formatFloat picks a precision that keeps small ratios readable and
 // large counts compact.
 func formatFloat(v float64) string {

@@ -157,7 +157,9 @@ func BaseConfig(workers int) core.Config {
 }
 
 // PointConfig is the worker-shared configuration one row's axes
-// describe — the single place the axes-to-Config mapping lives.
+// describe: the mapping every sweep, shard and campaign row goes
+// through. The figure generators in internal/experiments build the
+// same configurations with their own sharedConfig and allSharedConfig.
 func PointConfig(workers, cpc, kb, lb, bus int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Workers = workers

@@ -125,31 +125,6 @@ type Source interface {
 	Next() (rec Record, ok bool)
 }
 
-// SliceSource adapts an in-memory record slice to a Source. The zero
-// value is an empty source.
-type SliceSource struct {
-	Records []Record
-	pos     int
-}
-
-// NewSliceSource returns a Source over recs.
-func NewSliceSource(recs []Record) *SliceSource {
-	return &SliceSource{Records: recs}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (Record, bool) {
-	if s.pos >= len(s.Records) {
-		return Record{}, false
-	}
-	r := s.Records[s.pos]
-	s.pos++
-	return r, true
-}
-
-// Reset rewinds the source to the first record.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
 // Collect drains src into a slice. It is intended for tests and tools;
 // large traces should be consumed streaming.
 func Collect(src Source) []Record {
@@ -160,43 +135,5 @@ func Collect(src Source) []Record {
 			return out
 		}
 		out = append(out, r)
-	}
-}
-
-// Stats summarises a trace stream.
-type Stats struct {
-	Records      int
-	FetchBlocks  int
-	Instructions uint64
-	Bytes        uint64
-	Branches     uint64
-	TakenBranch  uint64
-	SyncEvents   int
-}
-
-// Measure consumes src and returns aggregate statistics.
-func Measure(src Source) Stats {
-	var st Stats
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return st
-		}
-		st.Records++
-		switch r.Kind {
-		case KindFetchBlock:
-			st.FetchBlocks++
-			st.Instructions += uint64(r.NumInstr)
-			st.Bytes += uint64(r.Len)
-			if r.HasBranch {
-				st.Branches++
-				if r.Taken {
-					st.TakenBranch++
-				}
-			}
-		case KindParallelStart, KindParallelEnd, KindBarrier,
-			KindCriticalWait, KindCriticalSignal:
-			st.SyncEvents++
-		}
 	}
 }

@@ -17,46 +17,6 @@ func fb(addr uint64, length, n uint32, taken bool, target uint64) Record {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	recs := []Record{
-		fb(0x1000, 32, 8, true, 0x2000),
-		{Kind: KindBarrier},
-		{Kind: KindEnd},
-	}
-	s := NewSliceSource(recs)
-	got := Collect(s)
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatalf("Collect = %v, want %v", got, recs)
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("Next after exhaustion should report ok=false")
-	}
-	s.Reset()
-	if got := Collect(s); len(got) != len(recs) {
-		t.Fatalf("after Reset, Collect returned %d records, want %d", len(got), len(recs))
-	}
-}
-
-func TestMeasure(t *testing.T) {
-	recs := []Record{
-		{Kind: KindIPCSet, IPCMilli: 1500},
-		{Kind: KindParallelStart},
-		fb(0x1000, 32, 8, true, 0x2000),
-		fb(0x2000, 64, 16, false, 0x2040),
-		{Kind: KindBarrier},
-		{Kind: KindParallelEnd},
-		{Kind: KindEnd},
-	}
-	st := Measure(NewSliceSource(recs))
-	want := Stats{
-		Records: 7, FetchBlocks: 2, Instructions: 24, Bytes: 96,
-		Branches: 2, TakenBranch: 1, SyncEvents: 3,
-	}
-	if st != want {
-		t.Fatalf("Measure = %+v, want %+v", st, want)
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Kind: KindIPCSet, IPCMilli: 2100},

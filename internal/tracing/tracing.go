@@ -3,15 +3,11 @@
 // countable, tracing makes it *inspectable* — every design point's
 // life (enqueue → lease → simulate → store write) becomes a span with
 // a start, a duration, attributes and a parent link, recorded into a
-// bounded in-memory ring buffer and exported two ways:
-//
-//   - Chrome trace-event JSON (WriteChromeTrace): one complete ("X")
-//     event per span, processes mapped to pids and goroutine-pool
-//     slots to tids, loadable directly in Perfetto or
-//     chrome://tracing to see where a campaign's wall-clock goes.
-//   - A log/slog stream (Config.Logger): every finished span doubles
-//     as a structured log line carrying its trace/span IDs, duration
-//     and attributes, so plain logs and the timeline tell one story.
+// bounded in-memory ring buffer and exported as Chrome trace-event
+// JSON (WriteChromeTrace): one complete ("X") event per span,
+// processes mapped to pids and goroutine-pool slots to tids, loadable
+// directly in Perfetto or chrome://tracing to see where a campaign's
+// wall-clock goes.
 //
 // Trace context crosses process boundaries through the
 // "X-Trace-Context" HTTP header (SpanContext.String / ParseContext):
@@ -29,7 +25,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"log/slog"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,9 +174,6 @@ type Config struct {
 	// DefaultCapacity). When full, the oldest spans are dropped and
 	// counted (Dropped).
 	Capacity int
-	// Logger, when non-nil, receives one structured line per finished
-	// span (level Debug), so every span doubles as a log record.
-	Logger *slog.Logger
 	// Now overrides the clock in tests; nil means time.Now.
 	Now func() time.Time
 }
@@ -192,7 +184,6 @@ type Config struct {
 // branching.
 type Tracer struct {
 	proc    string
-	logger  *slog.Logger
 	now     func() time.Time
 	traceID string
 	seq     atomic.Uint64
@@ -217,7 +208,6 @@ func New(cfg Config) *Tracer {
 	}
 	return &Tracer{
 		proc:    cfg.Process,
-		logger:  cfg.Logger,
 		now:     cfg.Now,
 		traceID: randomID(16),
 		buf:     make([]Span, cfg.Capacity),
@@ -403,24 +393,6 @@ func (t *Tracer) record(span Span) {
 	t.buf[t.next] = span
 	t.next = (t.next + 1) % len(t.buf)
 	t.mu.Unlock()
-	if t.logger != nil {
-		logSpan(t.logger, span)
-	}
-}
-
-// logSpan emits the span's structured log line.
-func logSpan(l *slog.Logger, span Span) {
-	args := make([]any, 0, 2*(len(span.Attrs)+5))
-	args = append(args,
-		"trace", span.TraceID, "span", span.SpanID)
-	if span.ParentID != "" {
-		args = append(args, "parent", span.ParentID)
-	}
-	args = append(args, "proc", span.Proc, "dur_us", span.Dur)
-	for _, a := range span.Attrs {
-		args = append(args, a.Key, a.Value)
-	}
-	l.Debug("span "+span.Name, args...)
 }
 
 // Spans snapshots the buffered spans, oldest first. The buffer is not

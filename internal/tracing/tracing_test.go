@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -214,21 +212,6 @@ func TestRecordBooksQueueWait(t *testing.T) {
 	}
 	if enq.Start != t0.Add(-2*time.Second).UnixMicro() {
 		t.Errorf("enqueue start = %d", enq.Start)
-	}
-}
-
-func TestSlogEmission(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	tr := New(Config{Process: "sweep", Logger: logger})
-	ctx, s := tr.Start(context.Background(), "point", A("bench", "FT"), A("backend", "detailed"))
-	_ = ctx
-	s.End()
-	line := buf.String()
-	for _, want := range []string{`msg="span point"`, "trace=" + tr.TraceID(), "proc=sweep", "bench=FT", "backend=detailed", "dur_us="} {
-		if !strings.Contains(line, want) {
-			t.Errorf("slog line missing %q:\n%s", want, line)
-		}
 	}
 }
 
