@@ -235,16 +235,19 @@ func BenchmarkFig13_AllShared(b *testing.B) {
 	b.ReportMetric(worst, "worst-allshared-ratio")
 }
 
+// BenchmarkExtA_Scalability builds a fresh runner per iteration: on a
+// shared one every iteration after the first would be run-cache hits
+// and measure no simulation.
 func BenchmarkExtA_Scalability(b *testing.B) {
 	opts := experiments.DefaultOptions()
 	opts.Instructions = 40_000
 	opts.Benchmarks = []string{"UA"}
-	r, err := experiments.NewRunner(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var limit1, limit2 int
 	for i := 0; i < b.N; i++ {
+		r, err := experiments.NewRunner(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		res, err := experiments.ExtScale(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)

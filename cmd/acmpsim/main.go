@@ -104,20 +104,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("unknown benchmark %q (try -listbench)", f.sf.Bench)
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Workers = f.sf.Workers
-	cfg.ICache.SizeBytes = f.icache << 10
-	cfg.LineBuffers = f.lb
-	cfg.Buses = f.buses
+	var cfg core.Config
 	switch f.org {
 	case "private":
-		cfg.Organization = core.OrgPrivate
-		cfg.CPC = 1
+		cfg = core.PrivateConfig(f.sf.Workers)
+		cfg.ICache.SizeBytes, cfg.LineBuffers, cfg.Buses = f.icache<<10, f.lb, f.buses
 	case "worker-shared":
-		cfg.Organization = core.OrgWorkerShared
-		cfg.CPC = f.cpc
+		cfg = core.WorkerSharedConfig(f.sf.Workers, f.cpc, f.icache, f.lb, f.buses)
 	case "all-shared":
-		cfg.Organization = core.OrgAllShared
+		cfg = core.AllSharedConfig(f.sf.Workers, f.icache, f.lb, f.buses)
 	default:
 		return fmt.Errorf("unknown organization %q", f.org)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -85,19 +86,62 @@ func TestStoreLogsBadEntry(t *testing.T) {
 	}
 }
 
+// TestExtScaleStore: ext-scale runs on the driver's runner, so -store
+// and -report see all of its points, 5 worker counts x 4 designs for
+// one benchmark. The cold run writes each one; the warm run simulates
+// none and prints the same table.
+func TestExtScaleStore(t *testing.T) {
+	dir := t.TempDir()
+	store, report := filepath.Join(dir, "rs"), filepath.Join(dir, "report.json")
+	args := []string{"-fig", "ext-scale", "-bench", "FT", "-n", "20000", "-store", store, "-report", report}
+	var tables [2]string
+	for i, want := range []string{
+		"cache: 20 simulated, 0 store hits, 20 store misses, 20 store writes\n",
+		"cache: 0 simulated, 20 store hits, 0 store misses, 0 store writes\n",
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, stderr.Bytes())
+		}
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("run %d: stderr lacks %q:\n%s", i, want, stderr.Bytes())
+		}
+		raw, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ Reports []json.RawMessage }
+		if err := json.Unmarshal(raw, &doc); err != nil || len(doc.Reports) != 20 {
+			t.Errorf("run %d: report holds %d reports (err %v), want 20", i, len(doc.Reports), err)
+		}
+		tables[i] = stdout.String()
+	}
+	if entries, _ := os.ReadDir(store); len(entries) != 20 {
+		t.Errorf("store holds %d entries, want 20", len(entries))
+	}
+	if tables[0] != tables[1] {
+		t.Errorf("warm table differs:\ncold:\n%s\nwarm:\n%s", tables[0], tables[1])
+	}
+}
+
 // TestFigureGolden pins the simulated figures byte for byte: text,
 // where Figs 7-11 stream row by row, and csv, where every figure prints
-// its whole table.
+// its whole table. ext-scale has its own golden: its points span five
+// worker counts on the one campaign runner.
 func TestFigureGolden(t *testing.T) {
 	for _, format := range []string{"text", "csv"} {
 		t.Run(format, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			args := []string{"-fig", "fig7,fig8,fig9,fig10,fig11,fig12,fig13,ext-cold",
-				"-bench", "FT,UA", "-n", "20000", "-format", format}
-			if err := run(context.Background(), args, &stdout, &stderr); err != nil {
-				t.Fatalf("%v\n%s", err, stderr.Bytes())
+			for _, c := range []struct{ golden, figs, bench string }{
+				{"figs", "fig7,fig8,fig9,fig10,fig11,fig12,fig13,ext-cold", "FT,UA"},
+				{"ext-scale", "ext-scale", "FT"},
+			} {
+				var stdout, stderr bytes.Buffer
+				args := []string{"-fig", c.figs, "-bench", c.bench, "-n", "20000", "-format", format}
+				if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+					t.Fatalf("%v\n%s", err, stderr.Bytes())
+				}
+				clitest.Golden(t, filepath.Join("testdata", c.golden+"-"+format+".golden"), stdout.Bytes())
 			}
-			clitest.Golden(t, filepath.Join("testdata", "figs-"+format+".golden"), stdout.Bytes())
 		})
 	}
 }

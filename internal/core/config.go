@@ -124,12 +124,36 @@ func DefaultConfig() Config {
 // SharedConfig returns the paper's preferred design point: a 16 KB
 // I-cache shared by all 8 workers (cpc=8) behind a double bus with 4
 // line buffers per core.
-func SharedConfig() Config {
+func SharedConfig() Config { return WorkerSharedConfig(8, 8, 16, 4, 2) }
+
+// PrivateConfig returns the Fig 5a baseline with the given worker
+// count. It, WorkerSharedConfig and AllSharedConfig are the one
+// mapping from the design axes to a Config, one per organisation; all
+// other fields keep their Table I defaults.
+func PrivateConfig(workers int) Config {
 	c := DefaultConfig()
+	c.Workers = workers
+	return c
+}
+
+// WorkerSharedConfig returns the Fig 5b organisation: workers lean
+// cores, cpc of them per sizeKB I-cache, each core with lineBuffers
+// line buffers, buses buses per cache.
+func WorkerSharedConfig(workers, cpc, sizeKB, lineBuffers, buses int) Config {
+	c := AllSharedConfig(workers, sizeKB, lineBuffers, buses)
 	c.Organization = OrgWorkerShared
-	c.CPC = 8
-	c.ICache.SizeBytes = 16 << 10
-	c.Buses = 2
+	c.CPC = cpc
+	return c
+}
+
+// AllSharedConfig returns the §VI-E organisation: one sizeKB I-cache
+// for all cores, the master included.
+func AllSharedConfig(workers, sizeKB, lineBuffers, buses int) Config {
+	c := PrivateConfig(workers)
+	c.Organization = OrgAllShared
+	c.ICache.SizeBytes = sizeKB << 10
+	c.LineBuffers = lineBuffers
+	c.Buses = buses
 	return c
 }
 

@@ -36,8 +36,8 @@ type Backend interface {
 	// backend's results change, so stale entries become misses instead
 	// of lies; keep it stable otherwise, so warm stores stay warm.
 	Fingerprint() string
-	// Execute resolves one design point. cfg arrives validated and with
-	// cfg.Workers already normalised to the campaign's worker count.
+	// Execute resolves one design point, with cfg.Workers, not
+	// Options.Workers, as its worker count (ext-scale sweeps it).
 	// Execute is always a cache miss — the Runner has already consulted
 	// both cache tiers.
 	Execute(ctx context.Context, bench string, cfg core.Config, prewarm bool) (*core.Result, error)
@@ -109,7 +109,7 @@ func init() {
 	RegisterBackend(DefaultBackend, func(opts Options) (Backend, error) {
 		return &detailedBackend{
 			opts:   opts,
-			synths: map[string]*synthEntry{},
+			synths: map[synthKey]*synthEntry{},
 			warms:  map[warmKey]*warmEntry{},
 		}, nil
 	})
@@ -125,28 +125,34 @@ func init() {
 // judged against.
 //
 // Workload synthesis and steady-state warm-line derivation are
-// memoised across the design points of one campaign: every point of a
-// Fig 7 sweep shares (workers, instructions, seed) — fixed in opts at
-// construction — so the memo key reduces to the benchmark name (plus
-// line sizes for warm sets), and the 52-point space synthesises each
-// benchmark once instead of 52 times. Workloads are immutable after
-// synth.New and warm-line slices are only read by Prewarm, so entries
-// are shared across concurrent Execute calls without copying.
+// memoised across the design points of one campaign: (instructions,
+// seed) are fixed in opts at construction, so the memo key reduces to
+// the benchmark and the point's worker count (plus line sizes for warm
+// sets), and the 52-point Fig 7 space synthesises each benchmark once
+// instead of 52 times. Workloads are immutable after synth.New and
+// warm-line slices are only read by Prewarm, so entries are shared
+// across concurrent Execute calls without copying.
 type detailedBackend struct {
 	opts Options
 
 	mu     sync.Mutex
-	synths map[string]*synthEntry
+	synths map[synthKey]*synthEntry
 	warms  map[warmKey]*warmEntry
 
 	synthHits, synthMisses     atomic.Uint64
 	prewarmHits, prewarmMisses atomic.Uint64
 }
 
-// synthEntry memoises one benchmark's synthesised workload. The
-// per-entry once lets distinct benchmarks synthesise concurrently
-// while concurrent requests for the same benchmark wait for one
-// leader, like the Runner's singleflight but keyed by benchmark.
+// synthKey identifies one memoised workload.
+type synthKey struct {
+	bench   string
+	workers int
+}
+
+// synthEntry memoises one synthesised workload. The per-entry once
+// lets distinct workloads synthesise concurrently while concurrent
+// requests for the same one wait for one leader, like the Runner's
+// singleflight but keyed by synthKey.
 type synthEntry struct {
 	once sync.Once
 	w    *synth.Workload
@@ -157,7 +163,7 @@ type synthEntry struct {
 // I-cache and L2 line sizes are config axes, so they stay in the key
 // even though the Fig 7 space never varies them.
 type warmKey struct {
-	bench       string
+	synthKey
 	icLineBytes int
 	l2LineBytes int
 }
@@ -167,13 +173,13 @@ type warmEntry struct {
 	ic, l2 [][]uint64
 }
 
-// workload returns the memoised synthesis output for bench.
-func (b *detailedBackend) workload(bench string) (*synth.Workload, error) {
+// workload returns the memoised synthesis output for key.
+func (b *detailedBackend) workload(key synthKey) (*synth.Workload, error) {
 	b.mu.Lock()
-	e, ok := b.synths[bench]
+	e, ok := b.synths[key]
 	if !ok {
 		e = &synthEntry{}
-		b.synths[bench] = e
+		b.synths[key] = e
 	}
 	b.mu.Unlock()
 	if ok {
@@ -182,13 +188,13 @@ func (b *detailedBackend) workload(bench string) (*synth.Workload, error) {
 		b.synthMisses.Add(1)
 	}
 	e.once.Do(func() {
-		p, found := synth.ProfileByName(bench)
+		p, found := synth.ProfileByName(key.bench)
 		if !found {
-			e.err = fmt.Errorf("unknown benchmark %q", bench)
+			e.err = fmt.Errorf("unknown benchmark %q", key.bench)
 			return
 		}
 		e.w, e.err = synth.New(p, synth.Config{
-			Workers:            b.opts.Workers,
+			Workers:            key.workers,
 			MasterInstructions: b.opts.Instructions,
 			Seed:               b.opts.Seed,
 		})
@@ -196,11 +202,11 @@ func (b *detailedBackend) workload(bench string) (*synth.Workload, error) {
 	return e.w, e.err
 }
 
-// warmLines returns the memoised per-thread steady-state line sets for
-// bench at the given line geometries. Callers must treat the returned
-// slices as read-only; they are shared across design points.
-func (b *detailedBackend) warmLines(bench string, w *synth.Workload, icLineBytes, l2LineBytes int) (ic, l2 [][]uint64) {
-	key := warmKey{bench: bench, icLineBytes: icLineBytes, l2LineBytes: l2LineBytes}
+// warmLines returns the memoised per-thread steady-state line sets of
+// w, sk's workload, at the given line geometries. Callers must treat
+// the returned slices as read-only; they are shared across points.
+func (b *detailedBackend) warmLines(sk synthKey, w *synth.Workload, icLineBytes, l2LineBytes int) (ic, l2 [][]uint64) {
+	key := warmKey{synthKey: sk, icLineBytes: icLineBytes, l2LineBytes: l2LineBytes}
 	b.mu.Lock()
 	e, ok := b.warms[key]
 	if !ok {
@@ -261,7 +267,8 @@ func (b *detailedBackend) Fingerprint() string { return "detailed/v1" }
 // interruptible; ctx cancellation is handled by the engine before the
 // point starts.
 func (b *detailedBackend) Execute(_ context.Context, bench string, cfg core.Config, prewarm bool) (*core.Result, error) {
-	w, err := b.workload(bench)
+	sk := synthKey{bench: bench, workers: cfg.Workers}
+	w, err := b.workload(sk)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +281,7 @@ func (b *detailedBackend) Execute(_ context.Context, bench string, cfg core.Conf
 		return nil, err
 	}
 	if prewarm {
-		ic, l2 := b.warmLines(bench, w, cfg.ICache.LineBytes, cfg.Mem.L2.LineBytes)
+		ic, l2 := b.warmLines(sk, w, cfg.ICache.LineBytes, cfg.Mem.L2.LineBytes)
 		sim.Prewarm(ic, l2)
 	}
 	return sim.Run()

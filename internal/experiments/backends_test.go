@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sharedicache/internal/core"
 	"sharedicache/internal/runstore"
 )
 
@@ -47,8 +48,7 @@ func TestAnalyticalBackendDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sharedConfig(8, 16, 4, 2)
-	cfg.Workers = opts.Workers
+	cfg := core.WorkerSharedConfig(opts.Workers, 8, 16, 4, 2)
 	ctx := context.Background()
 
 	start := time.Now()
@@ -88,8 +88,7 @@ func TestAnalyticalBackendDeterministic(t *testing.T) {
 	if reflect.DeepEqual(first, cold) {
 		t.Fatal("prewarm has no effect on the analytical estimate")
 	}
-	base := baselineConfig()
-	base.Workers = opts.Workers
+	base := core.PrivateConfig(opts.Workers)
 	priv, err := b.Execute(ctx, "FT", base, true)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func TestAnalyticalBackendDeterministic(t *testing.T) {
 // must produce distinct persistent-store keys, and a store warmed by
 // one backend must be a clean miss for the other.
 func TestBackendStoreKeyIsolation(t *testing.T) {
-	pt := Point{Bench: "FT", Cfg: sharedConfig(8, 16, 4, 2)}
+	pt := Point{Bench: "FT", Cfg: core.WorkerSharedConfig(8, 8, 16, 4, 2)}
 
 	detailed := smallRunner(t, nil)
 	analytical := smallRunner(t, func(o *Options) { o.Backend = "analytical" })
@@ -170,7 +169,7 @@ func TestBackendStoreKeyIsolation(t *testing.T) {
 // backend.
 func TestMixedBackendPlan(t *testing.T) {
 	r := smallRunner(t, nil)
-	cfg := sharedConfig(8, 16, 4, 2)
+	cfg := core.WorkerSharedConfig(8, 8, 16, 4, 2)
 	plan := r.Plan(
 		Point{Bench: "FT", Cfg: cfg},
 		Point{Bench: "FT", Cfg: cfg, Backend: "analytical"},
@@ -208,7 +207,7 @@ func TestMixedBackendPlan(t *testing.T) {
 func TestBackendDefaultBitIdentity(t *testing.T) {
 	implicit := smallRunner(t, nil)
 	explicit := smallRunner(t, func(o *Options) { o.Backend = "detailed" })
-	pt := Point{Bench: "UA", Cfg: sharedConfig(2, 32, 4, 1)}
+	pt := Point{Bench: "UA", Cfg: core.WorkerSharedConfig(8, 2, 32, 4, 1)}
 	if implicit.PointKey(pt) != explicit.PointKey(pt) {
 		t.Fatal("implicit and explicit detailed backends disagree on store keys")
 	}

@@ -61,7 +61,7 @@ func ActivityFor(res *core.Result) power.Activity {
 type Fig12Point struct {
 	Name        string
 	LineBuffers int
-	Buses       int
+	Buses       int // per shared I-cache; 0 for the private baseline
 	Time        float64
 	Energy      float64
 	Area        float64
@@ -80,18 +80,17 @@ type Fig12Result struct {
 func Fig12(ctx context.Context, r *Runner) (*Fig12Result, error) {
 	tech := power.Default45nm()
 	out := &Fig12Result{Tech: tech}
+	w := r.opts.Workers
 
-	type design struct {
-		name   string
-		lb, bs int
-		cfg    core.Config
-	}
-	designs := []design{
-		{"baseline", 4, 0, baselineConfig()},
-		{"cpc=8 4LB 1bus", 4, 1, sharedConfig(8, 16, 4, 1)},
-		{"cpc=8 4LB 2bus", 4, 2, sharedConfig(8, 16, 4, 2)},
-		{"cpc=8 8LB 1bus", 8, 1, sharedConfig(8, 16, 8, 1)},
-		{"cpc=8 8LB 2bus", 8, 2, sharedConfig(8, 16, 8, 2)},
+	designs := []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"baseline", core.PrivateConfig(w)},
+		{"cpc=8 4LB 1bus", core.WorkerSharedConfig(w, 8, 16, 4, 1)},
+		{"cpc=8 4LB 2bus", core.WorkerSharedConfig(w, 8, 16, 4, 2)},
+		{"cpc=8 8LB 1bus", core.WorkerSharedConfig(w, 8, 16, 8, 1)},
+		{"cpc=8 8LB 2bus", core.WorkerSharedConfig(w, 8, 16, 8, 2)},
 	}
 
 	cfgs := make([]core.Config, len(designs))
@@ -126,8 +125,8 @@ func Fig12(ctx context.Context, r *Runner) (*Fig12Result, error) {
 	for di, d := range designs {
 		out.Points = append(out.Points, Fig12Point{
 			Name:        d.name,
-			LineBuffers: d.lb,
-			Buses:       d.bs,
+			LineBuffers: d.cfg.LineBuffers,
+			Buses:       ClusterFor(d.cfg).BusesPerCache,
 			Time:        stats.Mean(times[di]),
 			Energy:      stats.Mean(energies[di]),
 			Area:        areas[di] / baseArea,

@@ -42,7 +42,7 @@ func TestSingleflightOneKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := runOne(r, Point{Bench: "FT", Cfg: baselineConfig()})
+			res, err := runOne(r, Point{Bench: "FT", Cfg: core.PrivateConfig(8)})
 			if err != nil {
 				t.Error(err)
 				return
@@ -69,10 +69,10 @@ func TestSingleflightOneKey(t *testing.T) {
 func TestPlanOrderAndDedup(t *testing.T) {
 	r := smallRunner(t, nil)
 	plan := r.Plan()
-	i0 := plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig()})
-	i1 := plan.AddPoint(Point{Bench: "UA", Cfg: baselineConfig()})
-	i2 := plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig()}) // duplicate of i0
-	i3 := plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig(), Cold: true})
+	i0 := plan.AddPoint(Point{Bench: "FT", Cfg: core.PrivateConfig(8)})
+	i1 := plan.AddPoint(Point{Bench: "UA", Cfg: core.PrivateConfig(8)})
+	i2 := plan.AddPoint(Point{Bench: "FT", Cfg: core.PrivateConfig(8)}) // duplicate of i0
+	i3 := plan.AddPoint(Point{Bench: "FT", Cfg: core.PrivateConfig(8), Cold: true})
 	if plan.Len() != 4 {
 		t.Fatalf("Len = %d", plan.Len())
 	}
@@ -103,10 +103,10 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	plan := func(r *Runner) *Plan {
 		p := r.Plan()
 		for _, b := range []string{"FT", "UA"} {
-			p.AddPoint(Point{Bench: b, Cfg: baselineConfig()})
-			p.AddPoint(Point{Bench: b, Cfg: sharedConfig(8, 32, 4, 1)})
-			p.AddPoint(Point{Bench: b, Cfg: sharedConfig(8, 16, 4, 2)})
-			p.AddPoint(Point{Bench: b, Cfg: baselineConfig(), Cold: true})
+			p.AddPoint(Point{Bench: b, Cfg: core.PrivateConfig(8)})
+			p.AddPoint(Point{Bench: b, Cfg: core.WorkerSharedConfig(8, 8, 32, 4, 1)})
+			p.AddPoint(Point{Bench: b, Cfg: core.WorkerSharedConfig(8, 8, 16, 4, 2)})
+			p.AddPoint(Point{Bench: b, Cfg: core.PrivateConfig(8), Cold: true})
 		}
 		return p
 	}
@@ -166,9 +166,9 @@ func TestParallelSerialEquivalence(t *testing.T) {
 func TestRunAllErrorPropagation(t *testing.T) {
 	r := smallRunner(t, func(o *Options) { o.Parallelism = 1 })
 	plan := r.Plan()
-	plan.AddPoint(Point{Bench: "nope", Cfg: baselineConfig()})
+	plan.AddPoint(Point{Bench: "nope", Cfg: core.PrivateConfig(8)})
 	for i := 0; i < 8; i++ {
-		cfg := baselineConfig()
+		cfg := core.PrivateConfig(8)
 		cfg.LineBuffers = 2 + i // 8 distinct points
 		plan.AddPoint(Point{Bench: "FT", Cfg: cfg})
 	}
@@ -190,7 +190,7 @@ func TestRunAllCancelledContext(t *testing.T) {
 	r := smallRunner(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := r.RunAll(ctx, Point{Bench: "FT", Cfg: baselineConfig()})
+	_, err := r.RunAll(ctx, Point{Bench: "FT", Cfg: core.PrivateConfig(8)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -199,7 +199,7 @@ func TestRunAllCancelledContext(t *testing.T) {
 	}
 	// The cancelled attempt must not poison the cache: a live context
 	// succeeds afterwards.
-	if _, err := r.RunAll(context.Background(), Point{Bench: "FT", Cfg: baselineConfig()}); err != nil {
+	if _, err := r.RunAll(context.Background(), Point{Bench: "FT", Cfg: core.PrivateConfig(8)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Simulations(); got != 1 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sharedicache/internal/core"
+	"sharedicache/internal/power"
 )
 
 // testBenchmarks is a subset spanning the interesting regimes: FT
@@ -88,12 +89,12 @@ func TestCharInstructionsResolution(t *testing.T) {
 func TestRunnerCachesRuns(t *testing.T) {
 	r := testRunner(t)
 	before := r.CachedRuns()
-	a, err := runOne(r, Point{Bench: "FT", Cfg: baselineConfig()})
+	a, err := runOne(r, Point{Bench: "FT", Cfg: core.PrivateConfig(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	afterFirst := r.CachedRuns()
-	b, err := runOne(r, Point{Bench: "FT", Cfg: baselineConfig()})
+	b, err := runOne(r, Point{Bench: "FT", Cfg: core.PrivateConfig(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +105,14 @@ func TestRunnerCachesRuns(t *testing.T) {
 		t.Fatal("second run should not add a cache entry")
 	}
 	// Cold and warm runs are distinct cache entries.
-	c, err := runOne(r, Point{Bench: "FT", Cfg: baselineConfig(), Cold: true})
+	c, err := runOne(r, Point{Bench: "FT", Cfg: core.PrivateConfig(8), Cold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c == a {
 		t.Fatal("cold and warm runs must be distinct")
 	}
-	if _, err := runOne(r, Point{Bench: "nope", Cfg: baselineConfig()}); err == nil {
+	if _, err := runOne(r, Point{Bench: "nope", Cfg: core.PrivateConfig(8)}); err == nil {
 		t.Fatal("unknown benchmark should error")
 	}
 }
@@ -391,6 +392,63 @@ func TestFig12Shape(t *testing.T) {
 	}
 	if _, ok := res.Point("nope"); ok {
 		t.Fatal("unknown point lookup should fail")
+	}
+}
+
+// TestFiguresUseCampaignWorkers: at Workers 16 the figures build their
+// points with 16 workers, so Table I reports 16 worker cores and Fig
+// 12 costs every design's cluster at the worker count of the run its
+// activity comes from.
+func TestFiguresUseCampaignWorkers(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 16
+	opts.Instructions = 20_000
+	opts.Benchmarks = []string{"FT"}
+	opts.Backend = "analytical"
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	tab, err := TableI(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Baseline.Workers != 16 || tab.Shared.Workers != 16 {
+		t.Errorf("Table I worker cores = %d, %d, want 16, 16", tab.Baseline.Workers, tab.Shared.Workers)
+	}
+	fig, err := Fig12(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	designs := map[string]core.Config{
+		"baseline":       core.PrivateConfig(16),
+		"cpc=8 4LB 1bus": core.WorkerSharedConfig(16, 8, 16, 4, 1),
+		"cpc=8 4LB 2bus": core.WorkerSharedConfig(16, 8, 16, 4, 2),
+		"cpc=8 8LB 1bus": core.WorkerSharedConfig(16, 8, 16, 8, 1),
+		"cpc=8 8LB 2bus": core.WorkerSharedConfig(16, 8, 16, 8, 2),
+	}
+	tech := power.Default45nm()
+	cost := func(cfg core.Config) power.Report {
+		res, err := runOne(r, Point{Bench: "FT", Cfg: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := tech.Evaluate(ClusterFor(cfg), ActivityFor(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base := cost(designs["baseline"])
+	for name, cfg := range designs {
+		_, energy, _ := cost(cfg).Relative(base)
+		if p, ok := fig.Point(name); !ok || p.Energy != energy {
+			t.Errorf("%s: Fig 12 energy %v, want %v from a 16-worker cluster", name, p.Energy, energy)
+		}
+	}
+	if n := r.Simulations(); n != len(designs) {
+		t.Errorf("%d simulations, want Fig 12's %d", n, len(designs))
 	}
 }
 

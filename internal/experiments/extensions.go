@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sharedicache/internal/core"
 	"sharedicache/internal/stats"
@@ -12,30 +13,18 @@ import (
 // extension sweeps: preferring the paper's highlighted cases present
 // in the campaign selection, falling back to whatever is selected.
 func (o Options) extBenchmarks() []string {
-	preferred := []string{"UA", "FT", "LULESH"}
-	selected := map[string]bool{}
+	var names, out []string
 	for _, p := range o.profiles() {
-		selected[p.Name] = true
+		names = append(names, p.Name)
 	}
-	var out []string
-	for _, b := range preferred {
-		if selected[b] {
+	for _, b := range []string{"UA", "FT", "LULESH"} {
+		if slices.Contains(names, b) {
 			out = append(out, b)
 		}
 	}
-	for _, p := range o.profiles() {
-		if len(out) >= 3 {
-			break
-		}
-		found := false
-		for _, b := range out {
-			if b == p.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, p.Name)
+	for _, b := range names {
+		if len(out) < 3 && !slices.Contains(out, b) {
+			out = append(out, b)
 		}
 	}
 	return out
@@ -60,35 +49,39 @@ type ExtScaleResult struct {
 }
 
 // ExtScale sweeps the worker count with cpc = workers (one shared
-// I-cache for the whole cluster) and 1, 2 or 4 buses. Each worker
-// count uses its own sub-campaign (the workload shape depends on the
-// thread count), planned up front so the whole sub-sweep fans out.
+// I-cache for the whole cluster) and 1, 2 or 4 buses. Every point
+// carries its own worker count (the workload shape depends on the
+// thread count), and all of them are one plan on r, so the whole sweep
+// fans out and shares r's caches, store and telemetry; the points at
+// r's own worker count are the ones Figs 10 and 12 run too.
 func ExtScale(ctx context.Context, r *Runner) (*ExtScaleResult, error) {
 	benches := r.opts.extBenchmarks()
-	out := &ExtScaleResult{Benchmarks: benches}
-	for _, workers := range []int{2, 4, 8, 12, 16} {
-		opts := r.opts
-		opts.Workers = workers
-		opts.Benchmarks = benches
-		sub, err := NewRunner(opts)
-		if err != nil {
-			return nil, err
+	counts := []int{2, 4, 8, 12, 16}
+	// Per worker count and bench: the private baseline followed by the
+	// 1-, 2- and 4-bus shared variants.
+	plan := r.Plan()
+	for _, w := range counts {
+		for _, b := range benches {
+			plan.AddPoint(Point{Bench: b, Cfg: core.PrivateConfig(w)})
+			for _, buses := range []int{1, 2, 4} {
+				plan.AddPoint(Point{Bench: b, Cfg: core.WorkerSharedConfig(w, w, 16, 4, buses)})
+			}
 		}
-		// Per bench: the private baseline followed by the 1-, 2- and
-		// 4-bus shared variants.
-		cfgs := []core.Config{baselineConfig(), sharedConfig(workers, 16, 4, 1),
-			sharedConfig(workers, 16, 4, 2), sharedConfig(workers, 16, 4, 4)}
+	}
+	res, err := plan.RunAll(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := &ExtScaleResult{Benchmarks: benches}
+	for _, w := range counts {
 		var ratios [3][]float64 // per bus count, one ratio per benchmark
-		err = eachBenchmark(ctx, sub, nil, nil, false, cfgs, func(_ profile, res []*core.Result) error {
-			for i, shared := range res[1:] {
+		for range benches {
+			for i, shared := range res[1:4] {
 				ratios[i] = append(ratios[i], float64(shared.Cycles)/float64(res[0].Cycles))
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			res = res[4:]
 		}
-		out.Rows = append(out.Rows, ExtScaleRow{Workers: workers,
+		out.Rows = append(out.Rows, ExtScaleRow{Workers: w,
 			Bus1: stats.Mean(ratios[0]), Bus2: stats.Mean(ratios[1]), Bus4: stats.Mean(ratios[2])})
 	}
 	return out, nil
@@ -149,7 +142,8 @@ type ExtColdResult struct {
 // against the cold private baseline for every selected benchmark.
 func ExtCold(ctx context.Context, r *Runner) (*ExtColdResult, error) {
 	out := &ExtColdResult{}
-	cfgs := []core.Config{baselineConfig(), sharedConfig(8, 32, 4, 2)}
+	w := r.opts.Workers
+	cfgs := []core.Config{core.PrivateConfig(w), core.WorkerSharedConfig(w, 8, 32, 4, 2)}
 	err := eachBenchmark(ctx, r, nil, nil, true, cfgs, func(p profile, res []*core.Result) error {
 		out.Rows = append(out.Rows, ExtColdRow{
 			Benchmark:   p.Name,

@@ -39,6 +39,17 @@ func TestExtScaleShape(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 worker counts", len(res.Rows))
 	}
+	// One plan on r: 5 worker counts x 4 designs, of which the 8-worker
+	// baseline and 4LB 1- and 2-bus points are Fig 10's too.
+	if n := r.Simulations(); n != 20 {
+		t.Fatalf("ext-scale simulated %d points, want 20", n)
+	}
+	if _, err := Fig10(context.Background(), r, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Simulations(); n != 21 {
+		t.Fatalf("Fig 10 after ext-scale simulated %d more points, want only its 8LB one", n-20)
+	}
 	for i, row := range res.Rows {
 		// More buses never hurt.
 		if row.Bus2 > row.Bus1+0.01 || row.Bus4 > row.Bus2+0.01 {

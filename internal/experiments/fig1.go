@@ -9,9 +9,6 @@ import (
 	"sharedicache/internal/stats"
 )
 
-// coreCfg shortens signatures in this file.
-type coreCfg = core.Config
-
 // Fig1Result reproduces Figure 1: the Hill-Marty speedup of the three
 // 16-BCE designs as a function of the serial code fraction, plus the
 // crossover fraction above which the ACMP wins.
@@ -90,17 +87,19 @@ type coreConfigView struct {
 	L2Latency     int
 }
 
-// TableI returns the configuration defaults, validating them first
-// (no simulation involved; ctx is accepted for registry uniformity).
+// TableI returns the configuration defaults at the campaign's worker
+// count, validating them first (no simulation involved; ctx is
+// accepted for registry uniformity).
 func TableI(ctx context.Context, r *Runner) (*TableIResult, error) {
-	base := baselineConfig()
-	shared := sharedConfig(8, 16, 4, 2)
-	for _, cfg := range []struct{ c interface{ Validate() error } }{{base}, {shared}} {
-		if err := cfg.c.Validate(); err != nil {
+	w := r.opts.Workers
+	base := core.PrivateConfig(w)
+	shared := core.WorkerSharedConfig(w, 8, 16, 4, 2)
+	for _, cfg := range []core.Config{base, shared} {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	view := func(cfg coreCfg) coreConfigView {
+	view := func(cfg core.Config) coreConfigView {
 		return coreConfigView{
 			Organization:  cfg.Organization.String(),
 			Workers:       cfg.Workers,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"sharedicache/internal/core"
 	"sharedicache/internal/metrics"
 )
 
@@ -28,11 +29,11 @@ func TestSynthMemoSweep(t *testing.T) {
 
 	plan := r.Plan()
 	for _, bench := range opts.Benchmarks {
-		plan.AddPoint(Point{Bench: bench, Cfg: baselineConfig()})
+		plan.AddPoint(Point{Bench: bench, Cfg: core.PrivateConfig(8)})
 		for _, sizeKB := range []int{16, 32} {
 			for _, buses := range []int{1, 2} {
 				for _, cpc := range []int{2, 4, 8} {
-					plan.AddPoint(Point{Bench: bench, Cfg: sharedConfig(cpc, sizeKB, 4, buses)})
+					plan.AddPoint(Point{Bench: bench, Cfg: core.WorkerSharedConfig(8, cpc, sizeKB, 4, buses)})
 				}
 			}
 		}
@@ -93,9 +94,9 @@ func TestSynthMemoDistinctGeometries(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := r.Plan()
-	narrow := baselineConfig()
+	narrow := core.PrivateConfig(8)
 	narrow.ICache.LineBytes = 32
-	plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig()})
+	plan.AddPoint(Point{Bench: "FT", Cfg: core.PrivateConfig(8)})
 	plan.AddPoint(Point{Bench: "FT", Cfg: narrow})
 	if _, err := plan.RunAll(context.Background()); err != nil {
 		t.Fatal(err)

@@ -32,8 +32,9 @@ type Fig7Result struct {
 // points complete.
 func Fig7(ctx context.Context, r *Runner, emit RowEmit) (*Fig7Result, error) {
 	out := &Fig7Result{}
-	cfgs := []core.Config{baselineConfig(),
-		sharedConfig(2, 32, 4, 1), sharedConfig(4, 32, 4, 1), sharedConfig(8, 32, 4, 1)}
+	w := r.opts.Workers
+	cfgs := []core.Config{core.PrivateConfig(w), core.WorkerSharedConfig(w, 2, 32, 4, 1),
+		core.WorkerSharedConfig(w, 4, 32, 4, 1), core.WorkerSharedConfig(w, 8, 32, 4, 1)}
 	err := eachBenchmark(ctx, r, emit, out.Table, false, cfgs, func(p profile, res []*core.Result) error {
 		base := float64(res[0].Cycles)
 		out.Rows = append(out.Rows, Fig7Row{
@@ -102,7 +103,8 @@ type Fig8Result struct {
 // as benchmarks complete.
 func Fig8(ctx context.Context, r *Runner, emit RowEmit) (*Fig8Result, error) {
 	out := &Fig8Result{}
-	cfgs := []core.Config{baselineConfig(), sharedConfig(8, 32, 4, 1)}
+	w := r.opts.Workers
+	cfgs := []core.Config{core.PrivateConfig(w), core.WorkerSharedConfig(w, 8, 32, 4, 1)}
 	err := eachBenchmark(ctx, r, emit, out.Table, false, cfgs, func(p profile, res []*core.Result) error {
 		bs, ss := res[0].WorkerStack(), res[1].WorkerStack()
 		norm := float64(bs.Total())
@@ -166,7 +168,7 @@ func Fig9(ctx context.Context, r *Runner, emit RowEmit) (*Fig9Result, error) {
 	out := &Fig9Result{}
 	var cfgs []core.Config
 	for _, lb := range []int{2, 4, 8} {
-		cfg := baselineConfig()
+		cfg := core.PrivateConfig(r.opts.Workers)
 		cfg.LineBuffers = lb
 		cfgs = append(cfgs, cfg)
 	}
@@ -214,8 +216,9 @@ type Fig10Result struct {
 // (nil: batch) as benchmarks complete.
 func Fig10(ctx context.Context, r *Runner, emit RowEmit) (*Fig10Result, error) {
 	out := &Fig10Result{}
-	cfgs := []core.Config{baselineConfig(),
-		sharedConfig(8, 16, 4, 1), sharedConfig(8, 16, 8, 1), sharedConfig(8, 16, 4, 2)}
+	w := r.opts.Workers
+	cfgs := []core.Config{core.PrivateConfig(w), core.WorkerSharedConfig(w, 8, 16, 4, 1),
+		core.WorkerSharedConfig(w, 8, 16, 8, 1), core.WorkerSharedConfig(w, 8, 16, 4, 2)}
 	err := eachBenchmark(ctx, r, emit, out.Table, false, cfgs, func(p profile, res []*core.Result) error {
 		base := float64(res[0].Cycles)
 		out.Rows = append(out.Rows, Fig10Row{
@@ -275,7 +278,9 @@ type Fig11Result struct {
 // complete.
 func Fig11(ctx context.Context, r *Runner, emit RowEmit) (*Fig11Result, error) {
 	out := &Fig11Result{}
-	cfgs := []core.Config{baselineConfig(), sharedConfig(8, 32, 4, 2), sharedConfig(8, 16, 4, 2)}
+	w := r.opts.Workers
+	cfgs := []core.Config{core.PrivateConfig(w),
+		core.WorkerSharedConfig(w, 8, 32, 4, 2), core.WorkerSharedConfig(w, 8, 16, 4, 2)}
 	err := eachBenchmark(ctx, r, emit, out.Table, true, cfgs, func(p profile, res []*core.Result) error {
 		row := Fig11Row{Benchmark: p.Name, PrivateMPKI: res[0].WorkerMPKI()}
 		if row.PrivateMPKI > 0 {
@@ -365,8 +370,9 @@ type Fig13Result struct {
 // to match the figure's x-axis.
 func Fig13(ctx context.Context, r *Runner) (*Fig13Result, error) {
 	out := &Fig13Result{}
-	cfgs := []core.Config{sharedConfig(8, 32, 4, 2), allSharedConfig(32, 4, 2),
-		sharedConfig(8, 32, 4, 1), allSharedConfig(32, 4, 1)}
+	w := r.opts.Workers
+	cfgs := []core.Config{core.WorkerSharedConfig(w, 8, 32, 4, 2), core.AllSharedConfig(w, 32, 4, 2),
+		core.WorkerSharedConfig(w, 8, 32, 4, 1), core.AllSharedConfig(w, 32, 4, 1)}
 	err := eachBenchmark(ctx, r, nil, nil, false, cfgs, func(p profile, res []*core.Result) error {
 		out.Rows = append(out.Rows, Fig13Row{
 			Benchmark:  p.Name,

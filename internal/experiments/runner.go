@@ -33,7 +33,10 @@ import (
 
 // Options scales a whole experiment campaign.
 type Options struct {
-	// Workers is the lean-core count (paper: 8).
+	// Workers is the lean-core count (paper: 8) the figures build their
+	// design points with, and the thread count of the characterisation
+	// traces (Figs 2-4). Each point's own Cfg.Workers is what it
+	// simulates: ext-scale's points span other counts.
 	Workers int
 	// Instructions is the master-thread instruction budget per
 	// benchmark. The paper traces >=20 G instructions; the default here
@@ -444,43 +447,37 @@ func (r *Runner) observeExecution(backend string) {
 		metrics.L("backend", backend)).Inc()
 }
 
-// fingerprint identifies the result-affecting campaign options inside
-// every persistent-store key. CharInstructions is stored resolved so
-// an explicit budget equal to the default hashes identically, and the
-// backend identity is stored as its versioned fingerprint (e.g.
-// "detailed/v1") so backends can never cross-pollute each other's
-// cached entries. An unregistered name falls back to the name itself
-// so key computation stays total (Plan.Shard and PointKey cannot
-// fail) — but such keys never match the ones a process that HAS the
-// backend writes, so they must stay local: distributed coordination
-// refuses plans with unresolvable backends outright (campaignd.New)
-// rather than let the divergence silently wedge a merge.
-func (r *Runner) fingerprint(backend string) runstore.Fingerprint {
+// storeKey builds the persistent-store key for one resolved design
+// point. Its campaign fingerprint holds the result-affecting options,
+// with the point's own cfg.Workers as Workers. CharInstructions is
+// stored resolved so an explicit budget equal to the default hashes
+// identically, and the backend identity is stored as its versioned
+// fingerprint (e.g. "detailed/v1") so backends can never
+// cross-pollute each other's cached entries. An unregistered name
+// falls back to the name itself so key computation stays total
+// (Plan.Shard and PointKey cannot fail) — but such keys never match
+// the ones a process that HAS the backend writes, so they must stay
+// local: the campaign coordinator's Server.Enqueue refuses plans with
+// unresolvable backends outright rather than let the divergence
+// silently wedge a merge.
+func (r *Runner) storeKey(backend, bench string, cfg core.Config, prewarm bool) runstore.Key {
 	id := backend
 	if b, err := r.backend(backend); err == nil {
 		id = b.Fingerprint()
 	}
-	return runstore.Fingerprint{
-		Workers:          r.opts.Workers,
+	return runstore.Key{Bench: bench, Config: cfg, Prewarm: prewarm, Campaign: runstore.Fingerprint{
+		Workers:          cfg.Workers,
 		Instructions:     r.opts.Instructions,
 		Seed:             r.opts.Seed,
 		CharInstructions: r.opts.charInstructions(),
 		Backend:          id,
-	}
-}
-
-// storeKey builds the persistent-store key for one resolved design
-// point (cfg.Workers already normalised).
-func (r *Runner) storeKey(backend, bench string, cfg core.Config, prewarm bool) runstore.Key {
-	return runstore.Key{Bench: bench, Config: cfg, Prewarm: prewarm, Campaign: r.fingerprint(backend)}
+	}}
 }
 
 // PointKey returns the persistent-store key the runner would use for
 // pt — the stable identity that sharding and merge tooling hash.
 func (r *Runner) PointKey(pt Point) runstore.Key {
-	cfg := pt.Cfg
-	cfg.Workers = r.opts.Workers
-	return r.storeKey(r.pointBackend(pt), pt.Bench, cfg, r.opts.Prewarm && !pt.Cold)
+	return r.storeKey(r.pointBackend(pt), pt.Bench, pt.Cfg, r.opts.Prewarm && !pt.Cold)
 }
 
 // Lookup resolves pt from the persistent store only, without
@@ -507,7 +504,6 @@ func (r *Runner) charWorkload(p synth.Profile) (*synth.Workload, error) {
 
 // simulate resolves one design point through the singleflight cache.
 func (r *Runner) simulate(ctx context.Context, backend, bench string, cfg core.Config, prewarm bool) (*core.Result, error) {
-	cfg.Workers = r.opts.Workers
 	key := runKey{backend: backend, bench: bench, cfg: cfg, prewarm: prewarm}
 
 	r.mu.Lock()
@@ -729,30 +725,4 @@ func (r *Runner) BackendRuns() map[string]int {
 		out[name] = int(n)
 	}
 	return out
-}
-
-// baselineConfig is the Fig 5a private-I-cache ACMP.
-func baselineConfig() core.Config { return core.DefaultConfig() }
-
-// sharedConfig returns a worker-shared configuration with the given
-// sharing degree, cache size, line buffers and bus count.
-func sharedConfig(cpc, sizeKB, lineBuffers, buses int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Organization = core.OrgWorkerShared
-	cfg.CPC = cpc
-	cfg.ICache.SizeBytes = sizeKB << 10
-	cfg.LineBuffers = lineBuffers
-	cfg.Buses = buses
-	return cfg
-}
-
-// allSharedConfig returns the §VI-E organisation: one I-cache for all
-// cores including the master.
-func allSharedConfig(sizeKB, lineBuffers, buses int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Organization = core.OrgAllShared
-	cfg.ICache.SizeBytes = sizeKB << 10
-	cfg.LineBuffers = lineBuffers
-	cfg.Buses = buses
-	return cfg
 }

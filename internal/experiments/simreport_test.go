@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sharedicache/internal/core"
 	"sharedicache/internal/metrics"
 	"sharedicache/internal/simreport"
 )
@@ -17,9 +18,9 @@ import (
 func fig7Plan(r *Runner) *Plan {
 	plan := r.Plan()
 	for _, p := range r.opts.profiles() {
-		plan.AddPoint(Point{Bench: p.Name, Cfg: baselineConfig()})
+		plan.AddPoint(Point{Bench: p.Name, Cfg: core.PrivateConfig(8)})
 		for _, cpc := range []int{2, 4, 8} {
-			plan.AddPoint(Point{Bench: p.Name, Cfg: sharedConfig(cpc, 32, 4, 1)})
+			plan.AddPoint(Point{Bench: p.Name, Cfg: core.WorkerSharedConfig(8, cpc, 32, 4, 1)})
 		}
 	}
 	return plan
@@ -149,7 +150,7 @@ func TestReporterMetrics(t *testing.T) {
 	r.SetReporter(col)
 
 	for _, bench := range []string{"FT", "UA"} {
-		if _, err := runOne(r, Point{Bench: bench, Cfg: sharedConfig(8, 16, 4, 1)}); err != nil {
+		if _, err := runOne(r, Point{Bench: bench, Cfg: core.WorkerSharedConfig(8, 8, 16, 4, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sharedicache/internal/core"
 	"sharedicache/internal/runstore"
 )
 
@@ -25,10 +26,10 @@ func storeRunner(t *testing.T, dir string) *Runner {
 func campaignPlan(r *Runner) *Plan {
 	plan := r.Plan()
 	for _, b := range []string{"FT", "UA"} {
-		plan.AddPoint(Point{Bench: b, Cfg: baselineConfig()})
-		plan.AddPoint(Point{Bench: b, Cfg: sharedConfig(2, 32, 4, 1)})
-		plan.AddPoint(Point{Bench: b, Cfg: sharedConfig(8, 16, 4, 2)})
-		plan.AddPoint(Point{Bench: b, Cfg: baselineConfig(), Cold: true})
+		plan.AddPoint(Point{Bench: b, Cfg: core.PrivateConfig(8)})
+		plan.AddPoint(Point{Bench: b, Cfg: core.WorkerSharedConfig(8, 2, 32, 4, 1)})
+		plan.AddPoint(Point{Bench: b, Cfg: core.WorkerSharedConfig(8, 8, 16, 4, 2)})
+		plan.AddPoint(Point{Bench: b, Cfg: core.PrivateConfig(8), Cold: true})
 	}
 	return plan
 }
@@ -164,7 +165,7 @@ func TestTwoShardCampaign(t *testing.T) {
 // TestLookupWithoutStore pins Lookup's no-store behaviour.
 func TestLookupWithoutStore(t *testing.T) {
 	r := smallRunner(t, nil)
-	if _, ok := r.Lookup(Point{Bench: "FT", Cfg: baselineConfig()}); ok {
+	if _, ok := r.Lookup(Point{Bench: "FT", Cfg: core.PrivateConfig(8)}); ok {
 		t.Fatal("Lookup hit with no store attached")
 	}
 }
@@ -176,8 +177,8 @@ func TestLookupWithoutStore(t *testing.T) {
 func TestLookupStoreOnly(t *testing.T) {
 	dir := t.TempDir()
 	r := storeRunner(t, dir)
-	warm := Point{Bench: "FT", Cfg: sharedConfig(8, 16, 4, 2)}
-	cold := Point{Bench: "FT", Cfg: sharedConfig(8, 16, 4, 2), Cold: true}
+	warm := Point{Bench: "FT", Cfg: core.WorkerSharedConfig(8, 8, 16, 4, 2)}
+	cold := Point{Bench: "FT", Cfg: core.WorkerSharedConfig(8, 8, 16, 4, 2), Cold: true}
 
 	// Absent: a miss, and crucially zero simulations.
 	if _, ok := r.Lookup(warm); ok {
@@ -257,11 +258,11 @@ func TestShardValidation(t *testing.T) {
 func TestPointKeyStability(t *testing.T) {
 	a := smallRunner(t, nil)
 	b := smallRunner(t, nil)
-	pt := Point{Bench: "FT", Cfg: sharedConfig(8, 16, 4, 2)}
+	pt := Point{Bench: "FT", Cfg: core.WorkerSharedConfig(8, 8, 16, 4, 2)}
 	if a.PointKey(pt) != b.PointKey(pt) {
 		t.Fatal("equal runners disagree on a point key")
 	}
-	cold := Point{Bench: "FT", Cfg: sharedConfig(8, 16, 4, 2), Cold: true}
+	cold := Point{Bench: "FT", Cfg: core.WorkerSharedConfig(8, 8, 16, 4, 2), Cold: true}
 	if a.PointKey(pt) == a.PointKey(cold) {
 		t.Fatal("cold flag not part of the key")
 	}

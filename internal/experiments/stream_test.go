@@ -52,11 +52,11 @@ func TestRunAllStreamParity(t *testing.T) {
 func TestRunAllStreamError(t *testing.T) {
 	r := smallRunner(t, func(o *Options) { o.Parallelism = 1 })
 	plan := r.Plan()
-	plan.AddPoint(Point{Bench: "FT", Cfg: baselineConfig()})
-	badCfg := baselineConfig()
+	plan.AddPoint(Point{Bench: "FT", Cfg: core.PrivateConfig(8)})
+	badCfg := core.PrivateConfig(8)
 	badCfg.ICacheLatency = 0 // rejected by core.New
 	plan.AddPoint(Point{Bench: "FT", Cfg: badCfg})
-	plan.AddPoint(Point{Bench: "UA", Cfg: baselineConfig()})
+	plan.AddPoint(Point{Bench: "UA", Cfg: core.PrivateConfig(8)})
 
 	ch := plan.RunAllStream(context.Background())
 	var got []PointResult
@@ -148,7 +148,7 @@ func TestStreamedFigureParity(t *testing.T) {
 // stream is left running.
 func TestEachBenchmarkStops(t *testing.T) {
 	r := smallRunner(t, nil)
-	cfgs := []core.Config{baselineConfig(), sharedConfig(8, 32, 4, 1)}
+	cfgs := []core.Config{core.PrivateConfig(8), core.WorkerSharedConfig(8, 8, 32, 4, 1)}
 	before := runtime.NumGoroutine()
 
 	boom := errors.New("boom")
@@ -211,7 +211,7 @@ func (gateBackend) Execute(ctx context.Context, bench string, cfg core.Config, p
 func resetGate() Point {
 	registerGateBackend()
 	gate.started, gate.release = make(chan struct{}, 1), make(chan struct{})
-	return Point{Bench: "FT", Cfg: baselineConfig(), Backend: "test-gate"}
+	return Point{Bench: "FT", Cfg: core.PrivateConfig(8), Backend: "test-gate"}
 }
 
 // TestRunAllStreamClosesAfterFanOut: a consumer that cancels and drains
@@ -222,7 +222,7 @@ func TestRunAllStreamClosesAfterFanOut(t *testing.T) {
 	r := smallRunner(t, func(o *Options) { o.Parallelism = 2 })
 	// Point 0 is warm in the memory tier, so delivery parks on its send
 	// while point 1 blocks in Execute.
-	warm := Point{Bench: "FT", Cfg: baselineConfig(), Backend: "analytical"}
+	warm := Point{Bench: "FT", Cfg: core.PrivateConfig(8), Backend: "analytical"}
 	if _, err := r.RunAll(context.Background(), warm); err != nil {
 		t.Fatal(err)
 	}

@@ -150,23 +150,12 @@ func Expand(points []experiments.Point, opts experiments.Options, backend string
 
 // BaseConfig is the private-I-cache baseline every row is normalised
 // against.
-func BaseConfig(workers int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Workers = workers
-	return cfg
-}
+func BaseConfig(workers int) core.Config { return core.PrivateConfig(workers) }
 
 // PointConfig is the worker-shared configuration one row's axes
 // describe: the mapping every sweep, shard and campaign row goes
-// through. The figure generators in internal/experiments build the
-// same configurations with their own sharedConfig and allSharedConfig.
+// through. It is core.WorkerSharedConfig, which the figure generators
+// build through as well.
 func PointConfig(workers, cpc, kb, lb, bus int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Workers = workers
-	cfg.Organization = core.OrgWorkerShared
-	cfg.CPC = cpc
-	cfg.ICache.SizeBytes = kb << 10
-	cfg.LineBuffers = lb
-	cfg.Buses = bus
-	return cfg
+	return core.WorkerSharedConfig(workers, cpc, kb, lb, bus)
 }
