@@ -3,17 +3,69 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sharedicache/internal/clitest"
+	"sharedicache/internal/synth"
+	"sharedicache/internal/trace"
 )
 
 func TestUsageGolden(t *testing.T) {
 	clitest.Usage(t, registerFlags)
 	clitest.BadFlag(t, "acmpsim", run)
+}
+
+// TestTraceReplayMatchesSynthesis: replaying per-thread trace files in
+// cmd/tracegen's layout (the paper's Fig 6 flow) prints the same report,
+// byte for byte, as simulating the synthesised workload, both prewarmed
+// on a shared I-cache and cold on private ones.
+func TestTraceReplayMatchesSynthesis(t *testing.T) {
+	dir := t.TempDir()
+	p, _ := synth.ProfileByName("FT")
+	w, err := synth.New(p, synth.Config{Workers: 8, MasterInstructions: 20_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.NumThreads() {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("FT.t%02d.trace", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw, src := trace.NewWriter(f), w.Source(i)
+		for rec, ok := src.Next(); ok; rec, ok = src.Next() {
+			if err := tw.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, org := range [][]string{
+		{"-org", "worker-shared", "-icache", "16", "-buses", "2"},
+		{"-org", "private", "-cold"},
+	} {
+		var reports [2]string
+		for i, extra := range [][]string{nil, {"-traces", dir}} {
+			args := append([]string{"-bench", "FT", "-n", "20000"}, org...)
+			var stdout, stderr bytes.Buffer
+			if err := run(context.Background(), append(args, extra...), &stdout, &stderr); err != nil {
+				t.Fatalf("acmpsim %v %v: %v\n%s", org, extra, err, stderr.Bytes())
+			}
+			reports[i] = stdout.String()
+		}
+		if reports[0] == "" || reports[0] != reports[1] {
+			t.Errorf("acmpsim %v: replayed report differs from the synthesised one:\nsynthesised:\n%s\nreplayed:\n%s",
+				org, reports[0], reports[1])
+		}
+	}
 }
 
 // TestReplayRejectsStore: trace replay bypasses the run store, so

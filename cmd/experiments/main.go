@@ -13,9 +13,11 @@
 // Simulations fan out across -par goroutines (default: all cores);
 // Ctrl-C aborts the remaining design points cleanly. With -store DIR
 // results persist across invocations in an on-disk run store, so
-// regenerating a figure against a warm store simulates nothing. The
-// paper-vs-measured record is in ROADMAP.md until its EXPERIMENTS.md
-// ledger lands.
+// regenerating a figure against a warm store simulates nothing.
+// Figures that share each I-cache among 8 workers need a -workers count
+// divisible by 8; any other is refused before the first figure runs.
+// The paper-vs-measured record is in ROADMAP.md until its
+// EXPERIMENTS.md ledger lands.
 //
 // The §II workload characterisation (Figures 2-4) walks synthetic
 // traces without cycle simulation, over max(-n, 2M) master
@@ -137,6 +139,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 				return err
 			}
 			selected = append(selected, e)
+		}
+	}
+	for _, e := range selected {
+		if err := e.CheckWorkers(opts.Workers); err != nil {
+			return err
 		}
 	}
 

@@ -46,6 +46,35 @@ func TestUnknownFormatFailsFirst(t *testing.T) {
 	}
 }
 
+// TestWorkerCountCheckedUpFront: a worker count that a selected
+// figure's cpc-8 points cannot use is refused before the first figure
+// runs; figures that fix no sharing degree still run at it.
+func TestWorkerCountCheckedUpFront(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "rs")
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{"-fig", "fig1,table1,fig7", "-workers", "4", "-bench", "FT",
+		"-n", "20000", "-store", store}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "table1") || !strings.Contains(err.Error(), "divisible by 8, not 4") {
+		t.Errorf("err = %v, want table1's worker-count refusal", err)
+	}
+	if entries, _ := os.ReadDir(store); stdout.Len() != 0 || len(entries) != 0 || strings.Contains(stderr.String(), "done in") {
+		t.Errorf("a figure ran before the worker-count check: store %v, stdout:\n%s\nstderr:\n%s",
+			entries, stdout.Bytes(), stderr.Bytes())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if err := run(context.Background(), []string{"-fig", "fig1,fig2,fig3,fig4", "-workers", "4", "-bench", "FT"},
+		&stdout, &stderr); err != nil {
+		t.Fatalf("-fig fig1,fig2,fig3,fig4 -workers 4: %v\n%s", err, stderr.Bytes())
+	}
+	for _, id := range []string{"fig1", "fig2", "fig3", "fig4"} {
+		if !strings.Contains(stderr.String(), "["+id+" done in") {
+			t.Errorf("%s did not run:\n%s", id, stderr.Bytes())
+		}
+	}
+}
+
 // TestInterruptedRunWritesOutputs: a cancelled run still writes every
 // requested exit-time file, each complete.
 func TestInterruptedRunWritesOutputs(t *testing.T) {

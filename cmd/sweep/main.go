@@ -70,7 +70,6 @@ import (
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/refine"
-	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 	"sharedicache/internal/synth"
 )
@@ -215,10 +214,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	out.Attach(runner)
 	if cf.storeop != "" {
-		if out.Store == nil {
-			return errors.New("-storeop requires -store or -remote")
+		if out.Local == nil {
+			return errors.New("-storeop requires -store")
 		}
-		return storeMaint(ctx, out.Local, cf.remote, cf.storeop, stdout, stderr)
+		return sweep.Maint(out.Local, cf.storeop, "sweep", stdout, stderr)
 	}
 
 	// Declare the whole campaign up front, in CSV emission order: per
@@ -446,33 +445,4 @@ func awaitCampaign(ctx context.Context, client *campaignd.Client, id int, stdout
 	fmt.Fprintf(stderr, "sweep: campaign %d complete: %d points done, 0 simulated locally\n",
 		id, st.Points)
 	return nil
-}
-
-// storeMaint runs the -storeop maintenance path: the shared local
-// implementation (internal/sweep), or the coordinator's store plane
-// for -remote index.
-func storeMaint(ctx context.Context, local *runstore.Store, remote, op string, stdout, stderr io.Writer) error {
-	if local != nil {
-		return sweep.Maint(local, op, "sweep", stdout, stderr)
-	}
-	switch op {
-	case "index":
-		client, err := campaignd.NewClient(remote)
-		if err != nil {
-			return err
-		}
-		entries, err := client.Index(ctx)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			fmt.Fprintln(stdout, e)
-		}
-		fmt.Fprintf(stderr, "sweep: %d entries in %s\n", len(entries), client.URL())
-		return nil
-	case "gc":
-		return errors.New("-storeop gc runs against the store's own filesystem; run it on the coordinator")
-	default:
-		return fmt.Errorf("unknown -storeop %q (index, gc)", op)
-	}
 }

@@ -105,6 +105,26 @@ func TestPersistentStore(t *testing.T) {
 	sweepRun(t, "-store", store, "-storeop", "gc")
 }
 
+// TestStoreopRequiresStore: store maintenance runs on a local store's
+// own filesystem, so -storeop without -store is a usage error, with or
+// without -remote.
+func TestStoreopRequiresStore(t *testing.T) {
+	for _, args := range [][]string{
+		{"-storeop", "index"},
+		{"-remote", "http://127.0.0.1:1", "-storeop", "index"},
+		{"-remote", "http://127.0.0.1:1", "-storeop", "gc"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), args, &stdout, &stderr)
+		if err == nil || err.Error() != "-storeop requires -store" {
+			t.Errorf("sweep %v: err = %v, want the -store requirement", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("sweep %v wrote a CSV:\n%s", args, stdout.Bytes())
+		}
+	}
+}
+
 // TestMergeMissingPoint: -merge over a store that lacks one point of
 // the campaign exits non-zero naming that point, and prints no CSV.
 func TestMergeMissingPoint(t *testing.T) {

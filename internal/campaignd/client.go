@@ -221,9 +221,6 @@ func NewClient(baseURL string) (*Client, error) {
 	return &Client{base: base, hc: &http.Client{Timeout: httpTimeout}}, nil
 }
 
-// URL returns the coordinator base URL.
-func (c *Client) URL() string { return c.base }
-
 // Campaign fetches the coordinator's campaign handshake.
 func (c *Client) Campaign(ctx context.Context) (CampaignInfo, error) {
 	var info CampaignInfo
@@ -324,13 +321,6 @@ func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
 	var st Statsz
 	err := c.call(ctx, http.MethodGet, "/v1/statsz", nil, &st)
 	return st, err
-}
-
-// Index fetches the coordinator store's index.
-func (c *Client) Index(ctx context.Context) ([]runstore.IndexEntry, error) {
-	var entries []runstore.IndexEntry
-	err := c.call(ctx, http.MethodGet, "/v1/index", nil, &entries)
-	return entries, err
 }
 
 // call performs one JSON request/response round trip.

@@ -13,7 +13,6 @@
 //	                     gzip or plain-JSON bodies both verify; an
 //	                     X-Wall-Seconds header carries the point's
 //	                     execution wall time
-//	GET /v1/index        JSON index of trustworthy entries
 //	GET /v1/statsz       store + dispatch counters (JSON, or a
 //	                     human-readable page for Accept: text/html)
 //	GET /metrics         the same counters in Prometheus text
@@ -273,7 +272,6 @@ func New(cfg ServerConfig) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /v1/run/{hash}", s.handleGetRun)
 	s.mux.HandleFunc("PUT /v1/run/{hash}", s.handlePutRun)
-	s.mux.HandleFunc("GET /v1/index", s.handleIndex)
 	s.mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /v1/campaign", s.handleCampaign)
 	s.mux.HandleFunc("POST /v1/campaign", s.handleEnqueueCampaign)
@@ -432,15 +430,6 @@ func hostCost(v string) (simreport.HostCost, error) {
 		return simreport.HostCost{}, fmt.Errorf("malformed %s header %q", wallHeader, v)
 	}
 	return simreport.HostCost{WallSeconds: sec}, nil
-}
-
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	entries, err := s.store.Index()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, entries)
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {

@@ -528,6 +528,19 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestCheckWorkersMatchesRun: CheckWorkers refuses a worker count
+// exactly when the experiment would fail on it, so the registry's
+// sharing degrees stay in step with the configs each figure builds.
+func TestCheckWorkersMatchesRun(t *testing.T) {
+	r := smallRunner(t, func(o *Options) { o.Workers, o.Benchmarks = 4, []string{"FT"} })
+	for _, e := range All() {
+		_, runErr := e.Run(context.Background(), r, nil)
+		if checkErr := e.CheckWorkers(4); (checkErr != nil) != (runErr != nil) {
+			t.Errorf("%s at 4 workers: CheckWorkers = %v, Run = %v", e.ID, checkErr, runErr)
+		}
+	}
+}
+
 // TestRegistryRunsAll executes every experiment through the registry
 // interface on the shared runner — the integration path cmd/experiments
 // uses.

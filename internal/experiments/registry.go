@@ -26,6 +26,21 @@ type Experiment struct {
 	// design points complete; the rest, such as the sorted Fig 13,
 	// emit nothing and render only as the returned table.
 	Run func(ctx context.Context, r *Runner, emit RowEmit) (Renderable, error)
+	// cpc is the largest sharing degree the experiment's worker-shared
+	// points fix regardless of the worker count (0: none do).
+	cpc int
+}
+
+// CheckWorkers refuses a worker count the experiment cannot run at: one
+// that its fixed sharing degree does not divide. Drivers call it for
+// every selected experiment before running any, so a campaign fails up
+// front rather than after the figures ahead of it have printed.
+func (e Experiment) CheckWorkers(workers int) error {
+	if e.cpc != 0 && workers%e.cpc != 0 {
+		return fmt.Errorf("experiments: %s shares each I-cache among %d workers, so it needs a worker count divisible by %d, not %d",
+			e.ID, e.cpc, e.cpc, workers)
+	}
+	return nil
 }
 
 // tableOnly adapts a figure that renders only as a finished table.
@@ -45,16 +60,16 @@ func All() []Experiment {
 		{ID: "fig2", Title: "Basic block length, serial vs parallel", Run: tableOnly(Fig2)},
 		{ID: "fig3", Title: "I-cache MPKI, serial vs parallel (32KB)", Run: tableOnly(Fig3)},
 		{ID: "fig4", Title: "Instruction sharing across threads", Run: tableOnly(Fig4)},
-		{ID: "table1", Title: "Simulated ACMP configuration", Run: tableOnly(TableI)},
-		{ID: "fig7", Title: "Naive sharing: normalized execution time", Run: rowByRow(Fig7)},
-		{ID: "fig8", Title: "CPI stack at cpc=8, single bus", Run: rowByRow(Fig8)},
+		{ID: "table1", Title: "Simulated ACMP configuration", Run: tableOnly(TableI), cpc: 8},
+		{ID: "fig7", Title: "Naive sharing: normalized execution time", Run: rowByRow(Fig7), cpc: 8},
+		{ID: "fig8", Title: "CPI stack at cpc=8, single bus", Run: rowByRow(Fig8), cpc: 8},
 		{ID: "fig9", Title: "I-cache access ratio by line buffers", Run: rowByRow(Fig9)},
-		{ID: "fig10", Title: "Line buffers vs interconnect bandwidth", Run: rowByRow(Fig10)},
-		{ID: "fig11", Title: "Shared vs private worker MPKI", Run: rowByRow(Fig11)},
-		{ID: "fig12", Title: "Execution time, energy and area", Run: tableOnly(Fig12)},
-		{ID: "fig13", Title: "All-shared vs worker-shared by serial fraction", Run: tableOnly(Fig13)},
+		{ID: "fig10", Title: "Line buffers vs interconnect bandwidth", Run: rowByRow(Fig10), cpc: 8},
+		{ID: "fig11", Title: "Shared vs private worker MPKI", Run: rowByRow(Fig11), cpc: 8},
+		{ID: "fig12", Title: "Execution time, energy and area", Run: tableOnly(Fig12), cpc: 8},
+		{ID: "fig13", Title: "All-shared vs worker-shared by serial fraction", Run: tableOnly(Fig13), cpc: 8},
 		{ID: "ext-scale", Title: "Extension: sharing-degree scalability sweep", Run: tableOnly(ExtScale)},
-		{ID: "ext-cold", Title: "Extension: cold-cache regime (sharing as a prefetcher)", Run: tableOnly(ExtCold)},
+		{ID: "ext-cold", Title: "Extension: cold-cache regime (sharing as a prefetcher)", Run: tableOnly(ExtCold), cpc: 8},
 	}
 }
 
