@@ -19,6 +19,13 @@ func TestUsageGolden(t *testing.T) {
 	clitest.BadFlag(t, "acmpsim", run)
 }
 
+// TestErrorPrefixedOnce: a driver error prints behind the driver's name
+// exactly once.
+func TestErrorPrefixedOnce(t *testing.T) {
+	clitest.ErrorLine(t, "acmpsim", run, []string{"-bench", "XX"},
+		`acmpsim: unknown benchmark "XX" (try -listbench)`)
+}
+
 // TestTraceReplayMatchesSynthesis: replaying per-thread trace files in
 // cmd/tracegen's layout (the paper's Fig 6 flow) prints the same report,
 // byte for byte, as simulating the synthesised workload, both prewarmed

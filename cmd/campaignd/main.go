@@ -30,8 +30,8 @@
 // flags. See docs/REFINE.md.
 //
 // With -serve, the same server enqueues no campaign from its flags:
-// campaigns arrive over POST /v1/campaign (`sweep -remote URL -submit`
-// or `-replay`) until the process is interrupted, and its workers keep
+// campaigns arrive over POST /v1/campaign (`sweep -remote URL -submit`)
+// until the process is interrupted, and its workers keep
 // polling for the next one until they are interrupted too. A plain
 // coordinator seals after enqueueing its one campaign, so its workers
 // exit once that campaign is done.

@@ -31,6 +31,13 @@ func TestUsageGolden(t *testing.T) {
 	clitest.BadFlag(t, "campaignd", run)
 }
 
+// TestErrorPrefixedOnce: an internal/campaignd error prints behind
+// the driver's name exactly once.
+func TestErrorPrefixedOnce(t *testing.T) {
+	clitest.ErrorLine(t, "campaignd", run, []string{"-store", t.TempDir(), "-lease-batch", "-1", "-bench", "FT", "-n", "20000"},
+		"campaignd: negative lease batch -1")
+}
+
 // syncBuffer is a bytes.Buffer safe for the coordinator's concurrent
 // stderr writers (the driver, its slog handler and HTTP handlers).
 type syncBuffer struct {

@@ -18,6 +18,13 @@ func TestUsageGolden(t *testing.T) {
 	clitest.BadFlag(t, "experiments", run)
 }
 
+// TestErrorPrefixedOnce: an internal/experiments error prints behind
+// the driver's name exactly once.
+func TestErrorPrefixedOnce(t *testing.T) {
+	clitest.ErrorLine(t, "experiments", run, []string{"-fig", "fig99"},
+		`experiments: unknown id "fig99" (have [ext-cold ext-scale fig1 fig10 fig11 fig12 fig13 fig2 fig3 fig4 fig7 fig8 fig9 table1])`)
+}
+
 // TestCharacterisationGolden pins the §II characterisation tables
 // (Figures 2-4) byte for byte.
 func TestCharacterisationGolden(t *testing.T) {

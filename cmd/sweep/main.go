@@ -63,7 +63,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"sharedicache/internal/campaignd"
@@ -71,7 +70,6 @@ import (
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/refine"
 	"sharedicache/internal/sweep"
-	"sharedicache/internal/synth"
 )
 
 // cliFlags is cmd/sweep's full flag set; registerFlags declares it so
@@ -80,10 +78,10 @@ type cliFlags struct {
 	sf *sweep.Flags
 	rf *refine.Flags
 
-	out                            sweep.OutputConfig
-	remote, replay, shard, storeop string
-	par                            int
-	worker, submit, merge          bool
+	out                    sweep.OutputConfig
+	remote, shard, storeop string
+	par                    int
+	worker, submit, merge  bool
 }
 
 // registerFlags declares every cmd/sweep flag on fs. The design-space
@@ -96,7 +94,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&f.remote, "remote", "", "campaignd coordinator URL serving the run store (replaces -store)")
 	fs.BoolVar(&f.worker, "worker", false, "with -remote: lease and simulate the coordinator's campaign instead of this sweep")
 	fs.BoolVar(&f.submit, "submit", false, "with -remote: enqueue this sweep on a serving coordinator (campaignd -serve), wait, and print its merged CSV")
-	fs.StringVar(&f.replay, "replay", "", "with -remote: replay this arrival-trace CSV (tracegen -arrivals) open-loop against a serving coordinator, then print the campaign's merged CSV; design-space flags are ignored")
 	fs.StringVar(&f.shard, "shard", "", "simulate only shard i/N of the design space into -store; no CSV")
 	fs.BoolVar(&f.merge, "merge", false, "render the CSV from the store without simulating")
 	fs.StringVar(&f.storeop, "storeop", "", "run-store maintenance: 'index' or 'gc', then exit")
@@ -125,12 +122,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return errors.New("-store and -remote are mutually exclusive")
 	case cf.out.Pprof && cf.out.Metrics == "":
 		return errors.New("-pprof requires -metrics (it mounts on the metrics listener)")
-	case (cf.submit || cf.replay != "") && cf.remote == "":
-		return errors.New("-submit/-replay require -remote URL (a campaignd -serve coordinator)")
-	case cf.submit && cf.replay != "":
-		return errors.New("-submit and -replay are mutually exclusive")
-	case (cf.submit || cf.replay != "") && (cf.worker || local || cf.rf.Enabled()):
-		return errors.New("-submit/-replay drive a remote campaign; they do not compose with -worker, -shard, -merge, -storeop or -refine")
+	case cf.submit && cf.remote == "":
+		return errors.New("-submit requires -remote URL (a campaignd -serve coordinator)")
+	case cf.submit && (cf.worker || local || cf.rf.Enabled()):
+		return errors.New("-submit drives a remote campaign; it does not compose with -worker, -shard, -merge, -storeop or -refine")
 	case cf.worker && cf.remote == "":
 		return errors.New("-worker requires -remote URL")
 	case cf.worker && local:
@@ -165,11 +160,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	defer func() { err = errors.Join(err, out.Close()) }()
 
-	// -submit / -replay: drive a serving coordinator's campaign API —
-	// this process simulates nothing; the service and its workers do.
+	// -submit: drive a serving coordinator's campaign API — this process
+	// simulates nothing; the service and its workers do.
 	switch {
-	case cf.replay != "":
-		return runReplay(ctx, cf, stdout, stderr)
 	case cf.submit:
 		return runSubmit(ctx, cf, stdout, stderr)
 	case cf.worker:
@@ -319,10 +312,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 }
 
 // runSubmit enqueues this process's design space as a closed campaign
-// on a serving coordinator and prints the merged CSV once the service
-// (and its workers) complete it. The rows and the coordinator's plan
-// are laid out by the same sweep.Expand the local sweep's Space.Build
-// runs, and the coordinator renders them through the same CSV emitter,
+// on a serving coordinator, polls it until the service (and its
+// workers) complete it, and prints the merged CSV. The rows and the
+// coordinator's plan are laid out by the same sweep.Expand the local
+// sweep's Space.Build runs, and the coordinator renders them through the same CSV emitter,
 // so the fetched bytes are identical to the single-process run's.
 func runSubmit(ctx context.Context, cf *cliFlags, stdout, stderr io.Writer) error {
 	client, err := campaignd.NewClient(cf.remote)
@@ -345,85 +338,9 @@ func runSubmit(ctx context.Context, cf *cliFlags, stdout, stderr io.Writer) erro
 	}
 	fmt.Fprintf(stderr, "sweep: submitted campaign %d: %d rows, %d plan points\n",
 		reply.ID, len(spec.Rows), reply.Points)
-	return awaitCampaign(ctx, client, reply.ID, stdout, stderr)
-}
-
-// runReplay submits an arrival trace against a serving coordinator
-// open-loop: the campaign is enqueued whole (held), then each row is
-// released at its trace-dictated offset regardless of completion — the
-// service can be pushed past saturation, and the coordinator's
-// arrival-lag histogram records how far behind the trace it ran. Once
-// every point completes, the merged CSV prints to stdout.
-func runReplay(ctx context.Context, cf *cliFlags, stdout, stderr io.Writer) error {
-	f, err := os.Open(cf.replay)
-	if err != nil {
-		return err
-	}
-	trace, err := synth.ReadArrivals(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if len(trace) == 0 {
-		return fmt.Errorf("trace %s has no arrivals", cf.replay)
-	}
-	client, err := campaignd.NewClient(cf.remote)
-	if err != nil {
-		return err
-	}
-	// The campaign backend is the trace's dominant stamp (row backends
-	// that match it stay implicit, preserving the CSV backend-column
-	// behaviour of the equivalent local `sweep -backend` run).
-	spec := campaignd.CampaignSpec{Name: "sweep-replay", Backend: trace[0].Point.Backend, Open: true}
-	for _, a := range trace {
-		row := campaignd.PointSpec{
-			Bench: a.Point.Bench, CPC: a.Point.CPC, KB: a.Point.KB, LB: a.Point.LB, Bus: a.Point.Bus,
-		}
-		if a.Point.Backend != spec.Backend {
-			row.Backend = a.Point.Backend
-		}
-		spec.Rows = append(spec.Rows, row)
-	}
-	reply, err := client.Enqueue(ctx, spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "sweep: replay: campaign %d enqueued: %d arrivals over %s\n",
-		reply.ID, len(trace), trace[len(trace)-1].Offset.Round(time.Millisecond))
-	start := time.Now()
-	for k := 0; k < len(trace); {
-		if wait := trace[k].Offset - time.Since(start); wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		// Everything now due ships in one call; the submission never
-		// waits on completion — that is the open loop.
-		batch := []int{k}
-		k++
-		for k < len(trace) && trace[k].Offset <= time.Since(start) {
-			batch = append(batch, k)
-			k++
-		}
-		off := trace[batch[len(batch)-1]].Offset
-		if err := client.Arrive(ctx, reply.ID, batch, off.Milliseconds()); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(stderr, "sweep: replay: %d arrivals submitted in %s\n",
-		len(trace), time.Since(start).Round(time.Millisecond))
-	return awaitCampaign(ctx, client, reply.ID, stdout, stderr)
-}
-
-// awaitCampaign polls an enqueued campaign to completion and prints
-// its merged CSV to stdout.
-func awaitCampaign(ctx context.Context, client *campaignd.Client, id int, stdout, stderr io.Writer) error {
 	var st campaignd.CampaignStatus
 	for {
-		var err error
-		if st, err = client.CampaignStatus(ctx, id); err != nil {
+		if st, err = client.CampaignStatus(ctx, reply.ID); err != nil {
 			return err
 		}
 		if st.Complete {
@@ -435,7 +352,7 @@ func awaitCampaign(ctx context.Context, client *campaignd.Client, id int, stdout
 			return ctx.Err()
 		}
 	}
-	body, err := client.CampaignCSV(ctx, id)
+	body, err := client.CampaignCSV(ctx, reply.ID)
 	if err != nil {
 		return err
 	}
@@ -443,6 +360,6 @@ func awaitCampaign(ctx context.Context, client *campaignd.Client, id int, stdout
 		return err
 	}
 	fmt.Fprintf(stderr, "sweep: campaign %d complete: %d points done, 0 simulated locally\n",
-		id, st.Points)
+		reply.ID, st.Points)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -18,12 +17,18 @@ import (
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
-	"sharedicache/internal/synth"
 )
 
 func TestUsageGolden(t *testing.T) {
 	clitest.Usage(t, registerFlags)
 	clitest.BadFlag(t, "sweep", run)
+}
+
+// TestErrorPrefixedOnce: a driver error prints behind the driver's name
+// exactly once.
+func TestErrorPrefixedOnce(t *testing.T) {
+	clitest.ErrorLine(t, "sweep", run, []string{"-bench", "XX"},
+		`sweep: unknown benchmark "XX"`)
 }
 
 // TestInterruptedRunWritesOutputs: a cancelled sweep still writes every
@@ -249,52 +254,19 @@ func remoteServer(t *testing.T, args ...string) (*campaignd.Server, string) {
 	return srv, hs.URL
 }
 
-// TestRemoteCampaigns drives this driver's three coordinator clients
-// against one serving coordinator: a -worker joins first, -submit
-// enqueues one space closed-loop, -replay releases another from a
-// burst arrival trace (the one `tracegen -arrivals burst` writes)
-// open-loop, and the worker drains both, outliving the first to
-// finish, until it is interrupted. Each merged CSV is byte-identical
-// to the local sweep of its space, neither client simulates anything,
-// the worker's points sum to both plans, and the coordinator booked
-// one write per point, no duplicate or expired lease, and one
-// arrival-lag observation per replayed arrival.
+// TestRemoteCampaigns drives this driver's coordinator clients against
+// one serving coordinator: a -worker joins first, two -submit clients
+// enqueue one space each, and the worker drains both, outliving the
+// first to finish, until it is interrupted. Each merged CSV is
+// byte-identical to the local sweep of its space, neither client
+// simulates anything, the worker's points sum to both plans, and the
+// coordinator booked one write per point and no duplicate or expired
+// lease.
 func TestRemoteCampaigns(t *testing.T) {
 	ua := []string{"-bench", "UA", "-cpc", "2,8", "-size", "16", "-lb", "4", "-buses", "1", "-n", "20000"}
 	ft := []string{"-bench", "FT", "-cpc", "2,8", "-size", "16", "-lb", "4", "-buses", "1", "-n", "20000"}
 	localUA, _ := sweepRun(t, ua...)
 	localFT, _ := sweepRun(t, ft...)
-
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	sf := sweep.RegisterFlags(fs)
-	if err := fs.Parse(ft); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := sf.Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := make([]synth.ArrivalPoint, len(rows))
-	for i, r := range rows {
-		points[i] = synth.ArrivalPoint{Bench: r.Bench, CPC: r.CPC, KB: r.KB, LB: r.LB, Bus: r.Bus}
-	}
-	arrivals, err := synth.SynthesizeArrivals(synth.ArrivalSpec{
-		Mode: synth.ArrivalBurst, StartRPS: 50, BurstFactor: 4, BurstEvery: 3, Slot: 100 * time.Millisecond,
-	}, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracePath := filepath.Join(t.TempDir(), "arrivals.csv")
-	f, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := synth.WriteArrivals(f, arrivals); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	srv, url := remoteServer(t, "-n", "20000")
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -315,14 +287,14 @@ func TestRemoteCampaigns(t *testing.T) {
 	workerCtx, stopWorker := context.WithCancel(ctx)
 	defer stopWorker()
 	worker := start(workerCtx, "-worker")
-	submit := start(ctx, append([]string{"-submit"}, ua...)...)
-	replay := start(ctx, "-replay", tracePath)
+	submitUA := start(ctx, append([]string{"-submit"}, ua...)...)
+	submitFT := start(ctx, append([]string{"-submit"}, ft...)...)
 
 	for _, c := range []struct {
 		name string
 		res  <-chan result
 		want string
-	}{{"-submit", submit, localUA}, {"-replay", replay, localFT}} {
+	}{{"-submit UA", submitUA, localUA}, {"-submit FT", submitFT, localFT}} {
 		r := <-c.res
 		if r.err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, r.err, r.stderr)
@@ -346,8 +318,35 @@ func TestRemoteCampaigns(t *testing.T) {
 		t.Errorf("coordinator: %d campaigns, %d/%d points done, %d writes, %d expired leases; want 2, 6/6, 6, 0",
 			d.Campaigns, d.Done, d.Points, st.Store.Writes, d.ExpiredLeases)
 	}
-	if got, _ := srv.Metrics().Value("campaignd_arrival_lag_seconds"); got != float64(len(arrivals)) {
-		t.Errorf("campaignd_arrival_lag_seconds has %v observations, want %d", got, len(arrivals))
+}
+
+// TestModeCompositionErrors: flags that do not compose are usage
+// errors, raised before any network contact and before anything is
+// written to stdout or stderr.
+func TestModeCompositionErrors(t *testing.T) {
+	const remote = "http://127.0.0.1:1"
+	submitCompose := "-submit drives a remote campaign; it does not compose with -worker, -shard, -merge, -storeop or -refine"
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-submit"}, "-submit requires -remote URL (a campaignd -serve coordinator)"},
+		{[]string{"-remote", remote, "-submit", "-worker"}, submitCompose},
+		{[]string{"-remote", remote, "-submit", "-shard", "1/2"}, submitCompose},
+		{[]string{"-remote", remote, "-submit", "-merge"}, submitCompose},
+		{[]string{"-remote", remote, "-submit", "-storeop", "gc"}, submitCompose},
+		{[]string{"-remote", remote, "-submit", "-refine"}, submitCompose},
+		{[]string{"-store", t.TempDir(), "-remote", remote}, "-store and -remote are mutually exclusive"},
+		{[]string{"-pprof"}, "-pprof requires -metrics (it mounts on the metrics listener)"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), c.args, &stdout, &stderr)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("sweep %v: err = %v, want %q", c.args, err, c.want)
+		}
+		if stdout.Len() != 0 || stderr.Len() != 0 {
+			t.Errorf("sweep %v wrote output:\n%s%s", c.args, stdout.Bytes(), stderr.Bytes())
+		}
 	}
 }
 

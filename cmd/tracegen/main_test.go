@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +18,13 @@ import (
 func TestUsageGolden(t *testing.T) {
 	clitest.Usage(t, registerFlags)
 	clitest.BadFlag(t, "tracegen", run)
+}
+
+// TestErrorPrefixedOnce: a driver error prints behind the driver's name
+// exactly once.
+func TestErrorPrefixedOnce(t *testing.T) {
+	clitest.ErrorLine(t, "tracegen", run, []string{"-bench", "XX", "-out", t.TempDir()},
+		`tracegen: unknown benchmark "XX"`)
 }
 
 // TestThreadTraces writes one trace file per thread and checks each
@@ -72,43 +78,6 @@ func TestThreadTraces(t *testing.T) {
 		}
 		if want := fmt.Sprintf("%s: %d records, %d instructions", path, records, instr); lines[th] != want {
 			t.Errorf("stdout line %d = %q, want %q", th, lines[th], want)
-		}
-	}
-}
-
-// TestArrivalTrace checks -arrivals writes a CSV ReadArrivals accepts,
-// with one arrival per row the same flags' design space expands to, in
-// sweep order.
-func TestArrivalTrace(t *testing.T) {
-	args := []string{"-arrivals", "burst", "-bench", "FT", "-cpc", "2,4,8", "-size", "16"}
-	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
-		t.Fatalf("tracegen %v: %v\n%s", args, err, stderr.String())
-	}
-	arr, err := synth.ReadArrivals(&stdout)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
-	f := registerFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := f.sf.Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 || len(arr) != len(rows) {
-		t.Fatalf("%d arrivals for %d rows, want one per row", len(arr), len(rows))
-	}
-	for i, r := range rows {
-		want := synth.ArrivalPoint{Bench: r.Bench, CPC: r.CPC, KB: r.KB, LB: r.LB, Bus: r.Bus}
-		if arr[i].Point != want {
-			t.Errorf("arrival %d = %+v, want row %+v", i, arr[i].Point, want)
-		}
-		if i > 0 && arr[i].Offset < arr[i-1].Offset {
-			t.Errorf("arrival %d at %v precedes arrival %d at %v", i, arr[i].Offset, i-1, arr[i-1].Offset)
 		}
 	}
 }

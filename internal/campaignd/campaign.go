@@ -25,11 +25,11 @@ package campaignd
 // single-process `cmd/sweep` run over the same space.
 //
 // Open campaigns (Open: true) park their swept rows in the dispatch
-// queue's held state; `sweep -replay` then releases them at
-// trace-dictated times via /arrive, and the gap between the trace's
-// due time and the submission's landing is booked into the
+// queue's held state; the client (Client.Arrive) then releases them at
+// the times it dictates via /arrive, and the gap between a row's due
+// time and its landing is booked into the
 // campaignd_arrival_lag_seconds histogram — the saturation signal of
-// the open-loop driver.
+// an open-loop client.
 
 import (
 	"bytes"

@@ -419,8 +419,8 @@ func TestOpenLoopCampaignArrivals(t *testing.T) {
 
 	stop := serveWorker(t, ctx, &Worker{URL: hs.URL, ID: "w1", Parallelism: 2})
 
-	// Replay the two rows one arrival at a time, as `sweep -replay`
-	// would; offset 0 makes every observed lag the (positive) gap since
+	// Release the two rows one arrival at a time, as an open-loop
+	// client would; offset 0 makes every observed lag the (positive) gap since
 	// the campaign was accepted.
 	for k := range rows {
 		if err := client.Arrive(ctx, rep.ID, []int{k}, 0); err != nil {

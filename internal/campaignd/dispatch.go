@@ -54,7 +54,8 @@ type lease struct {
 // batch from a single campaign chosen round-robin, so one giant
 // campaign cannot starve a later small one. Open-loop campaigns park
 // points in the held state until markArrived releases them, which is
-// how `sweep -replay` submits work at trace-dictated times. Once
+// how an open-loop client (Client.Arrive) submits work at the times it
+// dictates. Once
 // sealed, the queue admits no further campaign, and only then can a
 // drained queue tell workers the work is over.
 //

@@ -73,6 +73,21 @@ func BadFlag(t testing.TB, driver string, run func(context.Context, []string, io
 	}
 }
 
+// ErrorLine runs a driver with args that fail and requires what its
+// main does with the error to exit 1 with exactly want on stderr: one
+// line, prefixed with the driver's name once.
+func ErrorLine(t testing.TB, driver string, run func(context.Context, []string, io.Writer, io.Writer) error, args []string, want string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), args, &stdout, &stderr)
+	if code := sweep.ExitCode(driver, err, &stderr); code != 1 {
+		t.Errorf("%s %v exits %d, want 1 (err %v)", driver, args, code, err)
+	}
+	if got := stderr.String(); got != want+"\n" {
+		t.Errorf("%s %v prints\n%q\nwant\n%q", driver, args, got, want+"\n")
+	}
+}
+
 // OutputArgs requests every exit-time file the lifecycle writes on
 // interrupt — CPU profile, trace and report — inside dir.
 func OutputArgs(dir string) []string {

@@ -14,6 +14,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/metrics"
@@ -235,7 +236,9 @@ func Main(driver string, run func(ctx context.Context, args []string, stdout, st
 // ExitCode maps a driver's run error to its process exit status,
 // printing the error on stderr: 0 for success and -h, 2 for a flag
 // parse error (already printed by the flag package), 130 with
-// "<driver>: interrupted" for a cancelled run, 1 otherwise.
+// "<driver>: interrupted" for a cancelled run, 1 otherwise. The error
+// is printed behind "<driver>: " unless it already starts with it (the
+// internal package named like the driver prefixes its own errors).
 func ExitCode(driver string, err error, stderr io.Writer) int {
 	var usage *UsageError
 	switch {
@@ -247,7 +250,11 @@ func ExitCode(driver string, err error, stderr io.Writer) int {
 		fmt.Fprintln(stderr, driver+": interrupted")
 		return 130
 	default:
-		fmt.Fprintln(stderr, driver+":", err)
+		msg := err.Error()
+		if !strings.HasPrefix(msg, driver+": ") {
+			msg = driver + ": " + msg
+		}
+		fmt.Fprintln(stderr, msg)
 		return 1
 	}
 }

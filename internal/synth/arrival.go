@@ -1,150 +1,58 @@
 package synth
 
-// Campaign-arrival synthesis: the open-loop load-shaping half of the
-// package. The instruction-trace synthesiser (synth.go) fabricates what
-// one design point EXECUTES; the arrival synthesiser fabricates WHEN a
-// stream of design points hits a campaign service, in the style of the
-// invitro serverless load generator — a starting RPS, a step size and a
-// target RPS expand into a replayable trace of (arrival offset, design
-// point, backend) rows that `sweep -replay` submits against a campaignd
-// coordinator at trace-dictated times, regardless of completion, so the
-// service can be stressed past saturation.
-//
-// Three modes are supported:
-//
-//   - ArrivalSteady: every slot runs at StartRPS.
-//   - ArrivalSweep: the rate climbs StepRPS per slot from StartRPS,
-//     saturating at TargetRPS.
-//   - ArrivalBurst: a baseline of StartRPS with every BurstEvery-th
-//     slot amplified by BurstFactor.
+// Campaign-arrival synthesis: the instruction-trace synthesiser
+// (synth.go) fabricates what one design point EXECUTES; the arrival
+// synthesiser fabricates WHEN a stream of design points hits a campaign
+// service, in the style of the invitro serverless load generator: a
+// steady request rate expands into a schedule of (arrival offset,
+// design point) rows that a client releases into an open campaign
+// (campaignd's `POST /v1/campaign/{id}/arrive`) at the scheduled
+// times, regardless of completion, so the service can be stressed past
+// saturation.
 //
 // Within a slot, arrivals are equidistant (the invitro "uniform"
-// distribution) and quantised to whole microseconds, so a trace
-// round-trips losslessly through its CSV encoding. Generation is fully
-// deterministic: the same spec over the same point list produces the
-// same bytes.
+// distribution) and quantised to whole microseconds. Generation is
+// fully deterministic: the same spec over the same point list produces
+// the same schedule.
 
 import (
-	"encoding/csv"
-	"errors"
 	"fmt"
-	"io"
-	"math"
-	"strconv"
 	"time"
 )
 
-// ArrivalMode selects the per-slot rate profile.
+// ArrivalMode selects the per-slot rate profile. Steady is the only
+// profile; the type stays because the benchmark module names it.
 type ArrivalMode int
 
-const (
-	// ArrivalSteady holds StartRPS for the whole trace.
-	ArrivalSteady ArrivalMode = iota
-	// ArrivalSweep climbs StepRPS per slot from StartRPS to TargetRPS.
-	ArrivalSweep
-	// ArrivalBurst amplifies every BurstEvery-th slot by BurstFactor.
-	ArrivalBurst
-)
-
-// ParseArrivalMode resolves a mode name ("steady", "sweep", "burst").
-func ParseArrivalMode(s string) (ArrivalMode, error) {
-	switch s {
-	case "steady":
-		return ArrivalSteady, nil
-	case "sweep":
-		return ArrivalSweep, nil
-	case "burst":
-		return ArrivalBurst, nil
-	}
-	return 0, fmt.Errorf("synth: unknown arrival mode %q (steady, sweep, burst)", s)
-}
-
-// String renders the mode name ParseArrivalMode accepts.
-func (m ArrivalMode) String() string {
-	switch m {
-	case ArrivalSteady:
-		return "steady"
-	case ArrivalSweep:
-		return "sweep"
-	case ArrivalBurst:
-		return "burst"
-	}
-	return fmt.Sprintf("ArrivalMode(%d)", int(m))
-}
+// ArrivalSteady holds StartRPS for the whole trace.
+const ArrivalSteady ArrivalMode = 0
 
 // ArrivalSpec shapes one synthetic arrival trace.
 type ArrivalSpec struct {
 	Mode ArrivalMode
-	// StartRPS is the slot-0 request rate (all modes; must be > 0).
+	// StartRPS is the request rate (must be > 0).
 	StartRPS float64
-	// TargetRPS caps the swept rate (ArrivalSweep; must be >= StartRPS).
-	TargetRPS float64
-	// StepRPS is the per-slot rate increment (ArrivalSweep; must be > 0).
-	StepRPS float64
-	// BurstFactor amplifies burst slots (ArrivalBurst; must be >= 1).
-	BurstFactor float64
-	// BurstEvery makes every BurstEvery-th slot a burst slot
-	// (ArrivalBurst; must be >= 2 so baseline slots exist).
-	BurstEvery int
-	// Slot is the slot duration (all modes; must be > 0).
+	// Slot is the slot duration (must be > 0).
 	Slot time.Duration
 }
 
 // Validate reports spec errors.
 func (s ArrivalSpec) Validate() error {
-	if s.StartRPS <= 0 {
+	switch {
+	case s.Mode != ArrivalSteady:
+		return fmt.Errorf("synth: unknown arrival mode %d", int(s.Mode))
+	case s.StartRPS <= 0:
 		return fmt.Errorf("synth: arrival StartRPS %v must be > 0", s.StartRPS)
-	}
-	if s.Slot <= 0 {
+	case s.Slot <= 0:
 		return fmt.Errorf("synth: arrival Slot %v must be > 0", s.Slot)
 	}
-	switch s.Mode {
-	case ArrivalSteady:
-	case ArrivalSweep:
-		if s.StepRPS <= 0 {
-			return fmt.Errorf("synth: arrival StepRPS %v must be > 0 in sweep mode", s.StepRPS)
-		}
-		if s.TargetRPS < s.StartRPS {
-			return fmt.Errorf("synth: arrival TargetRPS %v must be >= StartRPS %v", s.TargetRPS, s.StartRPS)
-		}
-	case ArrivalBurst:
-		if s.BurstFactor < 1 {
-			return fmt.Errorf("synth: arrival BurstFactor %v must be >= 1", s.BurstFactor)
-		}
-		if s.BurstEvery < 2 {
-			return fmt.Errorf("synth: arrival BurstEvery %d must be >= 2", s.BurstEvery)
-		}
-	default:
-		return fmt.Errorf("synth: unknown arrival mode %d", int(s.Mode))
-	}
 	return nil
-}
-
-// SlotRPS is the mode's request rate for slot s — exported so the
-// property tests and any capacity-planning tooling share the
-// generator's own rate curve instead of re-deriving it.
-func (s ArrivalSpec) SlotRPS(slot int) float64 {
-	switch s.Mode {
-	case ArrivalSweep:
-		rps := s.StartRPS + float64(slot)*s.StepRPS
-		if rps > s.TargetRPS {
-			return s.TargetRPS
-		}
-		return rps
-	case ArrivalBurst:
-		if (slot+1)%s.BurstEvery == 0 {
-			return s.StartRPS * s.BurstFactor
-		}
-		return s.StartRPS
-	}
-	return s.StartRPS
 }
 
 // ArrivalPoint is the design point one arrival submits: a benchmark,
 // the shared-I-cache axes of internal/sweep, and an optional backend
 // override. It deliberately mirrors sweep.Row's coordinates without
-// importing the package (sweep imports synth), so the trace schema and
-// the campaign-plan schema cannot cycle.
+// importing the package (sweep imports synth), so the two cannot cycle.
 type ArrivalPoint struct {
 	Bench            string
 	CPC, KB, LB, Bus int
@@ -159,12 +67,12 @@ type Arrival struct {
 	Point  ArrivalPoint
 }
 
-// SynthesizeArrivals schedules every point onto the spec's rate curve,
-// in order: slot by slot, each slot receives its share of rate *
+// SynthesizeArrivals schedules every point at the spec's rate, in
+// order: slot by slot, each slot receives its share of rate *
 // slot-seconds equidistant arrivals until the point list is exhausted.
 // Fractional arrivals carry over between slots (error diffusion), so a
 // sub-1-per-slot rate still terminates and the realised rate tracks the
-// requested curve within one arrival per slot. The returned trace has
+// requested one within one arrival per slot. The returned trace has
 // exactly len(points) rows, is non-decreasing in Offset, and is
 // deterministic.
 func SynthesizeArrivals(spec ArrivalSpec, points []ArrivalPoint) ([]Arrival, error) {
@@ -172,11 +80,12 @@ func SynthesizeArrivals(spec ArrivalSpec, points []ArrivalPoint) ([]Arrival, err
 		return nil, err
 	}
 	slotUS := spec.Slot.Microseconds()
+	perSlot := spec.StartRPS * spec.Slot.Seconds()
 	out := make([]Arrival, 0, len(points))
 	next := 0
 	carry := 0.0
 	for slot := 0; next < len(points); slot++ {
-		carry += spec.SlotRPS(slot) * spec.Slot.Seconds()
+		carry += perSlot
 		n := int(carry)
 		carry -= float64(n)
 		for k := 0; k < n && next < len(points); k++ {
@@ -189,90 +98,4 @@ func SynthesizeArrivals(spec ArrivalSpec, points []ArrivalPoint) ([]Arrival, err
 		}
 	}
 	return out, nil
-}
-
-// maxOffsetUS bounds a parsed offset so the microsecond-to-Duration
-// conversion cannot overflow int64 nanoseconds (~106 days is far past
-// any plausible replay).
-const maxOffsetUS = math.MaxInt64 / int64(time.Microsecond)
-
-// arrivalHeader is the trace CSV header; the axis column names match
-// the sweep CSV so the two artifacts read alike.
-var arrivalHeader = []string{
-	"offset_us", "benchmark", "cpc", "size_kb", "line_buffers", "buses", "backend",
-}
-
-// WriteArrivals encodes a trace as CSV. The encoding is canonical —
-// integral microsecond offsets, no padding — so ReadArrivals
-// round-trips it byte for byte.
-func WriteArrivals(w io.Writer, trace []Arrival) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(arrivalHeader); err != nil {
-		return err
-	}
-	for _, a := range trace {
-		rec := []string{
-			strconv.FormatInt(a.Offset.Microseconds(), 10),
-			a.Point.Bench,
-			strconv.Itoa(a.Point.CPC),
-			strconv.Itoa(a.Point.KB),
-			strconv.Itoa(a.Point.LB),
-			strconv.Itoa(a.Point.Bus),
-			a.Point.Backend,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("synth: write arrival trace: %w", err)
-	}
-	return nil
-}
-
-// ReadArrivals decodes an arrival-trace CSV, validating the header,
-// the field count and every numeric cell. It is the parser for
-// untrusted input (`sweep -replay` takes arbitrary files), so malformed
-// traces are errors — never panics, never silently-dropped rows.
-func ReadArrivals(r io.Reader) ([]Arrival, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(arrivalHeader)
-	hdr, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("synth: arrival trace header: %w", err)
-	}
-	for i, name := range arrivalHeader {
-		if hdr[i] != name {
-			return nil, fmt.Errorf("synth: arrival trace header column %d is %q, want %q", i, hdr[i], name)
-		}
-	}
-	var trace []Arrival
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return trace, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("synth: arrival trace: %w", err)
-		}
-		offUS, err := strconv.ParseInt(rec[0], 10, 64)
-		if err != nil || offUS < 0 || offUS > maxOffsetUS {
-			return nil, fmt.Errorf("synth: arrival trace line %d: bad offset_us %q", line, rec[0])
-		}
-		a := Arrival{Offset: time.Duration(offUS) * time.Microsecond}
-		a.Point.Bench = rec[1]
-		if a.Point.Bench == "" {
-			return nil, fmt.Errorf("synth: arrival trace line %d: empty benchmark", line)
-		}
-		for i, dst := range []*int{&a.Point.CPC, &a.Point.KB, &a.Point.LB, &a.Point.Bus} {
-			v, err := strconv.Atoi(rec[2+i])
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("synth: arrival trace line %d: bad %s %q", line, arrivalHeader[2+i], rec[2+i])
-			}
-			*dst = v
-		}
-		a.Point.Backend = rec[6]
-		trace = append(trace, a)
-	}
 }

@@ -1,15 +1,15 @@
 package synth
 
 import (
-	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
 
 // arrivalPoints fabricates n distinct design points cycling through a
-// small axis grid, so trace tests exercise every CSV column.
+// small axis grid.
 func arrivalPoints(n int) []ArrivalPoint {
 	benches := []string{"FT", "UA", "LULESH"}
 	backends := []string{"", "detailed", "analytical"}
@@ -27,19 +27,15 @@ func arrivalPoints(n int) []ArrivalPoint {
 	return pts
 }
 
-// arrivalSpecs is the mode matrix the property tests sweep.
+// arrivalSpecs is the rate matrix the property tests sweep.
 func arrivalSpecs() map[string]ArrivalSpec {
 	return map[string]ArrivalSpec{
-		"steady": {Mode: ArrivalSteady, StartRPS: 40, Slot: 500 * time.Millisecond},
-		"sweep": {Mode: ArrivalSweep, StartRPS: 10, StepRPS: 15, TargetRPS: 70,
-			Slot: 250 * time.Millisecond},
-		"burst": {Mode: ArrivalBurst, StartRPS: 8, BurstFactor: 6, BurstEvery: 3,
-			Slot: 250 * time.Millisecond},
+		"steady":      {Mode: ArrivalSteady, StartRPS: 40, Slot: 500 * time.Millisecond},
 		"slow-steady": {Mode: ArrivalSteady, StartRPS: 0.5, Slot: 200 * time.Millisecond},
 	}
 }
 
-// TestArrivalsMonotoneAndComplete: every mode schedules every point
+// TestArrivalsMonotoneAndComplete: every rate schedules every point
 // exactly once, in point order, with non-decreasing offsets.
 func TestArrivalsMonotoneAndComplete(t *testing.T) {
 	pts := arrivalPoints(137)
@@ -67,9 +63,9 @@ func TestArrivalsMonotoneAndComplete(t *testing.T) {
 	}
 }
 
-// TestArrivalsHitSlotRPS: in every mode, each fully-populated slot
-// carries the spec's rate for that slot within one arrival (the error
-// diffusion's bound), so the realised load tracks the requested curve.
+// TestArrivalsHitSlotRPS: each fully-populated slot carries the spec's
+// rate within one arrival (the error diffusion's bound), so the
+// realised load tracks the requested rate.
 func TestArrivalsHitSlotRPS(t *testing.T) {
 	pts := arrivalPoints(400)
 	for name, spec := range arrivalSpecs() {
@@ -83,8 +79,8 @@ func TestArrivalsHitSlotRPS(t *testing.T) {
 				perSlot[int(a.Offset/spec.Slot)]++
 			}
 			last := int(trace[len(trace)-1].Offset / spec.Slot)
+			want := spec.StartRPS * spec.Slot.Seconds()
 			for slot := 0; slot < last; slot++ { // last slot may be truncated
-				want := spec.SlotRPS(slot) * spec.Slot.Seconds()
 				if got := float64(perSlot[slot]); math.Abs(got-want) > 1 {
 					t.Errorf("slot %d: %v arrivals, want %v +/- 1", slot, got, want)
 				}
@@ -96,71 +92,13 @@ func TestArrivalsHitSlotRPS(t *testing.T) {
 	}
 }
 
-// TestArrivalBurstShape: burst slots really are BurstFactor times the
-// baseline, and baseline slots are unamplified — the property the
-// saturation e2e leans on.
-func TestArrivalBurstShape(t *testing.T) {
-	spec := ArrivalSpec{Mode: ArrivalBurst, StartRPS: 10, BurstFactor: 5, BurstEvery: 4, Slot: time.Second}
-	for slot := 0; slot < 12; slot++ {
-		want := 10.0
-		if (slot+1)%4 == 0 {
-			want = 50.0
-		}
-		if got := spec.SlotRPS(slot); got != want {
-			t.Fatalf("slot %d RPS = %v, want %v", slot, got, want)
-		}
-	}
-}
-
-// TestArrivalsCSVRoundTrip: encode -> decode -> encode is lossless and
-// byte-stable for every mode's trace.
-func TestArrivalsCSVRoundTrip(t *testing.T) {
-	pts := arrivalPoints(97)
-	for name, spec := range arrivalSpecs() {
-		t.Run(name, func(t *testing.T) {
-			trace, err := SynthesizeArrivals(spec, pts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := WriteArrivals(&buf, trace); err != nil {
-				t.Fatal(err)
-			}
-			first := buf.String()
-			back, err := ReadArrivals(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(back) != len(trace) {
-				t.Fatalf("decoded %d rows, want %d", len(back), len(trace))
-			}
-			for i := range back {
-				if back[i] != trace[i] {
-					t.Fatalf("row %d decoded as %+v, want %+v", i, back[i], trace[i])
-				}
-			}
-			var again bytes.Buffer
-			if err := WriteArrivals(&again, back); err != nil {
-				t.Fatal(err)
-			}
-			if again.String() != first {
-				t.Fatal("re-encoded trace is not byte-identical")
-			}
-		})
-	}
-}
-
 // TestArrivalSpecValidate rejects the degenerate shapes the generator
 // cannot terminate or make sense of.
 func TestArrivalSpecValidate(t *testing.T) {
 	bad := []ArrivalSpec{
 		{Mode: ArrivalSteady, StartRPS: 0, Slot: time.Second},
 		{Mode: ArrivalSteady, StartRPS: 10, Slot: 0},
-		{Mode: ArrivalSweep, StartRPS: 10, StepRPS: 0, TargetRPS: 20, Slot: time.Second},
-		{Mode: ArrivalSweep, StartRPS: 10, StepRPS: 5, TargetRPS: 5, Slot: time.Second},
-		{Mode: ArrivalBurst, StartRPS: 10, BurstFactor: 0.5, BurstEvery: 4, Slot: time.Second},
-		{Mode: ArrivalBurst, StartRPS: 10, BurstFactor: 2, BurstEvery: 1, Slot: time.Second},
-		{Mode: ArrivalMode(99), StartRPS: 10, Slot: time.Second},
+		{Mode: ArrivalMode(1), StartRPS: 10, Slot: time.Second},
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
@@ -170,58 +108,20 @@ func TestArrivalSpecValidate(t *testing.T) {
 			t.Errorf("spec %d synthesized, want error", i)
 		}
 	}
-	for _, mode := range []string{"steady", "sweep", "burst"} {
-		m, err := ParseArrivalMode(mode)
-		if err != nil || m.String() != mode {
-			t.Errorf("ParseArrivalMode(%q) = %v, %v", mode, m, err)
-		}
-	}
-	if _, err := ParseArrivalMode("poisson"); err == nil {
-		t.Error("ParseArrivalMode accepted an unknown mode")
-	}
 }
 
-// TestReadArrivalsRejects: the untrusted-input parser errors on the
-// malformed shapes the fuzz target explores.
-func TestReadArrivalsRejects(t *testing.T) {
-	hdr := "offset_us,benchmark,cpc,size_kb,line_buffers,buses,backend\n"
-	cases := map[string]string{
-		"empty":         "",
-		"bad header":    "offset,benchmark,cpc,size_kb,line_buffers,buses,backend\n",
-		"short row":     hdr + "0,FT,8,16,4\n",
-		"bad offset":    hdr + "x,FT,8,16,4,1,\n",
-		"neg offset":    hdr + "-5,FT,8,16,4,1,\n",
-		"bad axis":      hdr + "0,FT,eight,16,4,1,\n",
-		"neg axis":      hdr + "0,FT,8,-16,4,1,\n",
-		"empty bench":   hdr + "0,,8,16,4,1,\n",
-		"trailing junk": hdr + "0,FT,8,16,4,1,,extra\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadArrivals(bytes.NewReader([]byte(in))); err == nil {
-			t.Errorf("%s: parsed, want error", name)
-		}
-	}
-	if got, err := ReadArrivals(bytes.NewReader([]byte(hdr))); err != nil || len(got) != 0 {
-		t.Errorf("header-only trace: got %d rows, err %v", len(got), err)
-	}
-}
-
-// TestArrivalsDeterministic: same spec, same points, same bytes.
+// TestArrivalsDeterministic: same spec, same points, same schedule.
 func TestArrivalsDeterministic(t *testing.T) {
 	pts := arrivalPoints(64)
-	spec := arrivalSpecs()["burst"]
-	render := func() string {
+	spec := arrivalSpecs()["steady"]
+	synthesize := func() []Arrival {
 		trace, err := SynthesizeArrivals(spec, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WriteArrivals(&buf, trace); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		return trace
 	}
-	if a, b := render(), render(); a != b {
+	if a, b := synthesize(), synthesize(); !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical syntheses produced different traces")
 	}
 }
