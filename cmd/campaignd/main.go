@@ -36,11 +36,11 @@
 // coordinator seals after enqueueing its one campaign, so its workers
 // exit once that campaign is done.
 //
-// While serving, the coordinator exposes its status at /v1/statsz
-// (JSON, or an HTML page for browsers) and the same counters in
-// Prometheus text form at GET /metrics — store traffic, queue depth,
-// lease health and per-backend campaign progress; see the metrics
-// reference in docs/ARCHITECTURE.md.
+// While serving, the coordinator exposes its counters in Prometheus
+// text form at GET /metrics — store traffic, queue depth, lease health
+// and per-backend campaign progress; see the metrics reference in
+// docs/ARCHITECTURE.md. The accounting lines it prints at exit read
+// the same registry (campaignd.Server.Stats).
 package main
 
 import (
@@ -113,9 +113,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 	// The runtime opens the store, builds the one registry every
-	// instrument lands on (served at GET /metrics next to /v1/statsz)
-	// and, before any refine prep, gives the runner both, so the
-	// calibration and triage simulations are on them too. -trace
+	// instrument lands on (served at GET /metrics) and, before any
+	// refine prep, gives the runner both, so the calibration and
+	// triage simulations are on them too. -trace
 	// records a span timeline; the same buffer, merged with the spans
 	// workers send, serves GET /v1/trace. -report aggregates the
 	// reports the server builds from each campaign point's stored entry

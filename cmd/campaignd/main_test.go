@@ -38,6 +38,14 @@ func TestErrorPrefixedOnce(t *testing.T) {
 		"campaignd: negative lease batch -1")
 }
 
+// TestEmptySpaceRefused: a design space with no valid row (cpc 3 does
+// not divide the 8 workers) is refused before the coordinator listens,
+// naming the first invalid row and why.
+func TestEmptySpaceRefused(t *testing.T) {
+	clitest.ErrorLine(t, "campaignd", run, []string{"-store", t.TempDir(), "-addr", "127.0.0.1:0", "-bench", "FT", "-cpc", "3", "-n", "20000"},
+		"campaignd: design space has no valid row: row 0 (FT cpc 3): core: CPC = 3 must divide Workers = 8 and be >= 2")
+}
+
 // syncBuffer is a bytes.Buffer safe for the coordinator's concurrent
 // stderr writers (the driver, its slog handler and HTTP handlers).
 type syncBuffer struct {

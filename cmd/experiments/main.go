@@ -4,7 +4,7 @@
 //
 //	experiments [-fig all|fig1|...|fig13|table1] [-n instr] [-workers n]
 //	            [-bench BT,CG,...] [-seed s] [-cold] [-par p] [-list]
-//	            [-store DIR] [-storeop index|gc]
+//	            [-store DIR]
 //
 // Each figure prints as an aligned text table whose rows/series match
 // the paper's plot. In text format, figures whose rows complete one
@@ -44,11 +44,11 @@ import (
 // cliFlags is cmd/experiments' full flag set; registerFlags declares
 // it so the usage golden test can pin the -h output run parses.
 type cliFlags struct {
-	fig, bench, backend, format, storeop string
-	out                                  sweep.OutputConfig
-	n, seed                              uint64
-	workers, par, chart                  int
-	cold, list                           bool
+	fig, bench, backend, format string
+	out                         sweep.OutputConfig
+	n, seed                     uint64
+	workers, par, chart         int
+	cold, list                  bool
 }
 
 func registerFlags(fs *flag.FlagSet) *cliFlags {
@@ -64,7 +64,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&f.format, "format", "text", "output format: text, csv, json")
 	fs.IntVar(&f.chart, "chart", -1, "also render column N (0-based) as an ASCII bar chart")
 	fs.StringVar(&f.out.Store, "store", "", "persistent run-store directory (second cache tier)")
-	fs.StringVar(&f.storeop, "storeop", "", "run-store maintenance: 'index' or 'gc', then exit")
 	fs.BoolVar(&f.list, "list", false, "list experiment ids and exit")
 	f.out.RegisterFlags(fs)
 	return f
@@ -122,12 +121,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 	out.Attach(runner)
-	if f.storeop != "" {
-		if out.Local == nil {
-			return errors.New("-storeop requires -store")
-		}
-		return sweep.Maint(out.Local, f.storeop, "experiments", stdout, stderr)
-	}
 
 	var selected []experiments.Experiment
 	if f.fig == "all" {

@@ -69,6 +69,7 @@ import (
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/refine"
+	"sharedicache/internal/runstore"
 	"sharedicache/internal/sweep"
 )
 
@@ -210,7 +211,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if out.Local == nil {
 			return errors.New("-storeop requires -store")
 		}
-		return sweep.Maint(out.Local, cf.storeop, "sweep", stdout, stderr)
+		return storeop(out.Local, cf.storeop, stdout, stderr)
 	}
 
 	// Declare the whole campaign up front, in CSV emission order: per
@@ -307,6 +308,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		by := runner.BackendRuns()
 		fmt.Fprintf(stderr, "sweep: backend %s: %d simulated (detailed %d)\n",
 			sf.Backend, runner.Simulations(), by["detailed"])
+	}
+	return nil
+}
+
+// storeop runs -storeop against a local store: 'index' lists every
+// trustworthy entry on stdout, 'gc' sweeps corrupt entries and
+// orphaned temp files.
+func storeop(st *runstore.Store, op string, stdout, stderr io.Writer) error {
+	switch op {
+	case "index":
+		entries, err := st.Index()
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			fmt.Fprintln(stdout, e)
+		}
+		fmt.Fprintf(stderr, "sweep: %d entries in %s\n", len(entries), st.Dir())
+	case "gc":
+		removed, err := st.GC()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "sweep: gc removed %d files from %s\n", removed, st.Dir())
+	default:
+		return fmt.Errorf("unknown -storeop %q (index, gc)", op)
 	}
 	return nil
 }

@@ -31,6 +31,17 @@ func TestErrorPrefixedOnce(t *testing.T) {
 		`sweep: unknown benchmark "XX"`)
 }
 
+// TestEmptySpaceRefused: a design space with no valid row (cpc 3 does
+// not divide the 8 workers) is an error naming the first invalid row
+// and why, not an empty CSV and exit 0 — raised before any simulation
+// and, with -submit, before any contact with the coordinator.
+func TestEmptySpaceRefused(t *testing.T) {
+	const want = "sweep: design space has no valid row: row 0 (FT cpc 3): core: CPC = 3 must divide Workers = 8 and be >= 2"
+	space := []string{"-bench", "FT", "-cpc", "3", "-size", "16", "-n", "20000"}
+	clitest.ErrorLine(t, "sweep", run, space, want)
+	clitest.ErrorLine(t, "sweep", run, append([]string{"-remote", "http://127.0.0.1:1", "-submit"}, space...), want)
+}
+
 // TestInterruptedRunWritesOutputs: a cancelled sweep still writes every
 // requested exit-time file, each complete.
 func TestInterruptedRunWritesOutputs(t *testing.T) {

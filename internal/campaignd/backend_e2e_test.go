@@ -267,45 +267,6 @@ func FuzzLeaseBody(f *testing.F) {
 	})
 }
 
-// TestStatszHTML pins the human-readable status page: text/html on
-// request, JSON by default.
-func TestStatszHTML(t *testing.T) {
-	pts := testPoints()
-	_, hs, _ := testServer(t, pts, nil)
-
-	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/statsz", nil)
-	req.Header.Set("Accept", "text/html,application/xhtml+xml")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Fatalf("Content-Type = %q, want text/html", ct)
-	}
-	page := string(body)
-	for _, want := range []string{"campaignd status", "pending (queue depth)", "Workers", "Store"} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("status page missing %q:\n%s", want, page)
-		}
-	}
-
-	// Plain API clients still get JSON.
-	resp, err = http.Get(hs.URL + "/v1/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("default Content-Type = %q, want application/json", ct)
-	}
-	if !strings.Contains(string(body), "\"Dispatch\"") {
-		t.Fatalf("default statsz is not the JSON snapshot: %s", body)
-	}
-}
-
 // TestStorePlaneGzip pins the compressed wire: entries land on disk
 // gzip-compressed via a RemoteStore PUT, ship with Content-Encoding:
 // gzip to clients that accept it, and unwrap server-side for clients

@@ -316,13 +316,6 @@ func (c *Client) Complete(ctx context.Context, lease string, spans []tracing.Spa
 		completeRequest{Lease: lease, Spans: spans}, nil)
 }
 
-// Statsz fetches the coordinator's counters.
-func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
-	var st Statsz
-	err := c.call(ctx, http.MethodGet, "/v1/statsz", nil, &st)
-	return st, err
-}
-
 // call performs one JSON request/response round trip.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
 	_, err := c.callHeader(ctx, method, path, in, out)

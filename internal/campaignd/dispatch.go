@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -31,7 +30,6 @@ const (
 // to steal.
 type lease struct {
 	id       string
-	worker   string
 	deadline time.Time
 	granted  time.Time
 	indexes  []int
@@ -398,7 +396,7 @@ func (d *dispatch) Lease(worker string, max int, backends []string) (id string, 
 	id = fmt.Sprintf("%s-lease-%d", d.token, d.seq)
 	now := d.now()
 	deadline = now.Add(d.ttl)
-	l := &lease{id: id, worker: worker, deadline: deadline, granted: now, indexes: indexes}
+	l := &lease{id: id, deadline: deadline, granted: now, indexes: indexes}
 	if d.queueWait != nil {
 		for _, i := range indexes {
 			d.queueWait.Observe(now.Sub(d.enqueued[i]).Seconds())
@@ -499,14 +497,8 @@ func (d *dispatch) Batch() int {
 	return d.effectiveBatchLocked()
 }
 
-// LeaseInfo describes one live lease for observability surfaces.
-type LeaseInfo struct {
-	Lease, Worker   string
-	Points          int
-	ExpiresInMillis int64
-}
-
-// DispatchStats is a snapshot of the queue for /v1/statsz.
+// DispatchStats is the queue's part of Server.Stats: the dispatch
+// counters GET /metrics exposes, read back as one in-process snapshot.
 type DispatchStats struct {
 	Points, Done, Leased, Pending int
 	// Held counts declared-but-unarrived open-loop points; Campaigns
@@ -524,13 +516,10 @@ type DispatchStats struct {
 	// adaptive batch sizing (0 until a lease completes).
 	EffectiveBatch  int
 	MeanPointMillis int64
-	ActiveLeases    []LeaseInfo
 }
 
 // stats reads the queue's snapshot off the registry registerMetrics
-// filled — the samples GET /metrics exposes, so /v1/statsz cannot
-// drift from them. Only the per-lease identity list, which a counter
-// cannot carry, is read straight off the queue.
+// filled — the samples GET /metrics exposes, so the two cannot drift.
 func (d *dispatch) stats() DispatchStats {
 	snap := d.reg.Snapshot()
 	intOf := func(name string) int64 {
@@ -556,34 +545,14 @@ func (d *dispatch) stats() DispatchStats {
 		CompletedLeases: intOf("campaignd_leases_completed_total"),
 		EffectiveBatch:  int(intOf("campaignd_lease_batch")),
 		MeanPointMillis: int64(ewma * 1000),
-		ActiveLeases:    d.activeLeases(),
 	}
-}
-
-// activeLeases lists the live leases (sweeping expired ones first) —
-// the one statsz ingredient that carries identity (worker, deadline) a
-// counter cannot.
-func (d *dispatch) activeLeases() []LeaseInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.expireLocked()
-	now := d.now()
-	out := make([]LeaseInfo, 0, len(d.leases))
-	for _, l := range d.leases {
-		out = append(out, LeaseInfo{
-			Lease: l.id, Worker: l.worker, Points: len(l.indexes),
-			ExpiresInMillis: l.deadline.Sub(now).Milliseconds(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lease < out[j].Lease })
-	return out
 }
 
 // lockedRead wraps a read for func-backed instruments: take d.mu and
 // sweep expired leases first, so a scrape of an idle coordinator
-// reports crashed workers' leases as expired — never as live —
-// exactly as /v1/statsz does. (Safe at scrape time: the registry
-// invokes callbacks without its own lock held.)
+// reports crashed workers' leases as expired — never as live. (Safe
+// at scrape time: the registry invokes callbacks without its own lock
+// held.)
 func (d *dispatch) lockedRead(read func() float64) func() float64 {
 	return func() float64 {
 		d.mu.Lock()

@@ -180,14 +180,18 @@ func TestAdaptiveBatch(t *testing.T) {
 		t.Fatalf("second adaptive lease = %d points, want 10", len(pts))
 	}
 
-	// stats surfaces the knobs for /v1/statsz (snapshotted while the
-	// lease is live — the fake clock is shared with the cases below).
+	// stats surfaces the knobs for Server.Stats, and the registry shows
+	// the live 10-point lease (snapshotted while the lease is live — the
+	// fake clock is shared with the cases below).
 	st := d.stats()
 	if st.EffectiveBatch != 10 || st.MeanPointMillis == 0 {
 		t.Fatalf("stats = batch %d / mean %dms, want 10 / nonzero", st.EffectiveBatch, st.MeanPointMillis)
 	}
-	if len(st.ActiveLeases) != 1 || st.ActiveLeases[0].Worker != "w" || st.ActiveLeases[0].Points != 10 {
-		t.Fatalf("ActiveLeases = %+v, want the live 10-point lease", st.ActiveLeases)
+	snap := d.reg.Snapshot()
+	live, _ := snap.Value("campaignd_leases_live")
+	leased, _ := snap.Value("campaignd_points_leased")
+	if live != 1 || leased != 10 {
+		t.Fatalf("campaignd_leases_live = %v, campaignd_points_leased = %v; want the live 10-point lease (1, 10)", live, leased)
 	}
 
 	// Very slow points shrink the batch to the floor of 1...

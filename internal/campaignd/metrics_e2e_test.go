@@ -172,7 +172,7 @@ func TestHeartbeatAbandonsBlackholedRenew(t *testing.T) {
 
 // TestIdleStatszSweepsExpiredLeases pins lazy lease expiry on the
 // observability path: with no mutating dispatch traffic at all, a
-// statsz snapshot (and the /metrics gauges) of a coordinator whose
+// Server.Stats snapshot (and the /metrics gauges) of a coordinator whose
 // worker crashed must report the lease expired and its points pending
 // again — not a live lease and an understated queue.
 func TestIdleStatszSweepsExpiredLeases(t *testing.T) {
@@ -328,7 +328,7 @@ func TestLeaseRetry(t *testing.T) {
 // TestMetricsReconcileWithCampaign is the loopback observability
 // acceptance pin: after a mixed-backend two-worker campaign with one
 // induced crash, the coordinator's /metrics counters reconcile exactly
-// with /v1/statsz, with the workers' own registries and with the
+// with Server.Stats, with the workers' own registries and with the
 // merged CSV — per-backend simulation counts, zero duplicates, and the
 // crashed worker's expired lease all visible.
 func TestMetricsReconcileWithCampaign(t *testing.T) {
@@ -404,8 +404,8 @@ func TestMetricsReconcileWithCampaign(t *testing.T) {
 		t.Errorf("worker-side store writes = %v, want %d", writes, len(pts))
 	}
 
-	// The induced crash is visible — and /metrics and /v1/statsz tell
-	// the same story, because statsz renders from the same registry.
+	// The induced crash is visible — and /metrics and Server.Stats tell
+	// the same story, because Stats reads the same registry.
 	if samples["campaignd_leases_expired_total"] < 1 {
 		t.Error("no expired lease scraped after the induced crash")
 	}
@@ -416,11 +416,11 @@ func TestMetricsReconcileWithCampaign(t *testing.T) {
 		"runstore_hits_total":            float64(st.Store.Hits),
 	}
 	if done, _ := srv.Metrics().Snapshot().Sum("campaignd_points_done"); done != float64(st.Dispatch.Done) {
-		t.Errorf("campaignd_points_done sums to %v, statsz Done = %d", done, st.Dispatch.Done)
+		t.Errorf("campaignd_points_done sums to %v, Stats Done = %d", done, st.Dispatch.Done)
 	}
 	for key, want := range reconcile {
 		if got := samples[key]; got != want {
-			t.Errorf("scraped %s = %v, statsz says %v", key, got, want)
+			t.Errorf("scraped %s = %v, Stats says %v", key, got, want)
 		}
 	}
 

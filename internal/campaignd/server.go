@@ -13,12 +13,10 @@
 //	                     gzip or plain-JSON bodies both verify; an
 //	                     X-Wall-Seconds header carries the point's
 //	                     execution wall time
-//	GET /v1/statsz       store + dispatch counters (JSON, or a
-//	                     human-readable page for Accept: text/html)
-//	GET /metrics         the same counters in Prometheus text
-//	                     exposition (internal/metrics) — statsz renders
-//	                     from the identical registry snapshot, so the
-//	                     two surfaces cannot drift
+//	GET /metrics         store + dispatch counters in Prometheus text
+//	                     exposition (internal/metrics); Server.Stats
+//	                     reads the in-process snapshot off the same
+//	                     registry
 //
 // Entries travel in the runstore wire encoding — gzip-compressed by
 // default, sniffed on receipt — and are validated on both ends, so
@@ -225,13 +223,11 @@ type completeRequest struct {
 	Spans []tracing.Span `json:",omitempty"`
 }
 
-// Statsz is the /v1/statsz body.
+// Statsz is the coordinator's in-process counter snapshot (Server.Stats):
+// the store and dispatch samples GET /metrics exposes.
 type Statsz struct {
 	Store    runstore.Stats
 	Dispatch DispatchStats
-	// Memo aggregates the runner's synthesis/prewarm memo counters
-	// across backends (zero-valued when no memoising backend has run).
-	Memo experiments.MemoStats
 }
 
 // New builds a coordinator over its backing store, with no campaign
@@ -272,7 +268,6 @@ func New(cfg ServerConfig) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /v1/run/{hash}", s.handleGetRun)
 	s.mux.HandleFunc("PUT /v1/run/{hash}", s.handlePutRun)
-	s.mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /v1/campaign", s.handleCampaign)
 	s.mux.HandleFunc("POST /v1/campaign", s.handleEnqueueCampaign)
 	s.mux.HandleFunc("GET /v1/campaign/{id}", s.handleCampaignStatus)
@@ -308,18 +303,14 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // campaign; a serving one never seals, so its workers keep polling.
 func (s *Server) Seal() { s.d.seal() }
 
-// Stats snapshots both planes from the metrics registry — /v1/statsz
-// renders the same samples GET /metrics exposes, so the two surfaces
-// cannot drift.
+// Stats snapshots both planes from the metrics registry: the same
+// samples GET /metrics exposes, so the process's accounting lines and
+// a scrape cannot disagree.
 func (s *Server) Stats() Statsz {
 	snap := s.metrics.Snapshot()
 	intOf := func(name string) int64 {
 		v, _ := snap.Value(name)
 		return int64(v)
-	}
-	sumOf := func(name string) uint64 {
-		v, _ := snap.Sum(name)
-		return uint64(v)
 	}
 	return Statsz{
 		Store: runstore.Stats{
@@ -329,12 +320,6 @@ func (s *Server) Stats() Statsz {
 			BadEntries: intOf("runstore_bad_entries_total"),
 		},
 		Dispatch: s.d.stats(),
-		Memo: experiments.MemoStats{
-			SynthHits:     sumOf("runner_synth_memo_hits_total"),
-			SynthMisses:   sumOf("runner_synth_memo_misses_total"),
-			PrewarmHits:   sumOf("runner_prewarm_memo_hits_total"),
-			PrewarmMisses: sumOf("runner_prewarm_memo_misses_total"),
-		},
 	}
 }
 
@@ -430,15 +415,6 @@ func hostCost(v string) (simreport.HostCost, error) {
 		return simreport.HostCost{}, fmt.Errorf("malformed %s header %q", wallHeader, v)
 	}
 	return simreport.HostCost{WallSeconds: sec}, nil
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	if wantsHTML(r) {
-		s.serveStatszHTML(w, st)
-		return
-	}
-	writeJSON(w, st)
 }
 
 // --- dispatch plane ---

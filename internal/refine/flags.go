@@ -120,6 +120,9 @@ func (f *Flags) Campaign(ctx context.Context, sf *sweep.Flags, r *experiments.Ru
 	if err != nil {
 		return Campaign{}, err
 	}
+	if _, err := space.Rows(r.Options()); err != nil {
+		return Campaign{}, err
+	}
 	if !f.Enabled() {
 		plan, rows := space.Build(r)
 		return Campaign{Plan: plan, Rows: rows, Shape: sweep.Shape{Backend: sf.Backend != ""}}, nil

@@ -20,7 +20,7 @@ type IndexEntry struct {
 }
 
 // String renders the one-line human-readable index form shared by the
-// -storeop index listings of cmd/sweep and cmd/experiments.
+// -storeop index listing of cmd/sweep.
 func (e IndexEntry) String() string {
 	prewarm := "cold"
 	if e.Key.Prewarm {

@@ -96,7 +96,8 @@ func (f *Flags) Space() (Space, error) {
 
 // Rows expands the flags' design space into its valid CSV rows
 // without running anything — or building a Runner: the form a
-// campaign is submitted to a remote coordinator in.
+// campaign is submitted to a remote coordinator in. A space with no
+// valid row is an error (see Space.Rows).
 func (f *Flags) Rows() ([]Row, error) {
 	opts, err := f.Options()
 	if err != nil {
@@ -109,8 +110,7 @@ func (f *Flags) Rows() ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, rows, _ := Expand(nil, opts, space.Backend, space.coords())
-	return rows, nil
+	return space.Rows(opts)
 }
 
 // parseInts parses a comma-separated integer list.

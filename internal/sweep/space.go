@@ -18,7 +18,7 @@
 //     (internal/refine) uses to apply its calibration fit.
 //
 // Flags (RegisterFlags) keeps the two drivers' design-space flag sets
-// identical, and Maint is their shared -storeop maintenance path.
+// identical.
 // Outputs is the runtime every cmd/ driver shares (run store, metrics
 // registry and listener, pprof, -trace, -report, -cpuprofile,
 // -memprofile), and Main and ExitCode their process entry and
@@ -83,6 +83,18 @@ func (sp Space) Build(r *experiments.Runner) (*experiments.Plan, []Row) {
 	points := make([]experiments.Point, 0, len(coords)+len(sp.Benches))
 	points, rows, _ := Expand(points, r.Options(), sp.Backend, coords)
 	return r.Plan(points...), rows
+}
+
+// Rows lays the space out under opts without declaring a plan: its
+// valid rows, or, for a space without one, an error naming the first
+// invalid row and why (see Expand). Drivers refuse such a space with
+// it before anything runs.
+func (sp Space) Rows(opts experiments.Options) ([]Row, error) {
+	_, rows, err := Expand(nil, opts, sp.Backend, sp.coords())
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("design space has no valid row: %w", err)
+	}
+	return rows, nil
 }
 
 // coords lists the space's cross product in CSV emission order.

@@ -76,10 +76,19 @@ func TestSpaceBuild(t *testing.T) {
 		}
 	}
 
-	// A space with no valid row plans nothing, not even a baseline.
+	// Rows lays out the same rows without a plan.
+	if got, err := sp.Rows(r.Options()); err != nil || !reflect.DeepEqual(got, rows) {
+		t.Fatalf("Rows = %d rows, %v; want Build's %d rows", len(got), err, len(rows))
+	}
+
+	// A space with no valid row plans nothing, not even a baseline, and
+	// Rows names its first invalid row.
 	sp.CPCs = []int{1, 3}
 	if plan, rows := sp.Build(r); plan.Len() != 0 || len(rows) != 0 {
 		t.Fatalf("all-invalid space planned %d points and %d rows, want none", plan.Len(), len(rows))
+	}
+	if _, err := sp.Rows(r.Options()); err == nil || !strings.HasPrefix(err.Error(), "design space has no valid row: row 0 (FT cpc 1): ") {
+		t.Fatalf("Rows of an all-invalid space: err = %v, want its first invalid row named", err)
 	}
 
 	// The Fig 7 space's plan and rows, point for point, as recorded

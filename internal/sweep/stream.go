@@ -1,12 +1,8 @@
 package sweep
 
 import (
-	"fmt"
-	"io"
-
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
-	"sharedicache/internal/runstore"
 )
 
 // EmitStream renders the sweep CSV from a plan-order result stream,
@@ -38,33 +34,6 @@ func (c *CSV) EmitStream(ch <-chan experiments.PointResult, rows []Row, planLen 
 		if err := c.Flush(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Maint runs the shared -storeop maintenance path of cmd/sweep and
-// cmd/experiments against a local store: 'index' lists every
-// trustworthy entry on stdout, 'gc' sweeps corrupt entries and
-// orphaned temp files. prefix labels the stderr summary lines.
-func Maint(st *runstore.Store, op, prefix string, stdout, stderr io.Writer) error {
-	switch op {
-	case "index":
-		entries, err := st.Index()
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			fmt.Fprintln(stdout, e)
-		}
-		fmt.Fprintf(stderr, "%s: %d entries in %s\n", prefix, len(entries), st.Dir())
-	case "gc":
-		removed, err := st.GC()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "%s: gc removed %d files from %s\n", prefix, removed, st.Dir())
-	default:
-		return fmt.Errorf("unknown -storeop %q (index, gc)", op)
 	}
 	return nil
 }
